@@ -6,150 +6,4 @@ fill the holes with one of five imputation methods, and measure how far
 the completed data pull nine downstream estimates away from the truth.
 """
 
-from .ampute import (
-    CompletedDataset,
-    IncompleteDataset,
-    Mechanism,
-    MissingnessSpec,
-    ampute,
-    solve_shift,
-)
-from .datagen import (
-    Dataset,
-    GroundTruth,
-    PopulationSpec,
-    coefficients,
-    draw_sample,
-    generate_population,
-    ground_truth,
-)
-from .downstream import (
-    DecompositionResult,
-    ParamSet,
-    decompose_mse,
-    estimate_params,
-    quantile,
-)
-from .forest import (
-    ForestParams,
-    RegressionTree,
-    fit_forest,
-    fit_tree,
-    impute_forest,
-    predict_forest,
-)
-from .harness import (
-    ExperimentConfig,
-    SummaryTable,
-    TableRow,
-    export_figure_data,
-    format_table,
-    run_cell,
-    run_decomposition,
-    run_table1,
-    run_table2,
-    signal_label,
-)
-from .imputers import (
-    Draw,
-    Forest,
-    ImputationMethod,
-    Pmm,
-    Predict,
-    SoftImpute,
-    als_matrix_complete,
-    impute_dispatch,
-    impute_draw,
-    impute_pmm,
-    impute_predict,
-    impute_softimpute,
-)
-from .linmodel import (
-    DesignSpec,
-    InsufficientDataError,
-    OlsFit,
-    SingularDesignError,
-    bayes_param_draw,
-    fit_ols,
-    predict,
-    r_squared,
-)
-from .stochastics import (
-    Purpose,
-    RngStream,
-    SeedSpec,
-    draw_chi_square,
-    draw_standard_normal,
-    draw_uniform,
-    make_stream,
-    sample_without_replacement,
-    substream_id,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CompletedDataset",
-    "Dataset",
-    "DecompositionResult",
-    "DesignSpec",
-    "Draw",
-    "ExperimentConfig",
-    "Forest",
-    "ForestParams",
-    "GroundTruth",
-    "ImputationMethod",
-    "IncompleteDataset",
-    "InsufficientDataError",
-    "Mechanism",
-    "MissingnessSpec",
-    "OlsFit",
-    "ParamSet",
-    "Pmm",
-    "PopulationSpec",
-    "Predict",
-    "Purpose",
-    "RegressionTree",
-    "RngStream",
-    "SeedSpec",
-    "SingularDesignError",
-    "SoftImpute",
-    "SummaryTable",
-    "TableRow",
-    "als_matrix_complete",
-    "ampute",
-    "bayes_param_draw",
-    "coefficients",
-    "decompose_mse",
-    "draw_chi_square",
-    "draw_sample",
-    "draw_standard_normal",
-    "draw_uniform",
-    "estimate_params",
-    "export_figure_data",
-    "fit_forest",
-    "fit_ols",
-    "fit_tree",
-    "format_table",
-    "generate_population",
-    "ground_truth",
-    "impute_dispatch",
-    "impute_draw",
-    "impute_forest",
-    "impute_pmm",
-    "impute_predict",
-    "impute_softimpute",
-    "make_stream",
-    "predict",
-    "predict_forest",
-    "quantile",
-    "r_squared",
-    "run_cell",
-    "run_decomposition",
-    "run_table1",
-    "run_table2",
-    "sample_without_replacement",
-    "signal_label",
-    "solve_shift",
-    "substream_id",
-]

@@ -38,22 +38,22 @@ class Mechanism(Enum):
 
 @dataclass(frozen=True)
 class MissingnessSpec:
-    """Mechanism, target proportion, and score weights over (x1, x2, y).
+    """Mechanism, target proportion, and MAR score weights over (x1, x2).
 
-    The y weight is accepted for interface symmetry but ignored: y is the
-    column being masked, so its values cannot drive the mechanism.
+    y has no weight: it is the column being masked, so its values cannot
+    drive the mechanism.
     """
 
     mechanism: Mechanism
     prop: float = 0.5
-    weights: tuple[float, float, float] = (1.0, 0.0, 0.0)
+    weights: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
         if not 0.0 < self.prop < 1.0:
             raise ValueError(f"prop must lie strictly in (0,1), got {self.prop}")
-        if len(self.weights) != 3:
-            raise ValueError(f"weights must be a triple over (x1,x2,y), got {self.weights}")
-        if self.mechanism is Mechanism.MAR_RIGHT and not any(self.weights[:2]):
+        if len(self.weights) != 2:
+            raise ValueError(f"weights must be a pair over (x1,x2), got {self.weights}")
+        if self.mechanism is Mechanism.MAR_RIGHT and not any(self.weights):
             raise ValueError("MAR requires a nonzero weight on x1 or x2")
 
 
@@ -201,7 +201,7 @@ def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> Incomplet
     if spec.mechanism is Mechanism.MCAR:
         probs = np.full(n, spec.prop)
     else:
-        w1, w2, _ = spec.weights
+        w1, w2 = spec.weights
         raw = w1 * data.x1 + w2 * data.x2
         sd = float(np.std(raw))
         if sd == 0.0 or not np.isfinite(sd):

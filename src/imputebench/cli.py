@@ -178,6 +178,8 @@ def parse_and_dispatch(argv=None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         return _dispatch(args)
     except CliError as exc:

@@ -91,27 +91,6 @@ class Dataset:
     def columns(self) -> Dict[str, np.ndarray]:
         return {"x1": self.x1, "x2": self.x2, "y": self.y}
 
-    def to_csv(self, path) -> None:
-        """Write the dataset with header ``x1,x2,y``."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("x1,x2,y\n")
-            for a, b, c in zip(self.x1, self.x2, self.y):
-                fh.write(f"{a:.17g},{b:.17g},{c:.17g}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        """Read a dataset written by :meth:`to_csv`."""
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if header != "x1,x2,y":
-                raise ValueError(f"unexpected CSV header: {header!r}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if rows.size == 0:
-            rows = rows.reshape(0, 3)
-        if rows.shape[1] != 3:
-            raise ValueError("expected exactly three columns")
-        return cls(rows[:, 0], rows[:, 1], rows[:, 2])
-
 
 @dataclass(frozen=True)
 class GroundTruth:

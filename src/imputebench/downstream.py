@@ -11,17 +11,14 @@ differ exactly by the masked fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ampute import CompletedDataset, IncompleteDataset
 from .datagen import Dataset, PopulationSpec, coefficients
+from .imputers import ImputationMethod
 from .linmodel import DesignSpec, fit_ols, r_squared
 from .stochastics import RngStream
-
-if TYPE_CHECKING:
-    from .imputers import ImputationMethod
 
 _FORWARD = DesignSpec(response="y", predictors=("x1", "x2"))
 _REVERSE = DesignSpec(response="x1", predictors=("y", "x2"))
@@ -144,7 +141,7 @@ def estimate_params(completed: CompletedDataset, truth: Dataset) -> ParamSet:
 def decompose_mse(
     inc: IncompleteDataset,
     truth: Dataset,
-    method: "ImputationMethod",
+    method: ImputationMethod,
     repeats: int,
     stream: RngStream,
     population: PopulationSpec,
@@ -159,8 +156,6 @@ def decompose_mse(
     generator's irreducible sigma^2 = 1 - r_squared. total is the mean
     across repeats of the per-missing-row MSE.
     """
-    from .imputers import impute_dispatch  # deferred: imputers imports this module
-
     if repeats < 2:
         raise ValueError(f"repeats must be at least 2, got {repeats}")
     beta1, beta2, noise_sd = coefficients(population)
@@ -170,7 +165,7 @@ def decompose_mse(
 
     draws = np.empty((repeats, inc.n_missing))
     for r in range(1, repeats + 1):
-        completed = impute_dispatch(inc, method, stream.child(r))
+        completed = method.impute(inc, stream.child(r))
         draws[r - 1] = completed.data.y[inc.mask]
 
     center = draws.mean(axis=0)

@@ -204,13 +204,11 @@ def predict_forest(trees: Sequence[RegressionTree], rows: np.ndarray) -> np.ndar
     return total / len(trees)
 
 
-def impute_forest(
-    inc: IncompleteDataset,
-    params: ForestParams,
-    max_outer_iter: int,
-    stream: RngStream,
-) -> CompletedDataset:
+def impute_forest(inc: IncompleteDataset, method, stream: RngStream) -> CompletedDataset:
     """Iterative forest imputation of the masked y entries.
+
+    ``method`` is the ``imputers.Forest`` method object: its ``params``
+    grow each forest and it caps the loop at ``max_outer_iter`` passes.
 
     Missing entries start at mean(y_obs); each outer iteration refits a
     forest of y on (x1, x2) over the observed rows (iteration i uses the
@@ -221,16 +219,12 @@ def impute_forest(
     within an iteration or two; the machinery exists to mirror the usual
     chained-imputation behavior.
     """
-    if max_outer_iter < 1:
-        raise ValueError(f"max_outer_iter must be at least 1, got {max_outer_iter}")
+    params = method.params
     if inc.n_observed < params.min_node_size:
         raise ValueError(
             f"need at least min_node_size={params.min_node_size} observed rows, "
             f"got {inc.n_observed}"
         )
-    from .imputers import Forest  # deferred: imputers imports this module
-
-    method = Forest(params=params, max_outer_iter=max_outer_iter)
     if inc.n_missing == 0:
         return CompletedDataset.from_imputation(inc, np.empty(0), method)
 
@@ -243,7 +237,7 @@ def impute_forest(
     current = np.full(inc.n_missing, y_obs.mean())
     prev_delta = np.inf
     converged = False
-    for it in range(1, max_outer_iter + 1):
+    for it in range(1, method.max_outer_iter + 1):
         trees = fit_forest(x_obs, y_obs, params, stream.child(it))
         proposed = predict_forest(trees, x_mis)
         denom = float(proposed @ proposed)

@@ -13,32 +13,26 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
-from .ampute import (
-    CompletedDataset,
-    Mechanism,
-    MissingnessSpec,
-    ampute,
-)
+from .ampute import CompletedDataset, Mechanism, MissingnessSpec, ampute
 from .datagen import Dataset, PopulationSpec, draw_sample, generate_population
-from .downstream import ParamSet, estimate_params
+from .downstream import DecompositionResult, ParamSet, decompose_mse, estimate_params
 from .imputers import (
-    IMPUTE_DESIGN,
     Draw,
     Forest,
     ImputationMethod,
     Pmm,
     Predict,
     SoftImpute,
-    impute_dispatch,
     impute_draw,
     impute_predict,
 )
-from .linmodel import fit_ols
 from .stochastics import Purpose, SeedSpec, make_stream, substream_id
 
 TRUTH_LABEL = "truth"
@@ -139,7 +133,13 @@ def _population_stream_ids(cfg: ExperimentConfig) -> dict[str, int]:
     }
 
 
+@lru_cache(maxsize=2)
 def _build_population(cfg: ExperimentConfig, spec: PopulationSpec) -> Dataset:
+    """One signal level's population, memoized per process.
+
+    Two entries hold both signal levels of the default grid, so a process
+    (the parent, or a pool worker) builds each population once per config.
+    """
     sid = _population_stream_ids(cfg)[signal_label(spec)]
     stream = make_stream(SeedSpec(cfg.base_seed, sid))
     return generate_population(replace(spec, size=cfg.pop_size), stream)
@@ -153,66 +153,52 @@ def _rep_stream(cfg: ExperimentConfig, cell_id: int, t: int, purpose: Purpose):
 # cells
 # =====================================================================
 
-def _replicate(
-    pop: Dataset,
-    mech: MissingnessSpec,
-    method: ImputationMethod,
-    cfg: ExperimentConfig,
-    cell_id: int,
-    t: int,
-) -> ParamSet:
-    sample = draw_sample(pop, cfg.n_sample, _rep_stream(cfg, cell_id, t, Purpose.SAMPLING))
-    inc = ampute(sample, mech, _rep_stream(cfg, cell_id, t, Purpose.AMPUTATION))
-    completed = impute_dispatch(inc, method, _rep_stream(cfg, cell_id, t, Purpose.IMPUTATION))
+@dataclass(frozen=True)
+class _Cell:
+    """The work of one table row: a grid cell, or its signal's truth row."""
+
+    cell_id: int
+    signal: str
+    spec: PopulationSpec
+    method: ImputationMethod | None = None
+    mech: MissingnessSpec | None = None
+
+    @property
+    def name(self) -> str:
+        return (
+            f"cell (signal={self.signal}, method={self.method.label}, "
+            f"mechanism={self.mech.mechanism.label})"
+        )
+
+
+@contextmanager
+def _failures_named(name: str, t: int):
+    """Re-raise any failure inside as one error naming its cell and replication."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"{name} failed at replication {t}: {exc}") from exc
+
+
+def _replicate(pop: Dataset, cell: _Cell, cfg: ExperimentConfig, t: int) -> ParamSet:
+    sample = draw_sample(pop, cfg.n_sample, _rep_stream(cfg, cell.cell_id, t, Purpose.SAMPLING))
+    inc = ampute(sample, cell.mech, _rep_stream(cfg, cell.cell_id, t, Purpose.AMPUTATION))
+    completed = cell.method.impute(inc, _rep_stream(cfg, cell.cell_id, t, Purpose.IMPUTATION))
     return estimate_params(completed, sample)
 
 
-def _cell_stats(
-    pop: Dataset,
-    spec: PopulationSpec,
-    mech: MissingnessSpec,
-    method: ImputationMethod,
-    cfg: ExperimentConfig,
-    cell_id: int,
-) -> tuple[ParamSet, np.ndarray]:
+def _cell_stats(pop: Dataset, cell: _Cell, cfg: ExperimentConfig) -> tuple[ParamSet, np.ndarray]:
     """Field-wise mean and Monte Carlo standard error over replications."""
     reps = np.empty((cfg.t_rep, _N_FIELDS))
     for t in range(1, cfg.t_rep + 1):
-        try:
-            reps[t - 1] = _replicate(pop, mech, method, cfg, cell_id, t).as_array()
-        except Exception as exc:
-            raise RuntimeError(
-                f"cell (signal={signal_label(spec)}, method={method.label}, "
-                f"mechanism={mech.mechanism.label}) failed at replication {t}: {exc}"
-            ) from exc
+        with _failures_named(cell.name, t):
+            reps[t - 1] = _replicate(pop, cell, cfg, t).as_array()
     mean = reps.mean(axis=0)
     if cfg.t_rep > 1:
         stderr = reps.std(axis=0, ddof=1) / math.sqrt(cfg.t_rep)
     else:
         stderr = np.full(_N_FIELDS, np.nan)
     return ParamSet.from_array(mean), stderr
-
-
-def run_cell(
-    pop: Dataset,
-    spec: PopulationSpec,
-    mech: MissingnessSpec,
-    method: ImputationMethod,
-    cfg: ExperimentConfig,
-    cell_id: int,
-) -> ParamSet:
-    """Average downstream parameters of one grid cell."""
-    mean, _ = _cell_stats(pop, spec, mech, method, cfg, cell_id)
-    return mean
-
-
-@dataclass(frozen=True)
-class _Cell:
-    cell_id: int
-    signal: str
-    spec: PopulationSpec
-    method: ImputationMethod
-    mech: MissingnessSpec
 
 
 def _assign_cells(cfg: ExperimentConfig, methods: Sequence[ImputationMethod]) -> list[_Cell]:
@@ -237,55 +223,30 @@ def _assign_cells(cfg: ExperimentConfig, methods: Sequence[ImputationMethod]) ->
     ]
 
 
-def _cell_worker(args: tuple[ExperimentConfig, _Cell]) -> tuple[int, ParamSet, np.ndarray]:
-    """Process-pool entry point: rebuilds the population deterministically."""
-    cfg, cell = args
+def _table_row(cfg: ExperimentConfig, cell: _Cell) -> TableRow:
+    """One summary-table row; serial and pool runs map this over the same cells."""
     pop = _build_population(cfg, cell.spec)
-    mean, stderr = _cell_stats(pop, cell.spec, cell.mech, cell.method, cfg, cell.cell_id)
-    return cell.cell_id, mean, stderr
-
-
-def _truth_row(pop: Dataset, signal: str) -> TableRow:
-    completed = CompletedDataset(
-        data=pop, imputed_mask=np.zeros(len(pop), dtype=bool), method=None
-    )
-    return TableRow(signal, TRUTH_LABEL, NO_MECHANISM_LABEL, estimate_params(completed, pop))
+    if cell.method is None:
+        truth = CompletedDataset(data=pop, imputed_mask=np.zeros(len(pop), dtype=bool), method=None)
+        return TableRow(cell.signal, TRUTH_LABEL, NO_MECHANISM_LABEL, estimate_params(truth, pop))
+    mean, stderr = _cell_stats(pop, cell, cfg)
+    return TableRow(cell.signal, cell.method.label, cell.mech.mechanism.label, mean, stderr)
 
 
 def _run_grid(
     cfg: ExperimentConfig, methods: Sequence[ImputationMethod], threads: int
 ) -> SummaryTable:
     cells = _assign_cells(cfg, methods)
-    results: dict[int, tuple[ParamSet, np.ndarray]] = {}
-    populations: dict[str, Dataset] = {}
-    if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-            for cell_id, mean, stderr in pool.map(
-                _cell_worker, [(cfg, cell) for cell in cells]
-            ):
-                results[cell_id] = (mean, stderr)
-        for spec in cfg.populations:
-            populations[signal_label(spec)] = _build_population(cfg, spec)
-    else:
-        for spec in cfg.populations:
-            populations[signal_label(spec)] = _build_population(cfg, spec)
-        for cell in cells:
-            results[cell.cell_id] = _cell_stats(
-                populations[cell.signal], cell.spec, cell.mech, cell.method, cfg, cell.cell_id
-            )
-
-    rows: list[TableRow] = []
+    rows = []
     for spec in cfg.populations:
         signal = signal_label(spec)
-        rows.append(_truth_row(populations[signal], signal))
-        for cell in cells:
-            if cell.signal != signal:
-                continue
-            mean, stderr = results[cell.cell_id]
-            rows.append(
-                TableRow(signal, cell.method.label, cell.mech.mechanism.label, mean, stderr)
-            )
-    return SummaryTable(rows=tuple(rows))
+        rows.append(_Cell(-1, signal, spec))
+        rows.extend(cell for cell in cells if cell.signal == signal)
+    row = partial(_table_row, cfg)
+    if threads > 1 and len(rows) > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(rows))) as pool:
+            return SummaryTable(rows=tuple(pool.map(row, rows)))
+    return SummaryTable(rows=tuple(map(row, rows)))
 
 
 def _select_methods(
@@ -367,26 +328,6 @@ def _bias_flags(table: SummaryTable, row: TableRow) -> np.ndarray:
     return flags
 
 
-def _figure_incomplete(cfg: ExperimentConfig):
-    """The figure's shared amputed sample: lowest signal, right-censoring."""
-    spec = min(cfg.populations, key=lambda p: p.r_squared)
-    mech = next(
-        (m for m in cfg.mechanisms if m.mechanism is Mechanism.MAR_RIGHT),
-        MissingnessSpec(Mechanism.MAR_RIGHT),
-    )
-    pop = _build_population(cfg, spec)
-    sample = draw_sample(
-        pop,
-        cfg.n_sample,
-        make_stream(SeedSpec(cfg.base_seed, substream_id(_FIGURE_CELL, 1, Purpose.SAMPLING))),
-    )
-    return ampute(
-        sample,
-        mech,
-        make_stream(SeedSpec(cfg.base_seed, substream_id(_FIGURE_CELL, 1, Purpose.AMPUTATION))),
-    )
-
-
 def export_figure_data(cfg: ExperimentConfig, out) -> int:
     """Write one amputed sample completed by predict and by draw.
 
@@ -395,16 +336,23 @@ def export_figure_data(cfg: ExperimentConfig, out) -> int:
     row per (row, method) pair with columns x1,y,status,method and
     returns the number of data rows written.
     """
-    inc = _figure_incomplete(cfg)
-    completions = [
-        impute_predict(inc),
-        impute_draw(
-            inc,
-            make_stream(
-                SeedSpec(cfg.base_seed, substream_id(_FIGURE_CELL, 2, Purpose.IMPUTATION))
-            ),
-        ),
-    ]
+    spec = min(cfg.populations, key=lambda p: p.r_squared)
+    mech = next(
+        (m for m in cfg.mechanisms if m.mechanism is Mechanism.MAR_RIGHT),
+        MissingnessSpec(Mechanism.MAR_RIGHT),
+    )
+    pop = _build_population(cfg, spec)
+    with _failures_named(
+        f"figure (signal={signal_label(spec)}, mechanism={mech.mechanism.label})", 1
+    ):
+        sample = draw_sample(
+            pop, cfg.n_sample, _rep_stream(cfg, _FIGURE_CELL, 1, Purpose.SAMPLING)
+        )
+        inc = ampute(sample, mech, _rep_stream(cfg, _FIGURE_CELL, 1, Purpose.AMPUTATION))
+        completions = [
+            impute_predict(inc),
+            impute_draw(inc, _rep_stream(cfg, _FIGURE_CELL, 2, Purpose.IMPUTATION)),
+        ]
 
     lines = ["x1,y,status,method"]
     for completed in completions:
@@ -421,39 +369,30 @@ def export_figure_data(cfg: ExperimentConfig, out) -> int:
     return len(lines) - 1
 
 
-def figure_sample_fit(cfg: ExperimentConfig):
-    """The OLS fit behind the figure's predict completion (for checking)."""
-    inc = _figure_incomplete(cfg)
-    return fit_ols(inc.observed_rows(), IMPUTE_DESIGN), inc
-
-
 def run_decomposition(
     cfg: ExperimentConfig, method: ImputationMethod, repeats: int
-) -> list[tuple[str, str, "DecompositionResult"]]:
+) -> list[tuple[str, str, DecompositionResult]]:
     """Bias/variance/noise split of one method across the signal grid.
 
     For each (population, mechanism) cell: one sample, one amputation
     (replication-1 streams of a single-method grid), then repeated
     imputation inside decompose_mse.
     """
-    from .downstream import DecompositionResult, decompose_mse  # noqa: F401
-
-    cells = _assign_cells(cfg, (method,))
-    populations: dict[str, Dataset] = {}
     out = []
-    for cell in cells:
-        if cell.signal not in populations:
-            populations[cell.signal] = _build_population(cfg, cell.spec)
-        pop = populations[cell.signal]
-        sample = draw_sample(pop, cfg.n_sample, _rep_stream(cfg, cell.cell_id, 1, Purpose.SAMPLING))
-        inc = ampute(sample, cell.mech, _rep_stream(cfg, cell.cell_id, 1, Purpose.AMPUTATION))
-        result = decompose_mse(
-            inc,
-            sample,
-            method,
-            repeats,
-            _rep_stream(cfg, cell.cell_id, 1, Purpose.IMPUTATION),
-            cell.spec,
-        )
+    for cell in _assign_cells(cfg, (method,)):
+        pop = _build_population(cfg, cell.spec)
+        with _failures_named(cell.name, 1):
+            sample = draw_sample(
+                pop, cfg.n_sample, _rep_stream(cfg, cell.cell_id, 1, Purpose.SAMPLING)
+            )
+            inc = ampute(sample, cell.mech, _rep_stream(cfg, cell.cell_id, 1, Purpose.AMPUTATION))
+            result = decompose_mse(
+                inc,
+                sample,
+                method,
+                repeats,
+                _rep_stream(cfg, cell.cell_id, 1, Purpose.IMPUTATION),
+                cell.spec,
+            )
         out.append((cell.signal, cell.mech.mechanism.label, result))
     return out

@@ -1,10 +1,10 @@
-"""Four ways to fill the holes, behind one dispatch function.
+"""The five imputation methods; each method object imputes itself.
 
 ``predict`` and ``draw`` are the two regression imputers (conditional
 mean, and conditional mean plus residual noise). ``pmm`` is type-1
 predictive mean matching. ``softimpute`` is low-rank matrix completion
-by alternating least squares. The forest imputer lives in its own module
-and is routed to by :func:`impute_dispatch`.
+by alternating least squares. The forest imputer lives in its own module;
+:class:`Forest` is its method object.
 """
 
 from __future__ import annotations
@@ -25,21 +25,29 @@ IMPUTE_DESIGN = DesignSpec(response="y", predictors=("x1", "x2"))
 
 
 class ImputationMethod:
-    """Marker base class; concrete methods are frozen dataclasses below."""
+    """Base class; concrete methods are frozen dataclasses below."""
 
     label: ClassVar[str] = ""
+
+    def impute(self, inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
+        """Fill the masked y entries of ``inc``, drawing only from ``stream``."""
+        raise ValueError(f"unknown imputation method: {self!r}")
 
 
 @dataclass(frozen=True)
 class Predict(ImputationMethod):
     label: ClassVar[str] = "predict"
 
+    def impute(self, inc, stream):
+        return impute_predict(inc)
+
 
 @dataclass(frozen=True)
 class Draw(ImputationMethod):
-    bayes: bool = False
-
     label: ClassVar[str] = "draw"
+
+    def impute(self, inc, stream):
+        return impute_draw(inc, stream)
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,9 @@ class Pmm(ImputationMethod):
         if self.donors < 1:
             raise ValueError(f"donors must be at least 1, got {self.donors}")
 
+    def impute(self, inc, stream):
+        return impute_pmm(inc, stream, donors=self.donors)
+
 
 @dataclass(frozen=True)
 class SoftImpute(ImputationMethod):
@@ -61,7 +72,6 @@ class SoftImpute(ImputationMethod):
     ridge: float = 0.0
     max_iter: int = 200
     tol: float = 1e-5
-    center: bool = False
 
     label: ClassVar[str] = "softimpute"
 
@@ -75,6 +85,9 @@ class SoftImpute(ImputationMethod):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
+    def impute(self, inc, stream):
+        return impute_softimpute(inc, self, stream)
+
 
 @dataclass(frozen=True)
 class Forest(ImputationMethod):
@@ -87,6 +100,9 @@ class Forest(ImputationMethod):
         if self.max_outer_iter < 1:
             raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
 
+    def impute(self, inc, stream):
+        return impute_forest(inc, self, stream)
+
 
 def impute_predict(inc: IncompleteDataset) -> CompletedDataset:
     """Fill masked y with fitted values from OLS on the observed rows."""
@@ -95,21 +111,12 @@ def impute_predict(inc: IncompleteDataset) -> CompletedDataset:
     return CompletedDataset.from_imputation(inc, values, Predict())
 
 
-def impute_draw(inc: IncompleteDataset, stream: RngStream, bayes: bool = False) -> CompletedDataset:
-    """Fill masked y with fitted values plus N(0, sigma2) residual noise.
-
-    With ``bayes`` the coefficients and residual variance are first drawn
-    from their posterior (one chi-square draw, then the coefficient
-    normals); the noise vector is always drawn last.
-    """
+def impute_draw(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
+    """Fill masked y with fitted values plus N(0, sigma2) residual noise."""
     fit = fit_ols(inc.observed_rows(), IMPUTE_DESIGN)
-    if bayes:
-        beta, sigma2 = bayes_param_draw(fit, stream)
-    else:
-        beta, sigma2 = fit.coefficients, fit.residual_variance
     x_mis = design_matrix(inc.missing_rows(), IMPUTE_DESIGN)
-    noise = math.sqrt(sigma2) * draw_standard_normal(stream, inc.n_missing)
-    return CompletedDataset.from_imputation(inc, x_mis @ beta + noise, Draw(bayes))
+    noise = math.sqrt(fit.residual_variance) * draw_standard_normal(stream, inc.n_missing)
+    return CompletedDataset.from_imputation(inc, x_mis @ fit.coefficients + noise, Draw())
 
 
 def impute_pmm(inc: IncompleteDataset, stream: RngStream, donors: int = 5) -> CompletedDataset:
@@ -211,35 +218,16 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
 def impute_softimpute(
     inc: IncompleteDataset, params: SoftImpute, stream: RngStream
 ) -> CompletedDataset:
-    """Fill masked y from the low-rank ALS reconstruction of (x1, x2, y).
-
-    The matrix is used raw by default; ``params.center`` subtracts
-    per-column observed means first and restores them afterwards.
-    """
+    """Fill masked y from the low-rank ALS reconstruction of raw (x1, x2, y)."""
     matrix = np.column_stack([inc.x1, inc.x2, inc.y])
-    shift = np.zeros(3)
-    if params.center:
-        shift = np.array([np.nanmean(matrix[:, j]) for j in range(3)])
-        matrix = matrix - shift
     recon, _, converged = als_matrix_complete(
         matrix, params.rank_max, params.ridge, params.max_iter, params.tol, stream
     )
-    values = recon[inc.mask, 2] + shift[2]
-    return CompletedDataset.from_imputation(inc, values, params, converged=converged)
+    return CompletedDataset.from_imputation(inc, recon[inc.mask, 2], params, converged=converged)
 
 
 def impute_dispatch(
     inc: IncompleteDataset, method: ImputationMethod, stream: RngStream
 ) -> CompletedDataset:
-    """Route to the imputer matching ``method``."""
-    if isinstance(method, Predict):
-        return impute_predict(inc)
-    if isinstance(method, Draw):
-        return impute_draw(inc, stream, bayes=method.bayes)
-    if isinstance(method, Pmm):
-        return impute_pmm(inc, stream, donors=method.donors)
-    if isinstance(method, SoftImpute):
-        return impute_softimpute(inc, method, stream)
-    if isinstance(method, Forest):
-        return impute_forest(inc, method.params, method.max_outer_iter, stream)
-    raise ValueError(f"unknown imputation method: {method!r}")
+    """Impute ``inc`` with ``method``; the same as ``method.impute(inc, stream)``."""
+    return method.impute(inc, stream)

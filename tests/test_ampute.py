@@ -30,11 +30,11 @@ class TestMissingnessSpec:
 
     def test_weights_length(self):
         with pytest.raises(ValueError):
-            MissingnessSpec(Mechanism.MCAR, weights=(1.0, 0.0))
+            MissingnessSpec(Mechanism.MCAR, weights=(1.0, 0.0, 0.0))
 
     def test_mar_needs_observed_weight(self):
         with pytest.raises(ValueError):
-            MissingnessSpec(Mechanism.MAR_RIGHT, weights=(0.0, 0.0, 1.0))
+            MissingnessSpec(Mechanism.MAR_RIGHT, weights=(0.0, 0.0))
 
     def test_labels(self):
         assert Mechanism.MCAR.label == "MCAR"
@@ -169,13 +169,13 @@ class TestAmpute:
 
     def test_mar_weight_on_x2(self):
         data = _data(50_000)
-        spec = MissingnessSpec(Mechanism.MAR_RIGHT, weights=(0.0, 1.0, 0.0))
+        spec = MissingnessSpec(Mechanism.MAR_RIGHT, weights=(0.0, 1.0))
         inc = ampute(data, spec, make_stream(SeedSpec(47, 0)))
         assert np.corrcoef(inc.mask, data.x2)[0, 1] > 0.3
 
     def test_constant_score_rejected(self):
         data = Dataset(np.ones(100), np.zeros(100), np.zeros(100))
-        spec = MissingnessSpec(Mechanism.MAR_RIGHT, weights=(1.0, 0.0, 0.0))
+        spec = MissingnessSpec(Mechanism.MAR_RIGHT, weights=(1.0, 0.0))
         with pytest.raises(ValueError):
             ampute(data, spec, make_stream(SeedSpec(48, 0)))
 

@@ -117,6 +117,13 @@ class TestArgumentErrors:
             parse_and_dispatch(["table1", "--turbo"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            parse_and_dispatch(["table1", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch(["table1", "--help"])
@@ -134,6 +141,12 @@ class TestFigureCommand:
         assert lines[0] == "x1,y,status,method"
         assert len(lines) == 2001
 
+    def test_error_names_sample(self, capsys):
+        rc, out, err = _run(capsys, ["figure", "--pop-size", "1000", "--samples", "3"])
+        assert rc == 1
+        assert out == ""
+        assert "figure (signal=low, mechanism=MAR) failed at replication 1: " in err
+
 
 class TestDecomposeCommand:
     def test_default_method_smoke(self, capsys):
@@ -149,6 +162,14 @@ class TestDecomposeCommand:
             assert len(parts) == 6
             for value in parts[2:]:
                 assert float(value) >= 0.0
+
+    def test_error_names_cell(self, capsys):
+        rc, out, err = _run(capsys, [
+            "decompose", "--pop-size", "1000", "--samples", "4", "--repeats", "2",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert "cell (signal=high, method=draw, mechanism=MCAR) failed at replication 1: " in err
 
 
 class TestRunCommand:

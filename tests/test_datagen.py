@@ -118,22 +118,6 @@ class TestDataset:
         assert set(data.columns) == {"x1", "x2", "y"}
         np.testing.assert_array_equal(data.columns["x2"], [3.0, 4.0])
 
-    def test_csv_round_trip(self, tmp_path):
-        gen = np.random.default_rng(0)
-        data = Dataset(gen.normal(size=50), gen.normal(size=50), gen.normal(size=50))
-        path = tmp_path / "data.csv"
-        data.to_csv(path)
-        back = Dataset.from_csv(path)
-        np.testing.assert_array_equal(back.x1, data.x1)
-        np.testing.assert_array_equal(back.x2, data.x2)
-        np.testing.assert_array_equal(back.y, data.y)
-
-    def test_csv_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            Dataset.from_csv(path)
-
 
 class TestGeneratePopulation:
     def test_high_signal_sd(self):

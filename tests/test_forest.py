@@ -10,6 +10,7 @@ from imputebench.forest import (
     impute_forest,
     predict_forest,
 )
+from imputebench.imputers import Forest
 from imputebench.stochastics import SeedSpec, make_stream
 
 NO_BOOT = ForestParams(n_trees=1, mtry=2, bootstrap=False)
@@ -156,7 +157,9 @@ class TestImputeForest:
         inc = IncompleteDataset(
             x1=x1, x2=x2, y=y, mask=np.zeros(40, dtype=bool), truth_y=y
         )
-        completed = impute_forest(inc, ForestParams(n_trees=3), 3, make_stream(SeedSpec(93, 0)))
+        completed = impute_forest(
+            inc, Forest(ForestParams(n_trees=3), max_outer_iter=3), make_stream(SeedSpec(93, 0))
+        )
         np.testing.assert_array_equal(completed.data.y, y)
 
     def test_noiseless_signal_recovered(self):
@@ -168,19 +171,19 @@ class TestImputeForest:
         y = truth.copy()
         y[mask] = np.nan
         inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
-        completed = impute_forest(inc, ForestParams(), 5, make_stream(SeedSpec(93, 1)))
+        completed = impute_forest(inc, Forest(max_outer_iter=5), make_stream(SeedSpec(93, 1)))
         np.testing.assert_array_equal(completed.data.y[~mask], truth[~mask])
         assert np.mean((completed.data.y[mask] - truth[mask]) ** 2) < 0.05
 
     def test_low_signal_mcar_bias_direction(self):
         spec = PopulationSpec(r_squared=0.2, size=50_000)
         pop = generate_population(spec, make_stream(SeedSpec(93, 2)))
-        params = ForestParams(n_trees=30)
+        method = Forest(ForestParams(n_trees=30), max_outer_iter=5)
         sigmas, rhos = [], []
         for rep in range(15):
             sample = draw_sample(pop, 1000, make_stream(SeedSpec(94, 2 * rep)))
             inc = ampute(sample, MissingnessSpec(Mechanism.MCAR), make_stream(SeedSpec(94, 2 * rep + 1)))
-            completed = impute_forest(inc, params, 5, make_stream(SeedSpec(95, rep)))
+            completed = impute_forest(inc, method, make_stream(SeedSpec(95, rep)))
             sigmas.append(np.std(completed.data.y, ddof=1))
             rhos.append(np.corrcoef(completed.data.y, completed.data.x1)[0, 1])
         # regression to the leaf mean shrinks spread and inflates the x1 link
@@ -196,7 +199,7 @@ class TestImputeForest:
         y[mask] = np.nan
         inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
         with pytest.raises(ValueError):
-            impute_forest(inc, ForestParams(), 3, make_stream(SeedSpec(93, 3)))
+            impute_forest(inc, Forest(max_outer_iter=3), make_stream(SeedSpec(93, 3)))
 
     def test_bad_outer_iter(self):
         gen = np.random.default_rng(12)
@@ -208,4 +211,4 @@ class TestImputeForest:
         yy[mask] = np.nan
         inc = IncompleteDataset(x1=x1, x2=x2, y=yy, mask=mask, truth_y=y)
         with pytest.raises(ValueError):
-            impute_forest(inc, ForestParams(), 0, make_stream(SeedSpec(93, 4)))
+            impute_forest(inc, Forest(max_outer_iter=0), make_stream(SeedSpec(93, 4)))

@@ -17,9 +17,7 @@ from imputebench.harness import (
     ExperimentConfig,
     SummaryTable,
     export_figure_data,
-    figure_sample_fit,
     format_table,
-    run_cell,
     run_decomposition,
     run_table1,
     run_table2,
@@ -31,9 +29,7 @@ from imputebench.imputers import (
     Predict,
     SoftImpute,
     impute_dispatch,
-    impute_predict,
 )
-from imputebench.linmodel import predict
 from imputebench.stochastics import Purpose, SeedSpec, make_stream, substream_id
 
 FIELDS = ParamSet.field_names()
@@ -73,60 +69,64 @@ class TestExperimentConfig:
         assert [p.r_squared for p in cfg.populations] == [0.8, 0.2]
 
 
+def _one_signal_cfg(mech, **overrides):
+    """A table1 grid on the low-signal population and the one mechanism.
+
+    The only signal label is "low", so its population stream is
+    substream_id(0, 0, POPULATION); the cell keys sort as (low, draw, ..)
+    before (low, predict, ..), so draw is cell 0 and predict cell 1.
+    """
+    return _tiny_cfg(
+        populations=(PopulationSpec(r_squared=0.2),), mechanisms=(mech,), **overrides
+    )
+
+
+def _replay(cfg, mech, method, cell_id, t):
+    """Replication t of a cell, rebuilt from its stream addresses alone."""
+    def rep_stream(purpose):
+        return make_stream(SeedSpec(cfg.base_seed, substream_id(cell_id, t, purpose)))
+
+    pop = generate_population(
+        PopulationSpec(r_squared=0.2, size=cfg.pop_size),
+        make_stream(SeedSpec(cfg.base_seed, substream_id(0, 0, Purpose.POPULATION))),
+    )
+    sample = draw_sample(pop, cfg.n_sample, rep_stream(Purpose.SAMPLING))
+    inc = ampute(sample, mech, rep_stream(Purpose.AMPUTATION))
+    completed = impute_dispatch(inc, method, rep_stream(Purpose.IMPUTATION))
+    return estimate_params(completed, sample).as_array()
+
+
+def _row_params(table, method):
+    (row,) = [r for r in table.rows if r.method == method]
+    return row.params.as_array()
+
+
 class TestRunCell:
     def test_matches_manual_replication(self):
-        cfg = _tiny_cfg(t_rep=1)
-        spec = PopulationSpec(r_squared=0.2)
         mech = MissingnessSpec(Mechanism.MAR_RIGHT)
-        pop = generate_population(
-            PopulationSpec(r_squared=0.2, size=cfg.pop_size),
-            make_stream(SeedSpec(cfg.base_seed, substream_id(1, 0, Purpose.POPULATION))),
-        )
-        cell_id = 5
-        got = run_cell(pop, spec, mech, Draw(), cfg, cell_id)
-
-        def rep_stream(t, purpose):
-            return make_stream(SeedSpec(cfg.base_seed, substream_id(cell_id, t, purpose)))
-
-        sample = draw_sample(pop, cfg.n_sample, rep_stream(1, Purpose.SAMPLING))
-        inc = ampute(sample, mech, rep_stream(1, Purpose.AMPUTATION))
-        completed = impute_dispatch(inc, Draw(), rep_stream(1, Purpose.IMPUTATION))
-        expected = estimate_params(completed, sample)
-        np.testing.assert_array_equal(got.as_array(), expected.as_array())
+        cfg = _one_signal_cfg(mech, t_rep=1)
+        got = _row_params(run_table1(cfg), "draw")
+        np.testing.assert_array_equal(got, _replay(cfg, mech, Draw(), 0, 1))
 
     def test_rep_streams_stable_under_longer_runs(self):
         # the t-th replication must not depend on t_rep, so the two-rep
         # mean recombines exactly from the one-rep mean and rep two
-        spec = PopulationSpec(r_squared=0.2)
         mech = MissingnessSpec(Mechanism.MCAR)
-        cfg1 = _tiny_cfg(t_rep=1)
-        cfg2 = _tiny_cfg(t_rep=2)
-        pop = generate_population(
-            PopulationSpec(r_squared=0.2, size=cfg1.pop_size),
-            make_stream(SeedSpec(77, substream_id(0, 0, Purpose.POPULATION))),
-        )
-        mean1 = run_cell(pop, spec, mech, Draw(), cfg1, 3).as_array()
-        mean2 = run_cell(pop, spec, mech, Draw(), cfg2, 3).as_array()
-
-        def rep_stream(t, purpose):
-            return make_stream(SeedSpec(77, substream_id(3, t, purpose)))
-
-        sample = draw_sample(pop, cfg2.n_sample, rep_stream(2, Purpose.SAMPLING))
-        inc = ampute(sample, mech, rep_stream(2, Purpose.AMPUTATION))
-        completed = impute_dispatch(inc, Draw(), rep_stream(2, Purpose.IMPUTATION))
-        rep2 = estimate_params(completed, sample).as_array()
+        cfg1 = _one_signal_cfg(mech, t_rep=1)
+        cfg2 = _one_signal_cfg(mech, t_rep=2)
+        mean1 = _row_params(run_table1(cfg1), "draw")
+        mean2 = _row_params(run_table1(cfg2), "draw")
+        rep2 = _replay(cfg2, mech, Draw(), 0, 2)
         np.testing.assert_allclose(mean2, 0.5 * (mean1 + rep2), atol=1e-12)
 
     def test_error_names_cell_and_replication(self):
-        cfg = _tiny_cfg(t_rep=2, n_sample=1000)
-        spec = PopulationSpec(r_squared=0.2)
-        mech = MissingnessSpec(Mechanism.MCAR)
-        pop = generate_population(
-            PopulationSpec(r_squared=0.2, size=cfg.pop_size),
-            make_stream(SeedSpec(77, 0)),
-        )
-        with pytest.raises(RuntimeError, match=r"method=pmm.*replication 1"):
-            run_cell(pop, spec, mech, Pmm(donors=600), cfg, 0)
+        # four rows leave too few observed ones for the imputation model
+        cfg = _one_signal_cfg(MissingnessSpec(Mechanism.MCAR), t_rep=2, n_sample=4)
+        with pytest.raises(
+            RuntimeError,
+            match=r"cell \(signal=low, method=predict, mechanism=MCAR\) failed at replication 1",
+        ):
+            run_table1(cfg)
 
 
 class TestRunTable1:
@@ -293,13 +293,6 @@ class TestFigure:
                 counts[method] += 1
         assert counts["predict"] == counts["draw"]
         assert 400 <= counts["predict"] <= 600
-
-    def test_predict_completion_sits_on_fitted_plane(self):
-        cfg = _tiny_cfg(n_sample=1000)
-        fit, inc = figure_sample_fit(cfg)
-        completed = impute_predict(inc)
-        resid = completed.data.y[inc.mask] - predict(fit, inc.missing_rows())
-        assert np.max(np.abs(resid)) < 1e-10
 
     def test_file_output(self, tmp_path):
         cfg = _tiny_cfg(n_sample=200)

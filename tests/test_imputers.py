@@ -77,7 +77,6 @@ class TestMethodParams:
         assert Forest().label == "forest"
 
     def test_defaults(self):
-        assert Draw().bayes is False
         assert Pmm().donors == 5
         soft = SoftImpute()
         assert (soft.rank_max, soft.ridge, soft.max_iter, soft.tol) == (2, 0.0, 200, 1e-5)
@@ -149,13 +148,6 @@ class TestDrawMethod:
         a = impute_draw(inc, make_stream(SeedSpec(66, 0)))
         b = impute_draw(inc, make_stream(SeedSpec(66, 0)))
         np.testing.assert_array_equal(a.data.y, b.data.y)
-
-    def test_bayes_variant_differs(self, low_pop):
-        inc = _amputed(low_pop, MCAR, rep=5)
-        plain = impute_draw(inc, make_stream(SeedSpec(67, 0)), bayes=False)
-        bayes = impute_draw(inc, make_stream(SeedSpec(67, 0)), bayes=True)
-        assert np.any(plain.data.y[inc.mask] != bayes.data.y[inc.mask])
-        assert np.all(np.isfinite(bayes.data.y))
 
 
 class TestPmmMethod:
@@ -271,14 +263,6 @@ class TestSoftImputeMethod:
         assert completed.converged is False
         assert np.all(np.isfinite(completed.data.y))
 
-    def test_centering_flag_runs(self, low_pop):
-        inc = _amputed(low_pop, MCAR, rep=10)
-        completed = impute_softimpute(
-            inc, SoftImpute(center=True), make_stream(SeedSpec(76, 1))
-        )
-        assert np.all(np.isfinite(completed.data.y))
-        np.testing.assert_array_equal(completed.data.y[~inc.mask], inc.y[~inc.mask])
-
 
 class TestDispatch:
     def test_routes_match_direct_calls(self, low_pop):
@@ -303,7 +287,7 @@ class TestDispatch:
         params = ForestParams(n_trees=5)
         method = Forest(params=params, max_outer_iter=3)
         routed = impute_dispatch(inc, method, make_stream(SeedSpec(77, 1)))
-        direct = impute_forest(inc, params, 3, make_stream(SeedSpec(77, 1)))
+        direct = impute_forest(inc, method, make_stream(SeedSpec(77, 1)))
         np.testing.assert_array_equal(routed.data.y, direct.data.y)
 
     def test_unknown_method_rejected(self, low_pop):
