@@ -31,8 +31,6 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CFG = ExperimentConfig(t_rep=3, pop_size=50_000)
 CFG2 = replace(CFG, methods=(Forest(params=ForestParams(n_trees=15)), SoftImpute(), Pmm()))
 DECOMPOSE_ARGV = ["--pop-size", str(CFG.pop_size), "--repeats", "5"]
-TABLE_FILES = ("table1.csv", "table1.md", "table2.csv")
-OTHER_FILES = ("figure.csv", "decompose-draw.csv", "decompose-softimpute.csv")
 
 
 def _cli_stdout(argv):
