@@ -11,15 +11,12 @@ the test oracle for the simulation harness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from dataclasses import dataclass, fields
+from typing import Dict
 
 import numpy as np
 
 from .stochastics import RngStream, draw_standard_normal, sample_without_replacement
-
-if TYPE_CHECKING:
-    from .downstream import ParamSet
 
 _VAR_PROP_TOL = 1e-6
 
@@ -93,10 +90,49 @@ class Dataset:
 
 
 @dataclass(frozen=True)
+class ParamSet:
+    """The nine reported parameters plus the per-missing-row error.
+
+    p90 is a percentage in [0, 100]; mse_full averages squared imputation
+    error over all rows, mse_missing over the masked rows only.
+    """
+
+    mu: float
+    sigma: float
+    p90: float
+    rho: float
+    gamma: float
+    r2_y: float
+    delta: float
+    r2_x: float
+    mse_full: float
+    mse_missing: float
+
+    def __post_init__(self):
+        if not -1e-9 <= self.r2_y <= 1 + 1e-9 or not -1e-9 <= self.r2_x <= 1 + 1e-9:
+            raise ValueError(f"r2 fields must lie in [0,1], got {self.r2_y}, {self.r2_x}")
+        if not 0.0 <= self.p90 <= 100.0:
+            raise ValueError(f"p90 must be a percentage, got {self.p90}")
+        if self.mse_full < 0 or self.mse_missing < 0:
+            raise ValueError("mse fields must be non-negative")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)])
+
+    @classmethod
+    def field_names(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+    @classmethod
+    def from_array(cls, values) -> "ParamSet":
+        return cls(*(float(v) for v in values))
+
+
+@dataclass(frozen=True)
 class GroundTruth:
     """Analytic parameter values implied by a PopulationSpec."""
 
-    params: "ParamSet"
+    params: ParamSet
 
 
 def coefficients(spec: PopulationSpec) -> tuple[float, float, float]:
@@ -144,8 +180,6 @@ def ground_truth(spec: PopulationSpec) -> GroundTruth:
       regression x1 ~ y + x2 on the population moment matrix;
     * P90 = 10 by construction and both MSEs are 0.
     """
-    from .downstream import ParamSet  # runtime import: ParamSet lives downstream
-
     beta1, beta2, noise_sd = coefficients(spec)
     rho = spec.predictor_corr
     noise_var = noise_sd * noise_sd

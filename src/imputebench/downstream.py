@@ -10,57 +10,18 @@ differ exactly by the masked fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ampute import CompletedDataset, IncompleteDataset
-from .datagen import Dataset, PopulationSpec, coefficients
+from .datagen import Dataset, ParamSet, PopulationSpec, coefficients
 from .imputers import ImputationMethod
 from .linmodel import DesignSpec, fit_ols, r_squared
 from .stochastics import RngStream
 
 _FORWARD = DesignSpec(response="y", predictors=("x1", "x2"))
 _REVERSE = DesignSpec(response="x1", predictors=("y", "x2"))
-
-
-@dataclass(frozen=True)
-class ParamSet:
-    """The nine reported parameters plus the per-missing-row error.
-
-    p90 is a percentage in [0, 100]; mse_full averages squared imputation
-    error over all rows, mse_missing over the masked rows only.
-    """
-
-    mu: float
-    sigma: float
-    p90: float
-    rho: float
-    gamma: float
-    r2_y: float
-    delta: float
-    r2_x: float
-    mse_full: float
-    mse_missing: float
-
-    def __post_init__(self):
-        if not -1e-9 <= self.r2_y <= 1 + 1e-9 or not -1e-9 <= self.r2_x <= 1 + 1e-9:
-            raise ValueError(f"r2 fields must lie in [0,1], got {self.r2_y}, {self.r2_x}")
-        if not 0.0 <= self.p90 <= 100.0:
-            raise ValueError(f"p90 must be a percentage, got {self.p90}")
-        if self.mse_full < 0 or self.mse_missing < 0:
-            raise ValueError("mse fields must be non-negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)])
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
-    def from_array(cls, values) -> "ParamSet":
-        return cls(*(float(v) for v in values))
 
 
 @dataclass(frozen=True)

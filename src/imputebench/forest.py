@@ -1,11 +1,12 @@
-"""Bagged CART regression trees and an iterative forest imputer.
+"""Bagged CART regression trees and a forest imputer.
 
 Trees are grown by exhaustive threshold search: at each node a random
 subset of features is scanned, every boundary between distinct sorted
 feature values is scored by the children's summed squared error, and
 ties break toward the lowest feature index and smallest threshold so a
-fit is a pure function of (data, stream). The imputer wraps the forest
-in the usual iterate-until-the-change-grows loop.
+fit is a pure function of (data, stream). The imputer fits one forest
+and predicts the holes: only y is incomplete, so the fit data never
+changes and a missForest-style refit loop would have nothing to feed back.
 """
 
 from __future__ import annotations
@@ -205,19 +206,11 @@ def predict_forest(trees: Sequence[RegressionTree], rows: np.ndarray) -> np.ndar
 
 
 def impute_forest(inc: IncompleteDataset, method, stream: RngStream) -> CompletedDataset:
-    """Iterative forest imputation of the masked y entries.
+    """Forest imputation of the masked y entries: one fit, one prediction.
 
-    ``method`` is the ``imputers.Forest`` method object: its ``params``
-    grow each forest and it caps the loop at ``max_outer_iter`` passes.
-
-    Missing entries start at mean(y_obs); each outer iteration refits a
-    forest of y on (x1, x2) over the observed rows (iteration i uses the
-    child stream i, 1-based) and re-predicts the missing rows. The loop
-    stops when the relative change sum((new-old)^2)/sum(new^2) fails to
-    shrink, keeping the previous iterate, or at max_outer_iter. Because
-    only y has holes the fit data never changes, so the loop settles
-    within an iteration or two; the machinery exists to mirror the usual
-    chained-imputation behavior.
+    ``method`` is the ``imputers.Forest`` method object. Its ``params``
+    grow a forest of y on (x1, x2) over the observed rows, with ``stream``
+    as the forest stream, and the forest predicts the missing rows.
     """
     params = method.params
     if inc.n_observed < params.min_node_size:
@@ -233,21 +226,5 @@ def impute_forest(inc: IncompleteDataset, method, stream: RngStream) -> Complete
     y_obs = obs["y"]
     mis = inc.missing_rows()
     x_mis = np.column_stack([mis["x1"], mis["x2"]])
-
-    current = np.full(inc.n_missing, y_obs.mean())
-    prev_delta = np.inf
-    converged = False
-    for it in range(1, method.max_outer_iter + 1):
-        trees = fit_forest(x_obs, y_obs, params, stream.child(it))
-        proposed = predict_forest(trees, x_mis)
-        denom = float(proposed @ proposed)
-        delta = float(((proposed - current) @ (proposed - current)) / denom) if denom > 0 else 0.0
-        if delta >= prev_delta:
-            converged = True  # change stopped shrinking; keep the previous iterate
-            break
-        current = proposed
-        prev_delta = delta
-        if delta == 0.0:
-            converged = True
-            break
-    return CompletedDataset.from_imputation(inc, current, method, converged=converged)
+    values = predict_forest(fit_forest(x_obs, y_obs, params, stream), x_mis)
+    return CompletedDataset.from_imputation(inc, values, method)

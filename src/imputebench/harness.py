@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .ampute import CompletedDataset, Mechanism, MissingnessSpec, ampute
-from .datagen import Dataset, PopulationSpec, draw_sample, generate_population
-from .downstream import DecompositionResult, ParamSet, decompose_mse, estimate_params
+from .datagen import Dataset, ParamSet, PopulationSpec, draw_sample, generate_population
+from .downstream import DecompositionResult, decompose_mse, estimate_params
 from .imputers import (
     Draw,
     Forest,

@@ -92,13 +92,8 @@ class SoftImpute(ImputationMethod):
 @dataclass(frozen=True)
 class Forest(ImputationMethod):
     params: ForestParams = field(default_factory=ForestParams)
-    max_outer_iter: int = 10
 
     label: ClassVar[str] = "forest"
-
-    def __post_init__(self):
-        if self.max_outer_iter < 1:
-            raise ValueError(f"max_outer_iter must be at least 1, got {self.max_outer_iter}")
 
     def impute(self, inc, stream):
         return impute_forest(inc, self, stream)

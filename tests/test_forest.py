@@ -158,7 +158,7 @@ class TestImputeForest:
             x1=x1, x2=x2, y=y, mask=np.zeros(40, dtype=bool), truth_y=y
         )
         completed = impute_forest(
-            inc, Forest(ForestParams(n_trees=3), max_outer_iter=3), make_stream(SeedSpec(93, 0))
+            inc, Forest(ForestParams(n_trees=3)), make_stream(SeedSpec(93, 0))
         )
         np.testing.assert_array_equal(completed.data.y, y)
 
@@ -171,14 +171,14 @@ class TestImputeForest:
         y = truth.copy()
         y[mask] = np.nan
         inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
-        completed = impute_forest(inc, Forest(max_outer_iter=5), make_stream(SeedSpec(93, 1)))
+        completed = impute_forest(inc, Forest(), make_stream(SeedSpec(93, 1)))
         np.testing.assert_array_equal(completed.data.y[~mask], truth[~mask])
         assert np.mean((completed.data.y[mask] - truth[mask]) ** 2) < 0.05
 
     def test_low_signal_mcar_bias_direction(self):
         spec = PopulationSpec(r_squared=0.2, size=50_000)
         pop = generate_population(spec, make_stream(SeedSpec(93, 2)))
-        method = Forest(ForestParams(n_trees=30), max_outer_iter=5)
+        method = Forest(ForestParams(n_trees=30))
         sigmas, rhos = [], []
         for rep in range(15):
             sample = draw_sample(pop, 1000, make_stream(SeedSpec(94, 2 * rep)))
@@ -199,16 +199,23 @@ class TestImputeForest:
         y[mask] = np.nan
         inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
         with pytest.raises(ValueError):
-            impute_forest(inc, Forest(max_outer_iter=3), make_stream(SeedSpec(93, 3)))
+            impute_forest(inc, Forest(), make_stream(SeedSpec(93, 3)))
 
-    def test_bad_outer_iter(self):
+    def test_one_fit_on_the_imputation_stream(self):
         gen = np.random.default_rng(12)
-        x1, x2 = gen.normal(size=30), gen.normal(size=30)
-        y = x1.copy()
-        mask = np.zeros(30, dtype=bool)
-        mask[:5] = True
-        yy = y.copy()
-        yy[mask] = np.nan
-        inc = IncompleteDataset(x1=x1, x2=x2, y=yy, mask=mask, truth_y=y)
-        with pytest.raises(ValueError):
-            impute_forest(inc, Forest(max_outer_iter=0), make_stream(SeedSpec(93, 4)))
+        x1, x2 = gen.normal(size=60), gen.normal(size=60)
+        truth = x1 + 0.5 * gen.normal(size=60)
+        mask = np.zeros(60, dtype=bool)
+        mask[::4] = True
+        y = truth.copy()
+        y[mask] = np.nan
+        inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
+        params = ForestParams(n_trees=4)
+        completed = impute_forest(inc, Forest(params), make_stream(SeedSpec(93, 4)))
+        trees = fit_forest(
+            np.column_stack([x1[~mask], x2[~mask]]), truth[~mask], params,
+            make_stream(SeedSpec(93, 4)),
+        )
+        expected = predict_forest(trees, np.column_stack([x1[mask], x2[mask]]))
+        np.testing.assert_array_equal(completed.data.y[mask], expected)
+        assert completed.converged is True

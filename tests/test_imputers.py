@@ -80,7 +80,6 @@ class TestMethodParams:
         assert Pmm().donors == 5
         soft = SoftImpute()
         assert (soft.rank_max, soft.ridge, soft.max_iter, soft.tol) == (2, 0.0, 200, 1e-5)
-        assert Forest().max_outer_iter == 10
 
     @pytest.mark.parametrize("make", [
         lambda: Pmm(donors=0),
@@ -88,7 +87,6 @@ class TestMethodParams:
         lambda: SoftImpute(ridge=-1.0),
         lambda: SoftImpute(tol=0.0),
         lambda: SoftImpute(max_iter=0),
-        lambda: Forest(max_outer_iter=0),
     ])
     def test_invalid_params(self, make):
         with pytest.raises(ValueError):
@@ -285,7 +283,7 @@ class TestDispatch:
 
         inc = _amputed(low_pop, MCAR, rep=12)
         params = ForestParams(n_trees=5)
-        method = Forest(params=params, max_outer_iter=3)
+        method = Forest(params=params)
         routed = impute_dispatch(inc, method, make_stream(SeedSpec(77, 1)))
         direct = impute_forest(inc, method, make_stream(SeedSpec(77, 1)))
         np.testing.assert_array_equal(routed.data.y, direct.data.y)
