@@ -1,11 +1,10 @@
 """Inject missingness into the outcome column.
 
-Two mechanisms: MCAR masks rows independently at a fixed rate, and a
-right-censoring MAR variant masks with probability increasing in a
-weighted predictor score, calibrated by a logistic shift so the expected
-masked proportion hits the target. Only y is ever masked; the original
-outcome is carried along for evaluation but kept out of reach of the
-imputation path.
+Two mechanisms: MCAR masks rows independently at the fixed rate PROP,
+and a right-censoring MAR variant masks with probability increasing in
+x1, calibrated by a logistic shift so the expected masked proportion is
+PROP. Only y is ever masked; the original outcome is carried along for
+evaluation but kept out of reach of the imputation path.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ from .stochastics import RngStream, draw_uniform
 if TYPE_CHECKING:
     from .imputers import ImputationMethod
 
+# expected share of masked y entries under either mechanism
+PROP = 0.5
 _SHIFT_TOL = 1e-8
 _MAX_BISECT = 200
 
@@ -38,23 +39,9 @@ class Mechanism(Enum):
 
 @dataclass(frozen=True)
 class MissingnessSpec:
-    """Mechanism, target proportion, and MAR score weights over (x1, x2).
-
-    y has no weight: it is the column being masked, so its values cannot
-    drive the mechanism.
-    """
+    """The missingness mechanism of a grid cell."""
 
     mechanism: Mechanism
-    prop: float = 0.5
-    weights: tuple[float, float] = (1.0, 0.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.prop < 1.0:
-            raise ValueError(f"prop must lie strictly in (0,1), got {self.prop}")
-        if len(self.weights) != 2:
-            raise ValueError(f"weights must be a pair over (x1,x2), got {self.weights}")
-        if self.mechanism is Mechanism.MAR_RIGHT and not any(self.weights):
-            raise ValueError("MAR requires a nonzero weight on x1 or x2")
 
 
 @dataclass(frozen=True)
@@ -192,22 +179,20 @@ def solve_shift(scores, prop: float) -> float:
 def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> IncompleteDataset:
     """Mask y entries of data according to spec.
 
-    MCAR compares one uniform draw per row against prop. MAR compares it
-    against logistic(score + b): the score is the standardized weighted
-    sum of (x1, x2), and b is calibrated by solve_shift so the expected
-    proportion equals prop. Rows with high scores are censored more.
+    MCAR compares one uniform draw per row against PROP. MAR compares it
+    against logistic(score + b): the score is standardized x1, and b is
+    calibrated by solve_shift so the expected proportion equals PROP.
+    Rows with high x1 are censored more.
     """
     n = len(data)
     if spec.mechanism is Mechanism.MCAR:
-        probs = np.full(n, spec.prop)
+        probs = np.full(n, PROP)
     else:
-        w1, w2 = spec.weights
-        raw = w1 * data.x1 + w2 * data.x2
-        sd = float(np.std(raw))
+        sd = float(np.std(data.x1))
         if sd == 0.0 or not np.isfinite(sd):
-            raise ValueError("amputation scores are constant; weights select no signal")
-        score = (raw - np.mean(raw)) / sd
-        shift = solve_shift(score, spec.prop)
+            raise ValueError("amputation scores are constant: x1 does not vary")
+        score = (data.x1 - np.mean(data.x1)) / sd
+        shift = solve_shift(score, PROP)
         probs = expit(score + shift)
     mask = draw_uniform(stream, n) < probs
     y = data.y.copy()

@@ -48,8 +48,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="base random seed (default: 123)")
     sub.add_argument("--config", metavar="PATH", default=None,
                      help="flat key = value config file; flags override it")
-    sub.add_argument("--threads", type=int, default=1, metavar="W",
-                     help="worker process cap for cell parallelism (default: 1)")
     sub.add_argument("--out", metavar="PATH", default=None,
                      help="output file (default: standard output)")
 
@@ -80,6 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="write table1, table2 and figure CSVs to a directory")
     _add_common_flags(runp)
+
+    for p in (t1, t2, runp):
+        p.add_argument("--threads", type=int, default=1, metavar="W",
+                       help="worker process cap for cell parallelism (default: 1)")
 
     return parser
 
@@ -145,7 +147,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _emit(format_table(run_table2(cfg, threads=args.threads), args.format), args.out)
         return 0
     if args.command == "figure":
-        export_figure_data(cfg, args.out if args.out is not None else sys.stdout)
+        _emit(export_figure_data(cfg), args.out)
         return 0
     if args.command == "decompose":
         method = _METHODS[args.method]()
@@ -165,7 +167,7 @@ def _dispatch(args: argparse.Namespace) -> int:
               os.path.join(out_dir, "table1.csv"))
         _emit(format_table(run_table2(cfg, threads=args.threads), "csv"),
               os.path.join(out_dir, "table2.csv"))
-        export_figure_data(cfg, os.path.join(out_dir, "figure.csv"))
+        _emit(export_figure_data(cfg), os.path.join(out_dir, "figure.csv"))
         return 0
     raise CliError(f"unknown command {args.command!r}")
 
@@ -178,14 +180,13 @@ def parse_and_dispatch(argv=None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+    if getattr(args, "repeats", 2) < 2:
+        parser.error(f"argument --repeats: must be at least 2, got {args.repeats}")
     try:
         return _dispatch(args)
-    except CliError as exc:
-        print(f"imputebench: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, ValueError, OSError) as exc:
+    except (CliError, RuntimeError, ValueError, OSError) as exc:
         print(f"imputebench: {exc}", file=sys.stderr)
         return 1
 

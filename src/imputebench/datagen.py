@@ -1,11 +1,12 @@
 """Synthetic population generator with closed-form target parameters.
 
 Populations follow a linear-Gaussian recipe: two standardized predictors
-with a fixed correlation, and an outcome built as their weighted sum plus
-independent noise sized so the generator explains exactly ``r_squared`` of
-a standardized signal budget. Because the construction is fully analytic,
-every downstream quantity of interest has a closed form, which doubles as
-the test oracle for the simulation harness.
+with correlation PREDICTOR_CORR, and an outcome built as their weighted
+sum (weights split by VAR_PROP) plus independent noise sized so the
+generator explains exactly ``r_squared`` of a standardized signal budget.
+Because the construction is fully analytic, every downstream quantity of
+interest has a closed form, which doubles as the test oracle for the
+simulation harness.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ import numpy as np
 
 from .stochastics import RngStream, draw_standard_normal, sample_without_replacement
 
-_VAR_PROP_TOL = 1e-6
+# how the signal variance splits between x1 and x2
+VAR_PROP = (0.8, 0.2)
+# correlation between x1 and x2
+PREDICTOR_CORR = 0.5
 
 
 @dataclass(frozen=True)
@@ -30,29 +34,16 @@ class PopulationSpec:
     r_squared : float
         Proportion of outcome variance carried by the linear signal,
         strictly inside (0, 1).
-    var_prop : (float, float)
-        How the signal variance splits between the two predictors;
-        non-negative, summing to 1.
-    predictor_corr : float
-        Correlation between x1 and x2, strictly inside (-1, 1).
     size : int
         Number of population rows.
     """
 
     r_squared: float = 0.8
-    var_prop: tuple[float, float] = (0.8, 0.2)
-    predictor_corr: float = 0.5
     size: int = 1_000_000
 
     def __post_init__(self):
         if not 0.0 < self.r_squared < 1.0:
             raise ValueError(f"r_squared must lie strictly in (0,1), got {self.r_squared}")
-        if len(self.var_prop) != 2 or any(v < 0 for v in self.var_prop):
-            raise ValueError(f"var_prop must be two non-negative reals, got {self.var_prop}")
-        if abs(sum(self.var_prop) - 1.0) > _VAR_PROP_TOL:
-            raise ValueError(f"var_prop must sum to 1, got {self.var_prop}")
-        if not -1.0 < self.predictor_corr < 1.0:
-            raise ValueError(f"predictor_corr must lie strictly in (-1,1), got {self.predictor_corr}")
         if self.size < 1:
             raise ValueError(f"size must be positive, got {self.size}")
 
@@ -138,12 +129,12 @@ class GroundTruth:
 def coefficients(spec: PopulationSpec) -> tuple[float, float, float]:
     """Generator constants (beta1, beta2, noise_sd).
 
-    beta_k = sqrt(r_squared * var_prop_k) puts ``r_squared`` of a unit
+    beta_k = sqrt(r_squared * VAR_PROP[k]) puts ``r_squared`` of a unit
     signal budget on the predictors; noise_sd = sqrt(1 - r_squared)
     supplies the remainder as irreducible error.
     """
-    beta1 = math.sqrt(spec.r_squared * spec.var_prop[0])
-    beta2 = math.sqrt(spec.r_squared * spec.var_prop[1])
+    beta1 = math.sqrt(spec.r_squared * VAR_PROP[0])
+    beta2 = math.sqrt(spec.r_squared * VAR_PROP[1])
     noise_sd = math.sqrt(1.0 - spec.r_squared)
     return beta1, beta2, noise_sd
 
@@ -152,11 +143,11 @@ def generate_population(spec: PopulationSpec, stream: RngStream) -> Dataset:
     """Generate a population of ``spec.size`` rows.
 
     (x1, x2) are bivariate standard normal with correlation
-    ``predictor_corr`` (via the 2x2 Cholesky factor); y is the linear
+    PREDICTOR_CORR (via the 2x2 Cholesky factor); y is the linear
     signal plus Gaussian noise. Draw order is fixed: z1, z2, noise.
     """
     beta1, beta2, noise_sd = coefficients(spec)
-    rho = spec.predictor_corr
+    rho = PREDICTOR_CORR
     n = spec.size
     z1 = draw_standard_normal(stream, n)
     z2 = draw_standard_normal(stream, n)
@@ -181,7 +172,7 @@ def ground_truth(spec: PopulationSpec) -> GroundTruth:
     * P90 = 10 by construction and both MSEs are 0.
     """
     beta1, beta2, noise_sd = coefficients(spec)
-    rho = spec.predictor_corr
+    rho = PREDICTOR_CORR
     noise_var = noise_sd * noise_sd
 
     var_y = beta1**2 + beta2**2 + 2.0 * rho * beta1 * beta2 + noise_var

@@ -328,13 +328,12 @@ def _bias_flags(table: SummaryTable, row: TableRow) -> np.ndarray:
     return flags
 
 
-def export_figure_data(cfg: ExperimentConfig, out) -> int:
-    """Write one amputed sample completed by predict and by draw.
+def export_figure_data(cfg: ExperimentConfig) -> str:
+    """CSV text of one amputed sample completed by predict and by draw.
 
     Uses the lowest-signal population and a right-censoring mechanism:
-    the setting where the two methods look most different. Emits one CSV
-    row per (row, method) pair with columns x1,y,status,method and
-    returns the number of data rows written.
+    the setting where the two methods look most different. One CSV row
+    per (row, method) pair, with columns x1,y,status,method.
     """
     spec = min(cfg.populations, key=lambda p: p.r_squared)
     mech = next(
@@ -360,13 +359,7 @@ def export_figure_data(cfg: ExperimentConfig, out) -> int:
         for x1, y, masked in zip(completed.data.x1, completed.data.y, completed.imputed_mask):
             status = "imputed" if masked else "observed"
             lines.append(f"{x1:.17g},{y:.17g},{status},{label}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    return len(lines) - 1
+    return "\n".join(lines) + "\n"
 
 
 def run_decomposition(

@@ -22,6 +22,14 @@ from .stochastics import RngStream, draw_standard_normal
 
 # the imputation model of every regression-based method: y on both predictors
 IMPUTE_DESIGN = DesignSpec(response="y", predictors=("x1", "x2"))
+# pmm copies y from one of this many nearest observed rows
+PMM_DONORS = 5
+# softimpute: rank-2 ALS with no ridge penalty, run to a relative
+# objective change of SOFT_TOL or SOFT_MAX_ITER iterations
+SOFT_RANK = 2
+SOFT_RIDGE = 0.0
+SOFT_MAX_ITER = 200
+SOFT_TOL = 1e-5
 
 
 class ImputationMethod:
@@ -52,41 +60,18 @@ class Draw(ImputationMethod):
 
 @dataclass(frozen=True)
 class Pmm(ImputationMethod):
-    donors: int = 5
-
     label: ClassVar[str] = "pmm"
 
-    def __post_init__(self):
-        if self.donors < 1:
-            raise ValueError(f"donors must be at least 1, got {self.donors}")
-
     def impute(self, inc, stream):
-        return impute_pmm(inc, stream, donors=self.donors)
+        return impute_pmm(inc, stream)
 
 
 @dataclass(frozen=True)
 class SoftImpute(ImputationMethod):
-    """Low-rank ALS completion; ``ridge`` is the L2 penalty weight."""
-
-    rank_max: int = 2
-    ridge: float = 0.0
-    max_iter: int = 200
-    tol: float = 1e-5
-
     label: ClassVar[str] = "softimpute"
 
-    def __post_init__(self):
-        if self.rank_max < 1:
-            raise ValueError(f"rank_max must be at least 1, got {self.rank_max}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be non-negative, got {self.ridge}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-
     def impute(self, inc, stream):
-        return impute_softimpute(inc, self, stream)
+        return impute_softimpute(inc, stream)
 
 
 @dataclass(frozen=True)
@@ -114,18 +99,16 @@ def impute_draw(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
     return CompletedDataset.from_imputation(inc, x_mis @ fit.coefficients + noise, Draw())
 
 
-def impute_pmm(inc: IncompleteDataset, stream: RngStream, donors: int = 5) -> CompletedDataset:
+def impute_pmm(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
     """Type-1 predictive mean matching.
 
     Observed rows are scored with the OLS coefficients, missing rows with
     a Bayesian parameter draw; each missing row copies the observed y of
-    one of its ``donors`` nearest neighbours in predicted value, chosen
+    one of its PMM_DONORS nearest neighbours in predicted value, chosen
     uniformly. Stream order: posterior draw first, then donor picks.
     """
-    if donors < 1:
-        raise ValueError(f"donors must be at least 1, got {donors}")
-    if donors > inc.n_observed:
-        raise ValueError(f"donors={donors} exceeds the {inc.n_observed} observed rows")
+    if PMM_DONORS > inc.n_observed:
+        raise ValueError(f"{PMM_DONORS} donors exceed the {inc.n_observed} observed rows")
     obs = inc.observed_rows()
     fit = fit_ols(obs, IMPUTE_DESIGN)
     yhat_obs = predict(fit, obs)
@@ -134,15 +117,15 @@ def impute_pmm(inc: IncompleteDataset, stream: RngStream, donors: int = 5) -> Co
 
     n_mis = inc.n_missing
     if n_mis == 0:
-        return CompletedDataset.from_imputation(inc, np.empty(0), Pmm(donors))
+        return CompletedDataset.from_imputation(inc, np.empty(0), Pmm())
     dist = np.abs(yhat_obs[None, :] - yhat_mis[:, None])
-    if donors < dist.shape[1]:
-        pool = np.argpartition(dist, donors - 1, axis=1)[:, :donors]
+    if PMM_DONORS < dist.shape[1]:
+        pool = np.argpartition(dist, PMM_DONORS - 1, axis=1)[:, :PMM_DONORS]
     else:
         pool = np.broadcast_to(np.arange(dist.shape[1]), dist.shape).copy()
     pick = stream.generator.integers(0, pool.shape[1], size=n_mis)
     donor_idx = pool[np.arange(n_mis), pick]
-    return CompletedDataset.from_imputation(inc, obs["y"][donor_idx], Pmm(donors))
+    return CompletedDataset.from_imputation(inc, obs["y"][donor_idx], Pmm())
 
 
 def als_matrix_complete(
@@ -210,15 +193,15 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
         return np.linalg.pinv(gram) @ rhs
 
 
-def impute_softimpute(
-    inc: IncompleteDataset, params: SoftImpute, stream: RngStream
-) -> CompletedDataset:
+def impute_softimpute(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
     """Fill masked y from the low-rank ALS reconstruction of raw (x1, x2, y)."""
     matrix = np.column_stack([inc.x1, inc.x2, inc.y])
     recon, _, converged = als_matrix_complete(
-        matrix, params.rank_max, params.ridge, params.max_iter, params.tol, stream
+        matrix, SOFT_RANK, SOFT_RIDGE, SOFT_MAX_ITER, SOFT_TOL, stream
     )
-    return CompletedDataset.from_imputation(inc, recon[inc.mask, 2], params, converged=converged)
+    return CompletedDataset.from_imputation(
+        inc, recon[inc.mask, 2], SoftImpute(), converged=converged
+    )
 
 
 def impute_dispatch(

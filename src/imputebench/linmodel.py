@@ -34,20 +34,16 @@ class InsufficientDataError(ValueError):
 class DesignSpec:
     """Names the response and predictor columns of a regression.
 
-    An intercept-only design (no predictors) is allowed as long as the
-    intercept itself is present, so the design always has at least one
-    regressor.
+    Every design has an intercept, so an intercept-only design (no
+    predictors) is legal.
     """
 
     response: str
     predictors: tuple[str, ...]
-    intercept: bool = True
 
     def __post_init__(self):
         preds = tuple(self.predictors)
         object.__setattr__(self, "predictors", preds)
-        if not preds and not self.intercept:
-            raise ValueError("design has no regressors: no predictors and no intercept")
         if len(set(preds)) != len(preds):
             raise ValueError(f"duplicate predictor names: {preds}")
         if self.response in preds:
@@ -61,9 +57,9 @@ class OlsFit:
     Fields
     ------
     design : DesignSpec
-    coefficients : ndarray, intercept first when present
+    coefficients : ndarray, intercept first
     residual_variance : float
-        SSE / (n1 - p - 1) with an intercept, SSE / (n1 - p) without.
+        SSE / (n1 - p - 1).
     n_obs : int
     p : int
         Number of non-intercept predictors.
@@ -79,12 +75,6 @@ class OlsFit:
     crossprod_factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.residual_variance < 0:
-            raise ValueError("residual_variance must be non-negative")
-        if self.n_obs <= self.p + 1:
-            raise InsufficientDataError(
-                f"need more than p + 1 = {self.p + 1} rows, got {self.n_obs}"
-            )
         for name in ("coefficients", "crossprod_factor"):
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
@@ -92,7 +82,7 @@ class OlsFit:
 
     @property
     def dof(self) -> int:
-        return self.n_obs - self.p - (1 if self.design.intercept else 0)
+        return self.n_obs - self.p - 1
 
 
 def _columns_of(data) -> Mapping[str, np.ndarray]:
@@ -105,16 +95,14 @@ def _columns_of(data) -> Mapping[str, np.ndarray]:
 
 
 def design_matrix(data, spec: DesignSpec) -> np.ndarray:
-    """Stack the design columns (intercept first when present)."""
+    """Stack the design columns, intercept first."""
     cols = _columns_of(data)
     missing = [name for name in spec.predictors if name not in cols]
     if missing:
         raise ValueError(f"missing predictor columns: {missing}")
     arrays = [np.asarray(cols[name], dtype=np.float64) for name in spec.predictors]
     n = len(arrays[0]) if arrays else len(np.asarray(cols[spec.response]))
-    if spec.intercept:
-        arrays = [np.ones(n)] + arrays
-    return np.column_stack(arrays)
+    return np.column_stack([np.ones(n)] + arrays)
 
 
 def fit_ols(data, spec: DesignSpec) -> OlsFit:
@@ -148,8 +136,7 @@ def fit_ols(data, spec: DesignSpec) -> OlsFit:
         factor.T, solve_triangular(factor, xty, lower=True), lower=False
     )
     resid = y - x @ beta
-    dof = n - p - (1 if spec.intercept else 0)
-    sigma2 = max(float(resid @ resid) / dof, 0.0)
+    sigma2 = max(float(resid @ resid) / (n - p - 1), 0.0)
     return OlsFit(
         design=spec,
         coefficients=beta,

@@ -124,6 +124,18 @@ class TestArgumentErrors:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_repeats_below_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_and_dispatch(["decompose", "--repeats", "1"])
+        assert exc.value.code == 2
+        assert "--repeats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figure", "decompose"])
+    def test_threads_only_where_read(self, command):
+        with pytest.raises(SystemExit) as exc:
+            parse_and_dispatch([command, "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch(["table1", "--help"])

@@ -51,10 +51,8 @@ def table_outputs(threads):
 
 
 def other_outputs():
-    figure = io.StringIO()
-    export_figure_data(CFG, figure)
     return {
-        "figure.csv": figure.getvalue(),
+        "figure.csv": export_figure_data(CFG),
         **{
             f"decompose-{method}.csv": _cli_stdout(
                 ["decompose", "--method", method, *DECOMPOSE_ARGV]

@@ -1,9 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 from imputebench.ampute import Mechanism, MissingnessSpec, ampute
+from imputebench.cli import parse_and_dispatch
 from imputebench.datagen import (
     PopulationSpec,
     draw_sample,
@@ -276,13 +275,11 @@ class TestFormatTable:
 class TestFigure:
     def test_export_shape_and_determinism(self):
         cfg = _tiny_cfg(n_sample=1000)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        n_a = export_figure_data(cfg, buf_a)
-        n_b = export_figure_data(cfg, buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
-        lines = buf_a.getvalue().strip().split("\n")
+        text = export_figure_data(cfg)
+        assert export_figure_data(cfg) == text
+        lines = text.strip().split("\n")
         assert lines[0] == "x1,y,status,method"
-        assert n_a == n_b == len(lines) - 1 == 2 * cfg.n_sample
+        assert len(lines) - 1 == 2 * cfg.n_sample
 
         counts = {"predict": 0, "draw": 0}
         for line in lines[1:]:
@@ -297,9 +294,10 @@ class TestFigure:
     def test_file_output(self, tmp_path):
         cfg = _tiny_cfg(n_sample=200)
         out = tmp_path / "figure.csv"
-        n = export_figure_data(cfg, out)
-        text = out.read_text()
-        assert len(text.strip().split("\n")) == n + 1
+        argv = ["figure", "--pop-size", str(cfg.pop_size), "--samples", "200",
+                "--seed", str(cfg.base_seed), "--out", str(out)]
+        assert parse_and_dispatch(argv) == 0
+        assert out.read_text() == export_figure_data(cfg)
 
 
 class TestRunDecomposition:

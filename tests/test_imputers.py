@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from imputebench.ampute import (
 from imputebench.datagen import Dataset, PopulationSpec, draw_sample, generate_population
 from imputebench.forest import ForestParams
 from imputebench.imputers import (
+    PMM_DONORS,
+    SOFT_MAX_ITER,
+    SOFT_RANK,
+    SOFT_RIDGE,
+    SOFT_TOL,
     Draw,
     Forest,
     ImputationMethod,
@@ -77,20 +84,11 @@ class TestMethodParams:
         assert Forest().label == "forest"
 
     def test_defaults(self):
-        assert Pmm().donors == 5
-        soft = SoftImpute()
-        assert (soft.rank_max, soft.ridge, soft.max_iter, soft.tol) == (2, 0.0, 200, 1e-5)
-
-    @pytest.mark.parametrize("make", [
-        lambda: Pmm(donors=0),
-        lambda: SoftImpute(rank_max=0),
-        lambda: SoftImpute(ridge=-1.0),
-        lambda: SoftImpute(tol=0.0),
-        lambda: SoftImpute(max_iter=0),
-    ])
-    def test_invalid_params(self, make):
-        with pytest.raises(ValueError):
-            make()
+        for method in (Predict, Draw, Pmm, SoftImpute):
+            assert dataclasses.fields(method) == ()
+        assert tuple(f.name for f in dataclasses.fields(Forest)) == ("params",)
+        assert PMM_DONORS == 5
+        assert (SOFT_RANK, SOFT_RIDGE, SOFT_MAX_ITER, SOFT_TOL) == (2, 0.0, 200, 1e-5)
 
 
 class TestPredictMethod:
@@ -163,21 +161,24 @@ class TestPmmMethod:
         assert completed.data.y.max() <= y_obs.max()
 
     def test_single_donor_forced_match(self):
-        # noiseless data with an exact duplicate row for every masked row:
-        # sigma_hat = 0 so the drawn coefficients equal the fit and the
-        # nearest donor is the duplicate, whose y equals the hidden truth
+        # noiseless data where every masked row has PMM_DONORS exact observed
+        # duplicates: sigma_hat = 0 so the drawn coefficients equal the fit,
+        # the donor pool is the duplicates, and each one's y is the truth
         gen = np.random.default_rng(2)
         base_x1, base_x2 = gen.normal(size=30), gen.normal(size=30)
-        x1 = np.concatenate([base_x1, base_x1[:5]])
-        x2 = np.concatenate([base_x2, base_x2[:5]])
+        # the first five base rows, then PMM_DONORS more copies of them of
+        # which the last is masked
+        x1 = np.concatenate([base_x1] + [base_x1[:5]] * PMM_DONORS)
+        x2 = np.concatenate([base_x2] + [base_x2[:5]] * PMM_DONORS)
         truth = 1.0 + 0.8 * x1 + 0.4 * x2
-        mask = np.zeros(35, dtype=bool)
-        mask[30:] = True
+        mask = np.zeros(x1.size, dtype=bool)
+        mask[-5:] = True
         y = truth.copy()
         y[mask] = np.nan
         inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
-        completed = impute_pmm(inc, make_stream(SeedSpec(69, 0)), donors=1)
-        np.testing.assert_allclose(completed.data.y[mask], truth[mask], atol=1e-10)
+        for k in range(20):
+            completed = impute_pmm(inc, make_stream(SeedSpec(69, k)))
+            np.testing.assert_allclose(completed.data.y[mask], truth[mask], atol=1e-10)
 
     def test_low_signal_mcar_table_values(self, low_pop):
         sigmas, rhos = [], []
@@ -189,19 +190,26 @@ class TestPmmMethod:
         assert np.mean(sigmas) == pytest.approx(1.04, abs=0.03)
         assert np.mean(rhos) == pytest.approx(0.48, abs=0.03)
 
-    def test_donor_count_validation(self, low_pop):
-        inc = _amputed(low_pop, MCAR, rep=8)
+    def test_donor_count_validation(self):
+        inc = _noiseless(n=5, mask_every=5)
+        assert inc.n_observed == PMM_DONORS - 1
         with pytest.raises(ValueError):
-            impute_pmm(inc, make_stream(SeedSpec(72, 0)), donors=0)
-        with pytest.raises(ValueError):
-            impute_pmm(inc, make_stream(SeedSpec(72, 1)), donors=inc.n_observed + 1)
+            impute_pmm(inc, make_stream(SeedSpec(72, 1)))
 
     def test_donor_pool_equal_to_observed_rows(self):
-        # donors == n_obs means every observed value is a legal donor
-        inc = _noiseless(n=20, mask_every=5)
-        completed = impute_pmm(inc, make_stream(SeedSpec(72, 2)), donors=inc.n_observed)
+        # PMM_DONORS == n_obs means every observed value is a legal donor
+        inc = _noiseless(n=10, mask_every=2)
+        assert inc.n_observed == PMM_DONORS
+        completed = impute_pmm(inc, make_stream(SeedSpec(72, 2)))
         observed = set(inc.y[~inc.mask].tolist())
         assert all(v in observed for v in completed.data.y[inc.mask])
+
+
+def _tls_prediction(inc):
+    """y on the uncentered total-least-squares plane of the observed rows."""
+    observed = np.column_stack([inc.x1, inc.x2, inc.y])[~inc.mask]
+    v = np.linalg.svd(observed, full_matrices=False)[2][-1]
+    return -(v[0] * inc.x1[inc.mask] + v[1] * inc.x2[inc.mask]) / v[2]
 
 
 class TestAlsMatrixComplete:
@@ -240,13 +248,26 @@ class TestAlsMatrixComplete:
         observed = np.isfinite(matrix)
         assert np.max(np.abs((recon - matrix)[observed])) < 1e-6
 
+    def test_fixed_point_is_total_least_squares_plane(self, high_pop):
+        # rank 2 of three columns, no ridge, holes only in y: the fixed
+        # point puts the masked y on the plane orthogonal to the last
+        # right singular vector of the observed rows
+        inc = _amputed(high_pop, MCAR, rep=16)
+        matrix = np.column_stack([inc.x1, inc.x2, inc.y])
+        recon, _, converged = als_matrix_complete(
+            matrix, rank_max=2, ridge=0.0, max_iter=2000, tol=1e-14,
+            stream=make_stream(SeedSpec(73, 3)),
+        )
+        assert converged
+        np.testing.assert_allclose(recon[inc.mask, 2], _tls_prediction(inc), rtol=0, atol=1e-5)
+
 
 class TestSoftImputeMethod:
     def test_high_signal_overestimates_fit(self, high_pop):
         rhos, r2s = [], []
         for rep in range(20):
             inc = _amputed(high_pop, MCAR, rep=rep, seed=74)
-            completed = impute_softimpute(inc, SoftImpute(), make_stream(SeedSpec(75, rep)))
+            completed = impute_softimpute(inc, make_stream(SeedSpec(75, rep)))
             rhos.append(np.corrcoef(completed.data.y, completed.data.x1)[0, 1])
             from imputebench.linmodel import r_squared
             fit = fit_ols(completed.data, DESIGN)
@@ -255,9 +276,9 @@ class TestSoftImputeMethod:
         assert np.mean(r2s) > 0.85
 
     def test_non_convergence_flagged(self, low_pop):
+        # a low-signal sample and stream on which ALS reaches SOFT_MAX_ITER
         inc = _amputed(low_pop, MCAR, rep=9)
-        params = SoftImpute(tol=1e-16, max_iter=1)
-        completed = impute_softimpute(inc, params, make_stream(SeedSpec(76, 0)))
+        completed = impute_softimpute(inc, make_stream(SeedSpec(76, 1)))
         assert completed.converged is False
         assert np.all(np.isfinite(completed.data.y))
 
@@ -268,11 +289,8 @@ class TestDispatch:
         pairs = [
             (Predict(), impute_predict(inc)),
             (Draw(), impute_draw(inc, make_stream(SeedSpec(77, 0)))),
-            (Pmm(donors=3), impute_pmm(inc, make_stream(SeedSpec(77, 0)), donors=3)),
-            (
-                SoftImpute(),
-                impute_softimpute(inc, SoftImpute(), make_stream(SeedSpec(77, 0))),
-            ),
+            (Pmm(), impute_pmm(inc, make_stream(SeedSpec(77, 0)))),
+            (SoftImpute(), impute_softimpute(inc, make_stream(SeedSpec(77, 0)))),
         ]
         for method, direct in pairs:
             routed = impute_dispatch(inc, method, make_stream(SeedSpec(77, 0)))
@@ -298,8 +316,8 @@ class TestDispatch:
 
     def test_method_recorded_on_output(self, low_pop):
         inc = _amputed(low_pop, MCAR, rep=14)
-        completed = impute_dispatch(inc, Pmm(donors=2), make_stream(SeedSpec(77, 3)))
-        assert completed.method == Pmm(donors=2)
+        completed = impute_dispatch(inc, Pmm(), make_stream(SeedSpec(77, 3)))
+        assert completed.method == Pmm()
 
 
 class TestCrossMethodInvariants:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,13 +29,14 @@ def _random_columns(seed, n):
 
 
 class TestDesignSpec:
+    def test_defaults(self):
+        names = tuple(f.name for f in dataclasses.fields(DesignSpec))
+        assert names == ("response", "predictors")
+
     def test_intercept_only_allowed(self):
         spec = DesignSpec(response="y", predictors=())
-        assert spec.intercept
-
-    def test_no_regressors_rejected(self):
-        with pytest.raises(ValueError):
-            DesignSpec(response="y", predictors=(), intercept=False)
+        m = design_matrix({"y": [3.0, 4.0]}, spec)
+        np.testing.assert_array_equal(m, [[1.0], [1.0]])
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -136,11 +139,6 @@ class TestDesignMatrix:
     def test_intercept_first(self):
         m = design_matrix({"x1": [1.0, 2.0], "x2": [3.0, 4.0], "y": [0.0, 0.0]}, FORWARD)
         np.testing.assert_array_equal(m, [[1.0, 1.0, 3.0], [1.0, 2.0, 4.0]])
-
-    def test_no_intercept(self):
-        spec = DesignSpec(response="y", predictors=("x1",), intercept=False)
-        m = design_matrix({"x1": [5.0, 6.0], "y": [0.0, 0.0]}, spec)
-        np.testing.assert_array_equal(m, [[5.0], [6.0]])
 
 
 class TestRSquared:
