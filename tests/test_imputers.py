@@ -161,13 +161,13 @@ class TestPmmMethod:
         assert completed.data.y.max() <= y_obs.max()
 
     def test_single_donor_forced_match(self):
-        # noiseless data where every masked row has PMM_DONORS exact observed
-        # duplicates: sigma_hat = 0 so the drawn coefficients equal the fit,
-        # the donor pool is the duplicates, and each one's y is the truth
+        # noiseless data; the first five base rows get PMM_DONORS more copies
+        # and the last copy is masked, so each masked row has PMM_DONORS
+        # exact observed duplicates. sigma_hat = 0, so the drawn coefficients
+        # equal the fit, the donor pool is the duplicates, and each one's y
+        # is the hidden truth
         gen = np.random.default_rng(2)
         base_x1, base_x2 = gen.normal(size=30), gen.normal(size=30)
-        # the first five base rows, then PMM_DONORS more copies of them of
-        # which the last is masked
         x1 = np.concatenate([base_x1] + [base_x1[:5]] * PMM_DONORS)
         x2 = np.concatenate([base_x2] + [base_x2[:5]] * PMM_DONORS)
         truth = 1.0 + 0.8 * x1 + 0.4 * x2
