@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .datagen import Dataset
-from .stochastics import RngStream, draw_uniform
+from .stochastics import RngStream
 
 if TYPE_CHECKING:
     from .imputers import ImputationMethod
@@ -194,7 +194,7 @@ def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> Incomplet
         score = (data.x1 - np.mean(data.x1)) / sd
         shift = solve_shift(score, PROP)
         probs = expit(score + shift)
-    mask = draw_uniform(stream, n) < probs
+    mask = stream.generator.random(n) < probs
     y = data.y.copy()
     y[mask] = np.nan
     return IncompleteDataset(x1=data.x1, x2=data.x2, y=y, mask=mask, truth_y=data.y)

@@ -23,7 +23,7 @@ from .harness import (
 )
 from .imputers import Draw, Forest, Pmm, Predict, SoftImpute
 
-_DEFAULTS = {"pop_size": 1_000_000, "n_sample": 1000, "t_rep": 200, "base_seed": 123}
+_CONFIG_KEYS = ("pop_size", "n_sample", "t_rep", "base_seed")
 _METHODS = {
     "predict": Predict,
     "draw": Draw,
@@ -102,9 +102,9 @@ def _load_config(path: str) -> dict[str, int]:
             raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _CONFIG_KEYS:
             raise CliError(
-                f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(_DEFAULTS)}"
+                f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(_CONFIG_KEYS)}"
             )
         try:
             values[key] = int(value.strip())
@@ -114,9 +114,7 @@ def _load_config(path: str) -> dict[str, int]:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = dict(_DEFAULTS)
-    if args.config is not None:
-        merged.update(_load_config(args.config))
+    merged = {} if args.config is None else _load_config(args.config)
     flag_values = {
         "pop_size": args.pop_size,
         "n_sample": args.samples,

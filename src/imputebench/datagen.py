@@ -17,7 +17,7 @@ from typing import Dict
 
 import numpy as np
 
-from .stochastics import RngStream, draw_standard_normal, sample_without_replacement
+from .stochastics import RngStream
 
 # how the signal variance splits between x1 and x2
 VAR_PROP = (0.8, 0.2)
@@ -149,9 +149,10 @@ def generate_population(spec: PopulationSpec, stream: RngStream) -> Dataset:
     beta1, beta2, noise_sd = coefficients(spec)
     rho = PREDICTOR_CORR
     n = spec.size
-    z1 = draw_standard_normal(stream, n)
-    z2 = draw_standard_normal(stream, n)
-    eps = draw_standard_normal(stream, n)
+    gen = stream.generator
+    z1 = gen.standard_normal(n)
+    z2 = gen.standard_normal(n)
+    eps = gen.standard_normal(n)
     x1 = z1
     x2 = rho * z1 + math.sqrt(1.0 - rho * rho) * z2
     y = beta1 * x1 + beta2 * x2 + noise_sd * eps
@@ -208,5 +209,5 @@ def draw_sample(pop: Dataset, n: int, stream: RngStream) -> Dataset:
     """Sample n rows without replacement from the population."""
     if n > len(pop):
         raise ValueError(f"sample size {n} exceeds population size {len(pop)}")
-    idx = sample_without_replacement(stream, len(pop), n)
+    idx = stream.generator.choice(len(pop), size=n, replace=False)
     return Dataset(pop.x1[idx], pop.x2[idx], pop.y[idx])

@@ -119,6 +119,8 @@ def decompose_mse(
     """
     if repeats < 2:
         raise ValueError(f"repeats must be at least 2, got {repeats}")
+    if inc.n_missing == 0:
+        raise ValueError("no rows are masked; the imputation MSE is undefined")
     beta1, beta2, noise_sd = coefficients(population)
     mis = inc.missing_rows()
     surface = beta1 * mis["x1"] + beta2 * mis["x2"]

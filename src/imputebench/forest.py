@@ -1,12 +1,14 @@
 """Bagged CART regression trees and a forest imputer.
 
-Trees are grown by exhaustive threshold search: at each node a random
-subset of features is scanned, every boundary between distinct sorted
-feature values is scored by the children's summed squared error, and
-ties break toward the lowest feature index and smallest threshold so a
-fit is a pure function of (data, stream). The imputer fits one forest
-and predicts the holes: only y is incomplete, so the fit data never
-changes and a missForest-style refit loop would have nothing to feed back.
+The split rules are fixed to the missForest settings at p = 2 (Stekhoven
+and Buehlmann 2012): every tree grows on a bootstrap resample, each split
+scans one randomly drawn feature, and leaves keep at least MIN_NODE_SIZE
+rows. Every boundary between distinct sorted values of the drawn feature
+is scored by the children's summed squared error, and ties break toward
+the smallest threshold, so a fit is a pure function of (data, stream).
+The imputer fits one forest and predicts the holes: only y is
+incomplete, so the fit data never changes and a missForest-style refit
+loop would have nothing to feed back.
 """
 
 from __future__ import annotations
@@ -19,23 +21,18 @@ import numpy as np
 from .ampute import CompletedDataset, IncompleteDataset
 from .stochastics import RngStream
 
+MIN_NODE_SIZE = 5
+
 
 @dataclass(frozen=True)
 class ForestParams:
-    """Forest hyperparameters; mtry None means max(1, p // 3) at fit time."""
+    """Forest size; the split rules are the module's fixed settings."""
 
     n_trees: int = 100
-    mtry: int | None = None
-    min_node_size: int = 5
-    bootstrap: bool = True
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
-        if self.min_node_size < 1:
-            raise ValueError(f"min_node_size must be at least 1, got {self.min_node_size}")
-        if self.mtry is not None and self.mtry < 1:
-            raise ValueError(f"mtry must be at least 1, got {self.mtry}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +96,13 @@ class _TreeBuilder:
         )
 
 
-def _best_split(xs: np.ndarray, ys: np.ndarray, min_node: int) -> tuple[float, float] | None:
-    """Best boundary of one feature, or None when no boundary is legal.
+def _best_split(xs: np.ndarray, ys: np.ndarray) -> float | None:
+    """Threshold of one feature's best boundary, or None when none is legal.
 
     xs must be ascending. Scores every split point k (left = xs[:k+1])
-    where the neighbours differ and both children keep min_node rows;
-    returns (sse_total, threshold) with the first-minimum convention so
-    equal scores resolve to the smallest threshold.
+    where the neighbours differ and both children keep MIN_NODE_SIZE
+    rows; the first-minimum convention resolves equal scores to the
+    smallest threshold.
     """
     m = xs.size
     c1 = np.cumsum(ys)
@@ -114,7 +111,7 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_node: int) -> tuple[float, f
     k = np.arange(m - 1)
     n_left = k + 1.0
     n_right = m - n_left
-    valid = (xs[:-1] < xs[1:]) & (n_left >= min_node) & (n_right >= min_node)
+    valid = (xs[:-1] < xs[1:]) & (n_left >= MIN_NODE_SIZE) & (n_right >= MIN_NODE_SIZE)
     if not valid.any():
         return None
     sse_left = c2[:-1] - c1[:-1] ** 2 / n_left
@@ -125,14 +122,15 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_node: int) -> tuple[float, f
     mid = 0.5 * (lo + hi)
     # midpoints of adjacent floats can round up to hi; the rule is x <= thr
     thr = mid if mid < hi else lo
-    return float(score[best]), float(thr)
+    return float(thr)
 
 
-def fit_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, stream: RngStream) -> RegressionTree:
-    """Grow one CART regression tree (optionally on a bootstrap resample).
+def fit_tree(x: np.ndarray, y: np.ndarray, stream: RngStream) -> RegressionTree:
+    """Grow one CART regression tree on a bootstrap resample of the rows.
 
     Stream use, in order: the bootstrap index draw, then one feature
-    permutation per internal node in depth-first, left-first order.
+    permutation per splittable node in depth-first, left-first order;
+    the node splits on the permutation's first entry.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -141,38 +139,25 @@ def fit_tree(x: np.ndarray, y: np.ndarray, params: ForestParams, stream: RngStre
     if y.shape != (x.shape[0],):
         raise ValueError("y length must match the number of rows")
     n, p = x.shape
-    mtry = params.mtry if params.mtry is not None else max(1, p // 3)
-    if not 1 <= mtry <= p:
-        raise ValueError(f"mtry must lie in [1, {p}], got {mtry}")
     gen = stream.generator
-
-    if params.bootstrap:
-        rows = gen.integers(0, n, size=n)
-        xb, yb = x[rows], y[rows]
-    else:
-        xb, yb = x, y
+    rows = gen.integers(0, n, size=n)
+    xb, yb = x[rows], y[rows]
     order = [np.argsort(xb[:, f], kind="stable") for f in range(p)]
 
     tree = _TreeBuilder()
     member_root = np.ones(n, dtype=bool)
     stack = [(tree.add(), member_root)]
-    min_node = params.min_node_size
     while stack:
         node_id, member = stack.pop()
         node_y = yb[member]
         tree.value[node_id] = float(node_y.mean())
-        if node_y.size < 2 * min_node or node_y.min() == node_y.max():
+        if node_y.size < 2 * MIN_NODE_SIZE or node_y.min() == node_y.max():
             continue
-        feats = np.sort(gen.permutation(p)[:mtry])
-        best = None
-        for f in feats:
-            sel = order[f][member[order[f]]]
-            found = _best_split(xb[sel, f], yb[sel], min_node)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = (found[0], int(f), found[1])
-        if best is None:
+        f = int(gen.permutation(p)[0])
+        sel = order[f][member[order[f]]]
+        thr = _best_split(xb[sel, f], yb[sel])
+        if thr is None:
             continue
-        _, f, thr = best
         go_left = member & (xb[:, f] <= thr)
         left_id = tree.add()
         right_id = tree.add()
@@ -190,7 +175,7 @@ def fit_forest(
 ) -> tuple[RegressionTree, ...]:
     """Fit params.n_trees trees, tree t on the child stream t."""
     return tuple(
-        fit_tree(x, y, params, stream.child(t)) for t in range(params.n_trees)
+        fit_tree(x, y, stream.child(t)) for t in range(params.n_trees)
     )
 
 
@@ -212,11 +197,9 @@ def impute_forest(inc: IncompleteDataset, method, stream: RngStream) -> Complete
     grow a forest of y on (x1, x2) over the observed rows, with ``stream``
     as the forest stream, and the forest predicts the missing rows.
     """
-    params = method.params
-    if inc.n_observed < params.min_node_size:
+    if inc.n_observed < MIN_NODE_SIZE:
         raise ValueError(
-            f"need at least min_node_size={params.min_node_size} observed rows, "
-            f"got {inc.n_observed}"
+            f"need at least MIN_NODE_SIZE={MIN_NODE_SIZE} observed rows, got {inc.n_observed}"
         )
     if inc.n_missing == 0:
         return CompletedDataset.from_imputation(inc, np.empty(0), method)
@@ -226,5 +209,5 @@ def impute_forest(inc: IncompleteDataset, method, stream: RngStream) -> Complete
     y_obs = obs["y"]
     mis = inc.missing_rows()
     x_mis = np.column_stack([mis["x1"], mis["x2"]])
-    values = predict_forest(fit_forest(x_obs, y_obs, params, stream), x_mis)
+    values = predict_forest(fit_forest(x_obs, y_obs, method.params, stream), x_mis)
     return CompletedDataset.from_imputation(inc, values, method)

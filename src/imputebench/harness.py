@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ampute import CompletedDataset, Mechanism, MissingnessSpec, ampute
+from .ampute import CompletedDataset, IncompleteDataset, Mechanism, MissingnessSpec, ampute
 from .datagen import Dataset, ParamSet, PopulationSpec, draw_sample, generate_population
 from .downstream import DecompositionResult, decompose_mse, estimate_params
 from .imputers import (
@@ -43,19 +43,24 @@ _N_FIELDS = len(ParamSet.field_names())
 _FLAGGABLE_FIELDS = 8
 _FIGURE_CELL = 2**24 - 1
 
+# The paper's grid, in report order: two signal levels (label, population)
+# crossed with two mechanisms. The labels also sort in this order, so the
+# population of SIGNALS[i] is drawn from substream_id(i, 0, POPULATION);
+# bench/child.py rebuilds the populations by that rule.
+SIGNALS: tuple[tuple[str, PopulationSpec], ...] = (
+    ("high", PopulationSpec(r_squared=0.8)),
+    ("low", PopulationSpec(r_squared=0.2)),
+)
+MECHANISMS: tuple[MissingnessSpec, ...] = (
+    MissingnessSpec(Mechanism.MCAR),
+    MissingnessSpec(Mechanism.MAR_RIGHT),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of an experiment grid."""
+    """Run settings of an experiment on the fixed SIGNALS x MECHANISMS grid."""
 
-    populations: tuple[PopulationSpec, ...] = (
-        PopulationSpec(r_squared=0.8),
-        PopulationSpec(r_squared=0.2),
-    )
-    mechanisms: tuple[MissingnessSpec, ...] = (
-        MissingnessSpec(Mechanism.MCAR),
-        MissingnessSpec(Mechanism.MAR_RIGHT),
-    )
     methods: tuple[ImputationMethod, ...] = ()
     n_sample: int = 1000
     t_rep: int = 200
@@ -63,8 +68,6 @@ class ExperimentConfig:
     pop_size: int = 1_000_000
 
     def __post_init__(self):
-        object.__setattr__(self, "populations", tuple(self.populations))
-        object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.t_rep < 1:
             raise ValueError(f"t_rep must be at least 1, got {self.t_rep}")
@@ -76,12 +79,6 @@ class ExperimentConfig:
             )
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        labels = [signal_label(p) for p in self.populations]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"populations must have distinct signal labels, got {labels}")
-        mechs = [m.mechanism.label for m in self.mechanisms]
-        if len(set(mechs)) != len(mechs):
-            raise ValueError(f"mechanisms must have distinct labels, got {mechs}")
 
 
 @dataclass(frozen=True)
@@ -110,43 +107,31 @@ class SummaryTable:
         return None
 
 
-def signal_label(spec: PopulationSpec) -> str:
-    """Short name of a population's signal level."""
-    key = round(spec.r_squared, 9)
-    if key == 0.8:
-        return "high"
-    if key == 0.2:
-        return "low"
-    return f"r2={spec.r_squared:g}"
-
-
 # =====================================================================
 # stream allocation
 # =====================================================================
 
-def _population_stream_ids(cfg: ExperimentConfig) -> dict[str, int]:
-    """Signal label -> stream id, from the canonical (sorted) label order."""
-    ordered = sorted(signal_label(p) for p in cfg.populations)
-    return {
-        label: substream_id(index, 0, Purpose.POPULATION)
-        for index, label in enumerate(ordered)
-    }
-
-
 @lru_cache(maxsize=2)
-def _build_population(cfg: ExperimentConfig, spec: PopulationSpec) -> Dataset:
-    """One signal level's population, memoized per process.
+def _build_population(cfg: ExperimentConfig, level: int) -> Dataset:
+    """The population of SIGNALS[level], memoized per process.
 
-    Two entries hold both signal levels of the default grid, so a process
-    (the parent, or a pool worker) builds each population once per config.
+    Two entries hold both signal levels, so a process (the parent, or a
+    pool worker) builds each population once per config.
     """
-    sid = _population_stream_ids(cfg)[signal_label(spec)]
-    stream = make_stream(SeedSpec(cfg.base_seed, sid))
-    return generate_population(replace(spec, size=cfg.pop_size), stream)
+    stream = make_stream(SeedSpec(cfg.base_seed, substream_id(level, 0, Purpose.POPULATION)))
+    return generate_population(replace(SIGNALS[level][1], size=cfg.pop_size), stream)
 
 
 def _rep_stream(cfg: ExperimentConfig, cell_id: int, t: int, purpose: Purpose):
     return make_stream(SeedSpec(cfg.base_seed, substream_id(cell_id, t, purpose)))
+
+
+def _sample_and_mask(
+    cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: MissingnessSpec, t: int
+) -> tuple[Dataset, IncompleteDataset]:
+    """Replication t's sample of pop and its amputation, from the cell's streams."""
+    sample = draw_sample(pop, cfg.n_sample, _rep_stream(cfg, cell_id, t, Purpose.SAMPLING))
+    return sample, ampute(sample, mech, _rep_stream(cfg, cell_id, t, Purpose.AMPUTATION))
 
 
 # =====================================================================
@@ -158,10 +143,13 @@ class _Cell:
     """The work of one table row: a grid cell, or its signal's truth row."""
 
     cell_id: int
-    signal: str
-    spec: PopulationSpec
+    level: int
     method: ImputationMethod | None = None
     mech: MissingnessSpec | None = None
+
+    @property
+    def signal(self) -> str:
+        return SIGNALS[self.level][0]
 
     @property
     def name(self) -> str:
@@ -181,8 +169,7 @@ def _failures_named(name: str, t: int):
 
 
 def _replicate(pop: Dataset, cell: _Cell, cfg: ExperimentConfig, t: int) -> ParamSet:
-    sample = draw_sample(pop, cfg.n_sample, _rep_stream(cfg, cell.cell_id, t, Purpose.SAMPLING))
-    inc = ampute(sample, cell.mech, _rep_stream(cfg, cell.cell_id, t, Purpose.AMPUTATION))
+    sample, inc = _sample_and_mask(cfg, pop, cell.cell_id, cell.mech, t)
     completed = cell.method.impute(inc, _rep_stream(cfg, cell.cell_id, t, Purpose.IMPUTATION))
     return estimate_params(completed, sample)
 
@@ -201,31 +188,29 @@ def _cell_stats(pop: Dataset, cell: _Cell, cfg: ExperimentConfig) -> tuple[Param
     return ParamSet.from_array(mean), stderr
 
 
-def _assign_cells(cfg: ExperimentConfig, methods: Sequence[ImputationMethod]) -> list[_Cell]:
-    """Cells in presentation order, ids from the canonical sorted key order.
+def _assign_cells(methods: Sequence[ImputationMethod]) -> list[_Cell]:
+    """Cells in report order, ids from the sorted (signal, method, mechanism) keys.
 
-    The id of a cell depends only on the set of (signal, method,
-    mechanism) keys, never on the ordering of cfg lists, so reordering a
-    config cannot silently change any cell's random streams.
+    The id of a cell depends only on the set of keys, never on the order
+    of the method list, so reordering it cannot change any cell's streams.
     """
-    triples = []
-    for spec in cfg.populations:
-        for method in methods:
-            for mech in cfg.mechanisms:
-                triples.append((signal_label(spec), spec, method, mech))
-    keys = [(sig, method.label, mech.mechanism.label) for sig, _, method, mech in triples]
-    if len(set(keys)) != len(keys):
-        raise ValueError("experiment grid contains duplicate cells")
-    id_of = {key: i for i, key in enumerate(sorted(keys))}
-    return [
-        _Cell(id_of[key], sig, spec, method, mech)
-        for key, (sig, spec, method, mech) in zip(keys, triples)
+    cells = [
+        (level, method, mech)
+        for level in range(len(SIGNALS))
+        for method in methods
+        for mech in MECHANISMS
     ]
+    keys = [
+        (SIGNALS[level][0], method.label, mech.mechanism.label)
+        for level, method, mech in cells
+    ]
+    id_of = {key: i for i, key in enumerate(sorted(keys))}
+    return [_Cell(id_of[key], *cell) for key, cell in zip(keys, cells)]
 
 
 def _table_row(cfg: ExperimentConfig, cell: _Cell) -> TableRow:
     """One summary-table row; serial and pool runs map this over the same cells."""
-    pop = _build_population(cfg, cell.spec)
+    pop = _build_population(cfg, cell.level)
     if cell.method is None:
         truth = CompletedDataset(data=pop, imputed_mask=np.zeros(len(pop), dtype=bool), method=None)
         return TableRow(cell.signal, TRUTH_LABEL, NO_MECHANISM_LABEL, estimate_params(truth, pop))
@@ -236,12 +221,11 @@ def _table_row(cfg: ExperimentConfig, cell: _Cell) -> TableRow:
 def _run_grid(
     cfg: ExperimentConfig, methods: Sequence[ImputationMethod], threads: int
 ) -> SummaryTable:
-    cells = _assign_cells(cfg, methods)
+    cells = _assign_cells(methods)
     rows = []
-    for spec in cfg.populations:
-        signal = signal_label(spec)
-        rows.append(_Cell(-1, signal, spec))
-        rows.extend(cell for cell in cells if cell.signal == signal)
+    for level in range(len(SIGNALS)):
+        rows.append(_Cell(-1, level))
+        rows.extend(cell for cell in cells if cell.level == level)
     row = partial(_table_row, cfg)
     if threads > 1 and len(rows) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(rows))) as pool:
@@ -254,10 +238,10 @@ def _select_methods(
 ) -> tuple[ImputationMethod, ...]:
     if not cfg.methods:
         return defaults
-    expected = {m.label for m in defaults}
-    got = {m.label for m in cfg.methods}
+    expected = sorted(m.label for m in defaults)
+    got = sorted(m.label for m in cfg.methods)
     if got != expected:
-        raise ValueError(f"this table expects methods {sorted(expected)}, got {sorted(got)}")
+        raise ValueError(f"this table expects methods {expected}, got {got}")
     return cfg.methods
 
 
@@ -331,23 +315,16 @@ def _bias_flags(table: SummaryTable, row: TableRow) -> np.ndarray:
 def export_figure_data(cfg: ExperimentConfig) -> str:
     """CSV text of one amputed sample completed by predict and by draw.
 
-    Uses the lowest-signal population and a right-censoring mechanism:
-    the setting where the two methods look most different. One CSV row
-    per (row, method) pair, with columns x1,y,status,method.
+    Uses the low-signal population and the right-censoring MAR
+    mechanism: the setting where the two methods look most different.
+    One CSV row per (row, method) pair, with columns x1,y,status,method.
     """
-    spec = min(cfg.populations, key=lambda p: p.r_squared)
-    mech = next(
-        (m for m in cfg.mechanisms if m.mechanism is Mechanism.MAR_RIGHT),
-        MissingnessSpec(Mechanism.MAR_RIGHT),
-    )
-    pop = _build_population(cfg, spec)
+    level, mech = 1, MECHANISMS[1]
+    pop = _build_population(cfg, level)
     with _failures_named(
-        f"figure (signal={signal_label(spec)}, mechanism={mech.mechanism.label})", 1
+        f"figure (signal={SIGNALS[level][0]}, mechanism={mech.mechanism.label})", 1
     ):
-        sample = draw_sample(
-            pop, cfg.n_sample, _rep_stream(cfg, _FIGURE_CELL, 1, Purpose.SAMPLING)
-        )
-        inc = ampute(sample, mech, _rep_stream(cfg, _FIGURE_CELL, 1, Purpose.AMPUTATION))
+        _, inc = _sample_and_mask(cfg, pop, _FIGURE_CELL, mech, 1)
         completions = [
             impute_predict(inc),
             impute_draw(inc, _rep_stream(cfg, _FIGURE_CELL, 2, Purpose.IMPUTATION)),
@@ -372,20 +349,17 @@ def run_decomposition(
     imputation inside decompose_mse.
     """
     out = []
-    for cell in _assign_cells(cfg, (method,)):
-        pop = _build_population(cfg, cell.spec)
+    for cell in _assign_cells((method,)):
+        pop = _build_population(cfg, cell.level)
         with _failures_named(cell.name, 1):
-            sample = draw_sample(
-                pop, cfg.n_sample, _rep_stream(cfg, cell.cell_id, 1, Purpose.SAMPLING)
-            )
-            inc = ampute(sample, cell.mech, _rep_stream(cfg, cell.cell_id, 1, Purpose.AMPUTATION))
+            sample, inc = _sample_and_mask(cfg, pop, cell.cell_id, cell.mech, 1)
             result = decompose_mse(
                 inc,
                 sample,
                 method,
                 repeats,
                 _rep_stream(cfg, cell.cell_id, 1, Purpose.IMPUTATION),
-                cell.spec,
+                SIGNALS[cell.level][1],
             )
         out.append((cell.signal, cell.mech.mechanism.label, result))
     return out

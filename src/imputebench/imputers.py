@@ -18,7 +18,7 @@ import numpy as np
 from .ampute import CompletedDataset, IncompleteDataset
 from .forest import ForestParams, impute_forest
 from .linmodel import DesignSpec, bayes_param_draw, design_matrix, fit_ols, predict
-from .stochastics import RngStream, draw_standard_normal
+from .stochastics import RngStream
 
 # the imputation model of every regression-based method: y on both predictors
 IMPUTE_DESIGN = DesignSpec(response="y", predictors=("x1", "x2"))
@@ -95,7 +95,7 @@ def impute_draw(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
     """Fill masked y with fitted values plus N(0, sigma2) residual noise."""
     fit = fit_ols(inc.observed_rows(), IMPUTE_DESIGN)
     x_mis = design_matrix(inc.missing_rows(), IMPUTE_DESIGN)
-    noise = math.sqrt(fit.residual_variance) * draw_standard_normal(stream, inc.n_missing)
+    noise = math.sqrt(fit.residual_variance) * stream.generator.standard_normal(inc.n_missing)
     return CompletedDataset.from_imputation(inc, x_mis @ fit.coefficients + noise, Draw())
 
 
@@ -154,7 +154,7 @@ def als_matrix_complete(
     rank = min(rank_max, n_rows, n_cols)
     holes = ~observed
 
-    a = draw_standard_normal(stream, n_rows * rank).reshape(n_rows, rank)
+    a = stream.generator.standard_normal(n_rows * rank).reshape(n_rows, rank)
     b = np.zeros((n_cols, rank))
     filled = np.where(observed, m, 0.0)  # holes start at the b = 0 prediction
 

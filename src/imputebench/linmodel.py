@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .stochastics import RngStream, draw_chi_square, draw_standard_normal
+from .stochastics import RngStream
 
 # reciprocal condition numbers below this are treated as rank deficiency
 _RCOND_FLOOR = 1e-12
@@ -173,9 +173,9 @@ def bayes_param_draw(fit: OlsFit, stream: RngStream) -> tuple[np.ndarray, float]
     Draw order is fixed: the chi-square first, then the normal vector.
     """
     dof = fit.dof
-    chi2 = draw_chi_square(stream, dof)
+    chi2 = float(stream.generator.chisquare(dof))
     sigma2_draw = fit.residual_variance * dof / chi2
-    z = draw_standard_normal(stream, fit.coefficients.size)
+    z = stream.generator.standard_normal(fit.coefficients.size)
     shift = solve_triangular(fit.crossprod_factor.T, z, lower=False)
     beta_draw = fit.coefficients + math.sqrt(sigma2_draw) * shift
     return beta_draw, float(sigma2_draw)

@@ -54,7 +54,7 @@ class SeedSpec:
 
 
 class RngStream:
-    """Opaque generator state advanced only by the draw operations below.
+    """Generator state advanced only by draws on ``generator``.
 
     A stream is single-owner: never share one between concurrent tasks.
     ``child`` splits off an independent stream without consuming state
@@ -108,35 +108,3 @@ def substream_id(cell: int, replication: int, purpose: Purpose) -> int:
         | int(purpose)
     )
 
-
-def draw_standard_normal(stream: RngStream, n: int) -> np.ndarray:
-    """n i.i.d. standard normal draws; advances the stream."""
-    _check_count(n, "n")
-    return stream.generator.standard_normal(int(n))
-
-
-def draw_uniform(stream: RngStream, n: int) -> np.ndarray:
-    """n i.i.d. uniform draws on [0, 1); advances the stream."""
-    _check_count(n, "n")
-    return stream.generator.random(int(n))
-
-
-def sample_without_replacement(stream: RngStream, population_size: int, k: int) -> np.ndarray:
-    """k distinct indices in [0, population_size), order randomized."""
-    _check_count(population_size, "population_size")
-    _check_count(k, "k")
-    if k > population_size:
-        raise ValueError(f"cannot sample {k} items from a population of {population_size}")
-    return stream.generator.choice(int(population_size), size=int(k), replace=False)
-
-
-def draw_chi_square(stream: RngStream, dof: int) -> float:
-    """One chi-square(dof) draw; dof must be at least 1."""
-    if isinstance(dof, bool) or not isinstance(dof, (int, np.integer)) or dof < 1:
-        raise ValueError(f"dof must be a positive integer, got {dof!r}")
-    return float(stream.generator.chisquare(int(dof)))
-
-
-def _check_count(value, name):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")

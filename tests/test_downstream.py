@@ -195,6 +195,15 @@ class TestDecomposeMse:
         with pytest.raises(ValueError):
             decompose_mse(inc, sample, Predict(), 1, make_stream(SeedSpec(30, 0)), spec)
 
+    def test_empty_mask_rejected(self, low_setup):
+        spec, sample, _ = low_setup
+        inc = IncompleteDataset(
+            x1=sample.x1, x2=sample.x2, y=sample.y,
+            mask=np.zeros(len(sample), dtype=bool), truth_y=sample.y,
+        )
+        with pytest.raises(ValueError, match="no rows are masked"):
+            decompose_mse(inc, sample, Predict(), 10, make_stream(SeedSpec(30, 5)), spec)
+
     def test_predict_has_no_variance(self, low_setup):
         spec, sample, inc = low_setup
         result = decompose_mse(inc, sample, Predict(), 10, make_stream(SeedSpec(30, 1)), spec)

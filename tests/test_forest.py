@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from imputebench.ampute import IncompleteDataset, Mechanism, MissingnessSpec, ampute
 from imputebench.datagen import PopulationSpec, draw_sample, generate_population
 from imputebench.forest import (
+    MIN_NODE_SIZE,
     ForestParams,
+    _best_split,
     fit_forest,
     fit_tree,
     impute_forest,
@@ -12,8 +16,6 @@ from imputebench.forest import (
 )
 from imputebench.imputers import Forest
 from imputebench.stochastics import SeedSpec, make_stream
-
-NO_BOOT = ForestParams(n_trees=1, mtry=2, bootstrap=False)
 
 
 def _xy(n=200, seed=0, noise=0.0):
@@ -25,15 +27,12 @@ def _xy(n=200, seed=0, noise=0.0):
 
 class TestForestParams:
     def test_defaults(self):
-        params = ForestParams()
-        assert (params.n_trees, params.mtry, params.min_node_size, params.bootstrap) == (
-            100, None, 5, True,
-        )
+        assert tuple(f.name for f in fields(ForestParams)) == ("n_trees",)
+        assert ForestParams().n_trees == 100
+        assert MIN_NODE_SIZE == 5
 
     @pytest.mark.parametrize("kwargs", [
         {"n_trees": 0},
-        {"min_node_size": 0},
-        {"mtry": 0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -44,50 +43,54 @@ class TestFitTree:
     def test_constant_response_single_leaf(self):
         x, _ = _xy(50)
         y = np.full(50, 3.25)
-        tree = fit_tree(x, y, NO_BOOT, make_stream(SeedSpec(90, 0)))
+        tree = fit_tree(x, y, make_stream(SeedSpec(90, 0)))
         assert tree.n_nodes == 1
         np.testing.assert_array_equal(tree.predict(x), np.full(50, 3.25))
 
     def test_step_function_recovered(self):
-        gen = np.random.default_rng(1)
-        x = gen.normal(size=(200, 2))
-        y = (x[:, 0] > 0).astype(float)
-        tree = fit_tree(x, y, NO_BOOT, make_stream(SeedSpec(90, 1)))
-        mse = np.mean((tree.predict(x) - y) ** 2)
-        assert mse < 0.01
+        xs = np.sort(np.random.default_rng(1).normal(size=200))
+        ys = (xs > 0).astype(float)
+        thr = _best_split(xs, ys)
+        assert xs[ys == 0].max() < thr < xs[ys == 1].min()
+
+    def test_tied_scores_take_smallest_threshold(self):
+        # a constant response scores every legal boundary equally
+        xs = np.arange(20.0)
+        assert _best_split(xs, np.ones(20)) == MIN_NODE_SIZE - 0.5
+        assert _best_split(xs[: 2 * MIN_NODE_SIZE - 1], np.ones(2 * MIN_NODE_SIZE - 1)) is None
 
     def test_predictions_within_training_range(self):
         x, y = _xy(300, seed=2, noise=1.0)
-        tree = fit_tree(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 2)))
+        tree = fit_tree(x, y, make_stream(SeedSpec(90, 2)))
         query = np.random.default_rng(3).normal(size=(500, 2)) * 3
         pred = tree.predict(query)
         assert pred.min() >= y.min() and pred.max() <= y.max()
 
     def test_deterministic_given_stream(self):
         x, y = _xy(150, seed=4, noise=0.5)
-        a = fit_tree(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 3)))
-        b = fit_tree(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 3)))
+        a = fit_tree(x, y, make_stream(SeedSpec(90, 3)))
+        b = fit_tree(x, y, make_stream(SeedSpec(90, 3)))
         for name in ("feature", "threshold", "left", "right", "value"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_min_node_size_respected(self):
         x, y = _xy(60, seed=5, noise=0.5)
-        tree = fit_tree(
-            x, y, ForestParams(n_trees=1, min_node_size=25, bootstrap=False),
-            make_stream(SeedSpec(90, 4)),
-        )
-        # leaves partition the 60 training rows; none may hold fewer than 25
+        tree = fit_tree(x, y, make_stream(SeedSpec(90, 4)))
+        # the leaves partition the tree's bootstrap rows, replayed from a
+        # stream with the same address; none may hold fewer than MIN_NODE_SIZE
+        rows = make_stream(SeedSpec(90, 4)).generator.integers(0, 60, size=60)
+        xb = x[rows]
         leaves = tree.feature == -1
         node = np.zeros(60, dtype=int)
         live = tree.feature[node] >= 0
         while live.any():
             cur = node[live]
-            go_left = x[live, tree.feature[cur]] <= tree.threshold[cur]
+            go_left = xb[live, tree.feature[cur]] <= tree.threshold[cur]
             node[live] = np.where(go_left, tree.left[cur], tree.right[cur])
             live = tree.feature[node] >= 0
         _, counts = np.unique(node, return_counts=True)
-        assert counts.min() >= 25
-        assert leaves.sum() == len(counts)
+        assert counts.min() >= MIN_NODE_SIZE
+        assert leaves.sum() == len(counts) > 1
 
     @pytest.mark.parametrize("bad", [
         lambda x, y: (np.empty((0, 2)), np.empty(0)),
@@ -98,12 +101,7 @@ class TestFitTree:
         x, y = _xy(30)
         bx, by = bad(x, y)
         with pytest.raises(ValueError):
-            fit_tree(bx, by, NO_BOOT, make_stream(SeedSpec(90, 5)))
-
-    def test_mtry_exceeding_features(self):
-        x, y = _xy(30)
-        with pytest.raises(ValueError):
-            fit_tree(x, y, ForestParams(n_trees=1, mtry=3), make_stream(SeedSpec(90, 6)))
+            fit_tree(bx, by, make_stream(SeedSpec(90, 5)))
 
 
 class TestForest:
@@ -112,7 +110,7 @@ class TestForest:
         params = ForestParams(n_trees=1)
         stream = make_stream(SeedSpec(91, 0))
         forest = fit_forest(x, y, params, stream)
-        lone = fit_tree(x, y, params, make_stream(SeedSpec(91, 0)).child(0))
+        lone = fit_tree(x, y, make_stream(SeedSpec(91, 0)).child(0))
         assert len(forest) == 1
         np.testing.assert_array_equal(forest[0].predict(x), lone.predict(x))
 

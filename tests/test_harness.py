@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from imputebench.downstream import ParamSet, estimate_params
 from imputebench.forest import ForestParams
 from imputebench.harness import (
     CSV_HEADER,
+    MECHANISMS,
+    SIGNALS,
     ExperimentConfig,
     SummaryTable,
     export_figure_data,
@@ -52,8 +56,6 @@ class TestExperimentConfig:
         {"n_sample": 0},
         {"n_sample": 2_000_001},
         {"base_seed": -1},
-        {"populations": (PopulationSpec(r_squared=0.8), PopulationSpec(r_squared=0.8))},
-        {"mechanisms": (MissingnessSpec(Mechanism.MCAR), MissingnessSpec(Mechanism.MCAR))},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -61,33 +63,33 @@ class TestExperimentConfig:
 
     def test_defaults(self):
         cfg = ExperimentConfig()
-        assert cfg.t_rep == 200
-        assert cfg.n_sample == 1000
-        assert cfg.pop_size == 1_000_000
-        assert cfg.base_seed == 123
-        assert [p.r_squared for p in cfg.populations] == [0.8, 0.2]
+        assert tuple(f.name for f in fields(cfg)) == (
+            "methods", "n_sample", "t_rep", "base_seed", "pop_size",
+        )
+        assert (cfg.methods, cfg.n_sample, cfg.t_rep, cfg.base_seed, cfg.pop_size) == (
+            (), 1000, 200, 123, 1_000_000,
+        )
+        assert [(label, spec.r_squared) for label, spec in SIGNALS] == [
+            ("high", 0.8), ("low", 0.2),
+        ]
+        assert [m.mechanism for m in MECHANISMS] == [Mechanism.MCAR, Mechanism.MAR_RIGHT]
 
 
-def _one_signal_cfg(mech, **overrides):
-    """A table1 grid on the low-signal population and the one mechanism.
-
-    The only signal label is "low", so its population stream is
-    substream_id(0, 0, POPULATION); the cell keys sort as (low, draw, ..)
-    before (low, predict, ..), so draw is cell 0 and predict cell 1.
-    """
-    return _tiny_cfg(
-        populations=(PopulationSpec(r_squared=0.2),), mechanisms=(mech,), **overrides
-    )
+# The full table1 grid: cell keys sort as (high, draw, MAR), (high, draw,
+# MCAR), (high, predict, MAR), (high, predict, MCAR), (low, draw, MAR),
+# (low, draw, MCAR), ..., and the low population is the second signal.
+LOW_DRAW_MAR = 4
+LOW_DRAW_MCAR = 5
 
 
 def _replay(cfg, mech, method, cell_id, t):
-    """Replication t of a cell, rebuilt from its stream addresses alone."""
+    """Replication t of a low-signal cell, rebuilt from its stream addresses alone."""
     def rep_stream(purpose):
         return make_stream(SeedSpec(cfg.base_seed, substream_id(cell_id, t, purpose)))
 
     pop = generate_population(
         PopulationSpec(r_squared=0.2, size=cfg.pop_size),
-        make_stream(SeedSpec(cfg.base_seed, substream_id(0, 0, Purpose.POPULATION))),
+        make_stream(SeedSpec(cfg.base_seed, substream_id(1, 0, Purpose.POPULATION))),
     )
     sample = draw_sample(pop, cfg.n_sample, rep_stream(Purpose.SAMPLING))
     inc = ampute(sample, mech, rep_stream(Purpose.AMPUTATION))
@@ -95,35 +97,39 @@ def _replay(cfg, mech, method, cell_id, t):
     return estimate_params(completed, sample).as_array()
 
 
-def _row_params(table, method):
-    (row,) = [r for r in table.rows if r.method == method]
+def _row_params(table, mechanism):
+    (row,) = [
+        r for r in table.rows
+        if (r.signal, r.method, r.mechanism) == ("low", "draw", mechanism)
+    ]
     return row.params.as_array()
 
 
 class TestRunCell:
     def test_matches_manual_replication(self):
         mech = MissingnessSpec(Mechanism.MAR_RIGHT)
-        cfg = _one_signal_cfg(mech, t_rep=1)
-        got = _row_params(run_table1(cfg), "draw")
-        np.testing.assert_array_equal(got, _replay(cfg, mech, Draw(), 0, 1))
+        cfg = _tiny_cfg(t_rep=1)
+        got = _row_params(run_table1(cfg), "MAR")
+        np.testing.assert_array_equal(got, _replay(cfg, mech, Draw(), LOW_DRAW_MAR, 1))
 
     def test_rep_streams_stable_under_longer_runs(self):
         # the t-th replication must not depend on t_rep, so the two-rep
         # mean recombines exactly from the one-rep mean and rep two
         mech = MissingnessSpec(Mechanism.MCAR)
-        cfg1 = _one_signal_cfg(mech, t_rep=1)
-        cfg2 = _one_signal_cfg(mech, t_rep=2)
-        mean1 = _row_params(run_table1(cfg1), "draw")
-        mean2 = _row_params(run_table1(cfg2), "draw")
-        rep2 = _replay(cfg2, mech, Draw(), 0, 2)
+        cfg1 = _tiny_cfg(t_rep=1)
+        cfg2 = _tiny_cfg(t_rep=2)
+        mean1 = _row_params(run_table1(cfg1), "MCAR")
+        mean2 = _row_params(run_table1(cfg2), "MCAR")
+        rep2 = _replay(cfg2, mech, Draw(), LOW_DRAW_MCAR, 2)
         np.testing.assert_allclose(mean2, 0.5 * (mean1 + rep2), atol=1e-12)
 
     def test_error_names_cell_and_replication(self):
-        # four rows leave too few observed ones for the imputation model
-        cfg = _one_signal_cfg(MissingnessSpec(Mechanism.MCAR), t_rep=2, n_sample=4)
+        # three rows leave too few observed ones for the imputation model,
+        # and the high/predict/MCAR cell is the first to run
+        cfg = _tiny_cfg(t_rep=2, n_sample=3)
         with pytest.raises(
             RuntimeError,
-            match=r"cell \(signal=low, method=predict, mechanism=MCAR\) failed at replication 1",
+            match=r"cell \(signal=high, method=predict, mechanism=MCAR\) failed at replication 1",
         ):
             run_table1(cfg)
 
@@ -237,11 +243,8 @@ class TestDeterminism:
         assert serial == pooled
 
     def test_config_order_does_not_change_cells(self):
-        fwd = _tiny_cfg()
-        rev = _tiny_cfg(
-            populations=tuple(reversed(fwd.populations)),
-            mechanisms=tuple(reversed(fwd.mechanisms)),
-        )
+        fwd = _tiny_cfg(methods=(Predict(), Draw()))
+        rev = _tiny_cfg(methods=(Draw(), Predict()))
         by_key = {}
         for row in run_table1(fwd).rows:
             by_key[(row.signal, row.method, row.mechanism)] = row.params.as_array()

@@ -14,7 +14,7 @@ from imputebench.linmodel import (
     predict,
     r_squared,
 )
-from imputebench.stochastics import SeedSpec, draw_standard_normal, make_stream
+from imputebench.stochastics import SeedSpec, make_stream
 
 XY = DesignSpec(response="y", predictors=("x",))
 FORWARD = DesignSpec(response="y", predictors=("x1", "x2"))
@@ -213,7 +213,7 @@ class TestBayesParamDraw:
         replay = make_stream(SeedSpec(33, 0))
         chi2 = replay.generator.chisquare(fit.dof)
         sigma2_manual = fit.residual_variance * fit.dof / chi2
-        z = draw_standard_normal(replay, 3)
+        z = replay.generator.standard_normal(3)
         shift = np.linalg.solve(np.array(fit.crossprod_factor).T, z)
         np.testing.assert_allclose(beta, fit.coefficients + np.sqrt(sigma2_manual) * shift, atol=1e-12)
         assert sigma2 == pytest.approx(sigma2_manual, abs=1e-15)
