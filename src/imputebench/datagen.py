@@ -6,7 +6,10 @@ sum (weights split by VAR_PROP) plus independent noise sized so the
 generator explains exactly ``r_squared`` of a standardized signal budget.
 Because the construction is fully analytic, every downstream quantity of
 interest has a closed form, which doubles as the test oracle for the
-simulation harness.
+simulation harness. The regression fields of that truth and of every
+estimate come from one helper, ``moment_params``, applied to a 3x3
+covariance of (x1, x2, y): the population's here, a sample's in
+``downstream.estimate_params``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .stochastics import RngStream
 VAR_PROP = (0.8, 0.2)
 # correlation between x1 and x2
 PREDICTOR_CORR = 0.5
+# 1 - r^2 between two regressors below this is treated as collinearity
+_COLLINEAR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,49 +164,62 @@ def generate_population(spec: PopulationSpec, stream: RngStream) -> Dataset:
     return Dataset(x1, x2, y)
 
 
+def moment_params(cov) -> Dict[str, float]:
+    """The six regression fields of a table row from the covariance of (x1, x2, y).
+
+    sigma and rho (of y with x1) are read off the matrix. gamma and r2_y
+    come from y ~ x1 + x2, delta and r2_x from x1 ~ y + x2. Each is OLS
+    with an intercept, which on centred moments is the 2x2 system S b = c
+    (S the predictors' covariance, c their covariance with the response);
+    R^2 = b'c / var(response), clipped to [0, 1]. ground_truth passes the
+    population covariance, estimate_params a sample's.
+
+    Raises ValueError naming the regression when 1 - r^2 of its two
+    predictors is below _COLLINEAR_FLOOR.
+    """
+    c = np.asarray(cov, dtype=np.float64).tolist()
+    gamma, r2_y = _moment_regression(c, 2, 0, 1, "y ~ x1 + x2")
+    delta, r2_x = _moment_regression(c, 0, 2, 1, "x1 ~ y + x2")
+    return {
+        "sigma": math.sqrt(c[2][2]),
+        "rho": c[0][2] / math.sqrt(c[0][0] * c[2][2]),
+        "gamma": gamma,
+        "r2_y": r2_y,
+        "delta": delta,
+        "r2_x": r2_x,
+    }
+
+
+def _moment_regression(c, response: int, first: int, second: int, name: str) -> tuple[float, float]:
+    """Slope on ``first`` and R^2 of response ~ first + second, by Cramer's rule."""
+    s11, s12, s22 = c[first][first], c[first][second], c[second][second]
+    c1, c2 = c[first][response], c[second][response]
+    det = s11 * s22 - s12 * s12
+    if det <= _COLLINEAR_FLOOR * s11 * s22:
+        raise ValueError(f"regression {name}: the predictors are collinear")
+    b1 = (s22 * c1 - s12 * c2) / det
+    b2 = (s11 * c2 - s12 * c1) / det
+    return b1, min(max((b1 * c1 + b2 * c2) / c[response][response], 0.0), 1.0)
+
+
 def ground_truth(spec: PopulationSpec) -> GroundTruth:
     """Closed-form population values of every reported parameter.
 
-    Let V = var(y) = b1^2 + b2^2 + 2 rho b1 b2 + (1 - r^2). Then
-
-    * mu = 0 and sigma = sqrt(V);
-    * rho(y, x1) = (b1 + rho b2) / sigma;
-    * gamma = b1 (the generator's own slope) and
-      r2_y = (V - (1 - r^2)) / V;
-    * delta and r2_x solve the 2x2 normal equations of the reverse
-      regression x1 ~ y + x2 on the population moment matrix;
-    * P90 = 10 by construction and both MSEs are 0.
+    The generator fixes the population covariance of (x1, x2, y): unit
+    predictor variances with correlation rho, cov(x1, y) = b1 + rho b2,
+    cov(x2, y) = b2 + rho b1, and var(y) = b1 cov(x1, y) + b2 cov(x2, y)
+    + (1 - r^2). moment_params turns it into sigma, rho, gamma (= b1),
+    r2_y, delta and r2_x by the algebra estimate_params applies to a
+    sample. mu = 0, P90 = 10 by construction and both MSEs are 0.
     """
     beta1, beta2, noise_sd = coefficients(spec)
     rho = PREDICTOR_CORR
-    noise_var = noise_sd * noise_sd
-
-    var_y = beta1**2 + beta2**2 + 2.0 * rho * beta1 * beta2 + noise_var
-    sigma = math.sqrt(var_y)
-    cov_y_x1 = beta1 + rho * beta2
-    cov_y_x2 = beta2 + rho * beta1
-    corr_y_x1 = cov_y_x1 / sigma
-    r2_y = (var_y - noise_var) / var_y
-
-    # reverse regression x1 ~ y + x2: solve the population normal equations
-    gram = np.array([[var_y, cov_y_x2], [cov_y_x2, 1.0]])
-    rhs = np.array([cov_y_x1, rho])
-    delta, coef_x2 = np.linalg.solve(gram, rhs)
-    r2_x = float(delta * cov_y_x1 + coef_x2 * rho)  # var(x1) = 1
-
+    cov_x1_y = beta1 + rho * beta2
+    cov_x2_y = beta2 + rho * beta1
+    var_y = beta1 * cov_x1_y + beta2 * cov_x2_y + noise_sd * noise_sd
+    cov = [[1.0, rho, cov_x1_y], [rho, 1.0, cov_x2_y], [cov_x1_y, cov_x2_y, var_y]]
     return GroundTruth(
-        ParamSet(
-            mu=0.0,
-            sigma=sigma,
-            p90=10.0,
-            rho=corr_y_x1,
-            gamma=beta1,
-            r2_y=r2_y,
-            delta=float(delta),
-            r2_x=r2_x,
-            mse_full=0.0,
-            mse_missing=0.0,
-        )
+        ParamSet(mu=0.0, p90=10.0, mse_full=0.0, mse_missing=0.0, **moment_params(cov))
     )
 
 

@@ -1,27 +1,25 @@
 """Downstream estimates on a completed dataset, and the MSE split.
 
-Everything a results table reports is computed here: moments of the
+Everything a results table reports is computed here: the mean of the
 completed outcome, its tail share past the truth's 90th percentile, the
-forward regression y ~ x1 + x2, the reverse regression x1 ~ y + x2, and
-the imputation error itself. The error is reported twice on purpose:
-averaged over all rows and averaged over only the masked rows, which
-differ exactly by the masked fraction.
+imputation error itself, and from one sample covariance matrix of
+(x1, x2, y) its sd, its correlation with x1, the forward regression
+y ~ x1 + x2 and the reverse regression x1 ~ y + x2. The error is
+reported twice on purpose: averaged over all rows and averaged over only
+the masked rows, which differ exactly by the masked fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .ampute import CompletedDataset, IncompleteDataset
-from .datagen import Dataset, ParamSet, PopulationSpec, coefficients
+from .datagen import Dataset, ParamSet, PopulationSpec, coefficients, moment_params
 from .imputers import ImputationMethod
-from .linmodel import DesignSpec, fit_ols, r_squared
 from .stochastics import RngStream
-
-_FORWARD = DesignSpec(response="y", predictors=("x1", "x2"))
-_REVERSE = DesignSpec(response="x1", predictors=("y", "x2"))
 
 
 @dataclass(frozen=True)
@@ -56,46 +54,35 @@ def estimate_params(completed: CompletedDataset, truth: Dataset) -> ParamSet:
     """All reported parameters of a completed dataset against its truth.
 
     The P90 cutpoint is the 0.9 quantile of the truth sample, recomputed
-    per call. gamma and r2_y come from the forward fit on the completed
-    columns; delta and r2_x from the reverse fit with the completed y as
-    a predictor of x1.
+    per call. sigma, rho, gamma, r2_y, delta and r2_x come from the
+    sample covariance (ddof 1) of the completed (x1, x2, y) through
+    datagen.moment_params, the algebra of the analytic truth. Before any
+    arithmetic, fewer than 4 rows or a constant column raise ValueError.
     """
-    if len(completed.data) != len(truth):
+    data = completed.data
+    n = len(data)
+    if n != len(truth):
         raise ValueError("completed and truth datasets must be row-aligned")
-    ydot = completed.data.y
-    x1 = completed.data.x1
-    n = ydot.size
+    if n <= 3:
+        raise ValueError(f"need more than 3 rows, got {n}")
+    for name, col in data.columns.items():
+        if col.min() == col.max():
+            raise ValueError(f"column {name} is constant; downstream parameters undefined")
+    ydot = data.y
 
     mu = float(np.mean(ydot))
-    sigma = float(np.std(ydot, ddof=1))
-    if sigma == 0.0 or float(np.std(x1)) == 0.0:
-        raise ValueError("zero-variance column; downstream parameters undefined")
+    centred = [data.x1 - data.x1.mean(), data.x2 - data.x2.mean(), ydot - mu]
+    cov = np.empty((3, 3))
+    for i, j in combinations_with_replacement(range(3), 2):
+        cov[i, j] = cov[j, i] = centred[i] @ centred[j] / (n - 1)
     p90 = 100.0 * float(np.mean(ydot > quantile(truth.y, 0.9)))
-    rho = float(np.corrcoef(ydot, x1)[0, 1])
-
-    forward = fit_ols(completed.data, _FORWARD)
-    gamma = float(forward.coefficients[1])
-    r2_y = min(max(r_squared(forward, completed.data), 0.0), 1.0)
-
-    reverse = fit_ols(completed.data, _REVERSE)
-    delta = float(reverse.coefficients[1])
-    r2_x = min(max(r_squared(reverse, completed.data), 0.0), 1.0)
 
     sq_err = (truth.y - ydot) ** 2
     mse_full = float(np.mean(sq_err))
     n_missing = int(np.count_nonzero(completed.imputed_mask))
     mse_missing = float(np.mean(sq_err[completed.imputed_mask])) if n_missing else 0.0
     return ParamSet(
-        mu=mu,
-        sigma=sigma,
-        p90=p90,
-        rho=rho,
-        gamma=gamma,
-        r2_y=r2_y,
-        delta=delta,
-        r2_x=r2_x,
-        mse_full=mse_full,
-        mse_missing=mse_missing,
+        mu=mu, p90=p90, mse_full=mse_full, mse_missing=mse_missing, **moment_params(cov)
     )
 
 

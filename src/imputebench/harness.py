@@ -153,6 +153,8 @@ class _Cell:
 
     @property
     def name(self) -> str:
+        if self.method is None:
+            return f"truth row (signal={self.signal})"
         return (
             f"cell (signal={self.signal}, method={self.method.label}, "
             f"mechanism={self.mech.mechanism.label})"
@@ -160,12 +162,13 @@ class _Cell:
 
 
 @contextmanager
-def _failures_named(name: str, t: int):
-    """Re-raise any failure inside as one error naming its cell and replication."""
+def _failures_named(name: str, t: int | None = None):
+    """Re-raise any failure inside as one error naming its row and replication t, if given."""
+    where = "" if t is None else f" at replication {t}"
     try:
         yield
     except Exception as exc:
-        raise RuntimeError(f"{name} failed at replication {t}: {exc}") from exc
+        raise RuntimeError(f"{name} failed{where}: {exc}") from exc
 
 
 def _replicate(pop: Dataset, cell: _Cell, cfg: ExperimentConfig, t: int) -> ParamSet:
@@ -213,7 +216,9 @@ def _table_row(cfg: ExperimentConfig, cell: _Cell) -> TableRow:
     pop = _build_population(cfg, cell.level)
     if cell.method is None:
         truth = CompletedDataset(data=pop, imputed_mask=np.zeros(len(pop), dtype=bool), method=None)
-        return TableRow(cell.signal, TRUTH_LABEL, NO_MECHANISM_LABEL, estimate_params(truth, pop))
+        with _failures_named(cell.name):
+            params = estimate_params(truth, pop)
+        return TableRow(cell.signal, TRUTH_LABEL, NO_MECHANISM_LABEL, params)
     mean, stderr = _cell_stats(pop, cell, cfg)
     return TableRow(cell.signal, cell.method.label, cell.mech.mechanism.label, mean, stderr)
 

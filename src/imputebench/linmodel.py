@@ -153,17 +153,6 @@ def predict(fit: OlsFit, rows) -> np.ndarray:
     return x @ fit.coefficients
 
 
-def r_squared(fit: OlsFit, data) -> float:
-    """1 - SSE/SST of the fit evaluated on the supplied rows."""
-    cols = _columns_of(data)
-    y = np.asarray(cols[fit.design.response], dtype=np.float64)
-    resid = y - predict(fit, data)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
-        raise ValueError("response variance is zero; r_squared undefined")
-    return 1.0 - float(resid @ resid) / sst
-
-
 def bayes_param_draw(fit: OlsFit, stream: RngStream) -> tuple[np.ndarray, float]:
     """One draw of (beta, sigma^2) from the standard conjugate posterior.
 

@@ -107,6 +107,18 @@ class TestArgumentErrors:
         assert rc == 1
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("pop_size,samples", [("1", "1"), ("3", "2")])
+    def test_truth_row_failure_named(self, capsys, pop_size, samples):
+        rc, out, err = _run(capsys, [
+            "table1", "--pop-size", pop_size, "--samples", samples, "--reps", "2",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            f"imputebench: truth row (signal=high) failed: "
+            f"need more than 3 rows, got {pop_size}\n"
+        )
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch(["table9"])

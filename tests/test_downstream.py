@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,11 @@ def _identity_completed(n=1000, seed=20, r_squared=0.8):
     y[mask] = np.nan
     inc = IncompleteDataset(x1=data.x1, x2=data.x2, y=y, mask=mask, truth_y=data.y)
     return CompletedDataset.from_imputation(inc, data.y[mask], None), data
+
+
+def _complete(x1, x2, y):
+    """A CompletedDataset of fully observed columns."""
+    return CompletedDataset(Dataset(x1, x2, y), np.zeros(len(y), dtype=bool), None)
 
 
 class TestQuantile:
@@ -166,6 +173,48 @@ class TestEstimateParams:
         short = Dataset(data.x1[:299], data.x2[:299], data.y[:299])
         with pytest.raises(ValueError):
             estimate_params(completed, short)
+
+    def test_exact_fit_has_unit_r2(self):
+        x1 = np.arange(6.0)
+        x2 = np.array([1.0, -1.0, 2.0, 0.0, 3.0, -2.0])
+        y = 2.0 + 3.0 * x1 - x2
+        params = estimate_params(_complete(x1, x2, y), Dataset(x1, x2, y))
+        assert params.gamma == pytest.approx(3.0, abs=1e-12)
+        assert params.r2_y == pytest.approx(1.0, abs=1e-12)
+        assert params.r2_x == pytest.approx(1.0, abs=1e-12)
+
+    def test_pure_noise_r2_near_zero(self):
+        gen = np.random.default_rng(9)
+        x1, x2, y = gen.normal(size=(3, 100_000))
+        params = estimate_params(_complete(x1, x2, y), Dataset(x1, x2, y))
+        assert params.r2_y < 0.01
+        assert params.r2_x < 0.01
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_too_few_rows_rejected(self, n):
+        x1, x2, y = np.random.default_rng(10).normal(size=(3, n))
+        with pytest.raises(ValueError, match=f"need more than 3 rows, got {n}"):
+            estimate_params(_complete(x1, x2, y), Dataset(x1, x2, y))
+
+    @pytest.mark.parametrize("column", ["x1", "x2", "y"])
+    def test_constant_column_named(self, column):
+        cols = dict(zip(("x1", "x2", "y"), np.random.default_rng(11).normal(size=(3, 20))))
+        cols[column] = np.full(20, 0.1)
+        data = Dataset(**cols)
+        with pytest.raises(ValueError, match=f"column {column} is constant"):
+            estimate_params(_complete(data.x1, data.x2, data.y), data)
+
+    @pytest.mark.parametrize("regression", ["y ~ x1 + x2", "x1 ~ y + x2"])
+    def test_collinear_regression_named(self, regression):
+        x1, x2 = np.random.default_rng(12).normal(size=(2, 20))
+        if regression == "y ~ x1 + x2":
+            x2 = 1.0 - 2.0 * x1
+            y = x1 + np.random.default_rng(13).normal(size=20)
+        else:
+            y = 3.0 + 0.5 * x2
+        data = Dataset(x1, x2, y)
+        with pytest.raises(ValueError, match=f"regression {re.escape(regression)}: "):
+            estimate_params(_complete(x1, x2, y), data)
 
     def test_constant_completion_rejected(self):
         gen = np.random.default_rng(28)

@@ -10,6 +10,7 @@ from imputebench.ampute import (
     ampute,
 )
 from imputebench.datagen import Dataset, PopulationSpec, draw_sample, generate_population
+from imputebench.downstream import estimate_params
 from imputebench.forest import ForestParams
 from imputebench.imputers import (
     PMM_DONORS,
@@ -269,9 +270,8 @@ class TestSoftImputeMethod:
             inc = _amputed(high_pop, MCAR, rep=rep, seed=74)
             completed = impute_softimpute(inc, make_stream(SeedSpec(75, rep)))
             rhos.append(np.corrcoef(completed.data.y, completed.data.x1)[0, 1])
-            from imputebench.linmodel import r_squared
-            fit = fit_ols(completed.data, DESIGN)
-            r2s.append(r_squared(fit, completed.data))
+            truth = Dataset(inc.x1, inc.x2, inc.truth_y)
+            r2s.append(estimate_params(completed, truth).r2_y)
         assert np.mean(rhos) > 0.87
         assert np.mean(r2s) > 0.85
 

@@ -12,7 +12,6 @@ from imputebench.linmodel import (
     design_matrix,
     fit_ols,
     predict,
-    r_squared,
 )
 from imputebench.stochastics import SeedSpec, make_stream
 
@@ -139,34 +138,6 @@ class TestDesignMatrix:
     def test_intercept_first(self):
         m = design_matrix({"x1": [1.0, 2.0], "x2": [3.0, 4.0], "y": [0.0, 0.0]}, FORWARD)
         np.testing.assert_array_equal(m, [[1.0, 1.0, 3.0], [1.0, 2.0, 4.0]])
-
-
-class TestRSquared:
-    def test_exact_fit(self):
-        x = np.array([0.0, 1.0, 2.0, 3.0])
-        cols = {"x": x, "y": 2.0 + 3.0 * x}
-        assert r_squared(fit_ols(cols, XY), cols) == pytest.approx(1.0, abs=1e-12)
-
-    def test_population_value(self):
-        spec = PopulationSpec(r_squared=0.8, size=1_000_000)
-        pop = generate_population(spec, make_stream(SeedSpec(22, 0)))
-        fit = fit_ols(pop, FORWARD)
-        assert abs(r_squared(fit, pop) - 0.8484848484848485) < 0.005
-
-    def test_pure_noise_near_zero(self):
-        gen = np.random.default_rng(9)
-        cols = {
-            "x1": gen.normal(size=100_000),
-            "x2": gen.normal(size=100_000),
-            "y": gen.normal(size=100_000),
-        }
-        assert abs(r_squared(fit_ols(cols, FORWARD), cols)) < 0.01
-
-    def test_constant_response_rejected(self):
-        cols = {"x": np.arange(5.0), "y": np.ones(5)}
-        fit = fit_ols(cols, XY)
-        with pytest.raises(ValueError):
-            r_squared(fit, cols)
 
 
 class TestBayesParamDraw:
