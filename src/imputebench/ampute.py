@@ -103,14 +103,12 @@ class CompletedDataset:
     """An imputed dataset: filled columns plus the record of what was filled.
 
     Invariant: y at unmasked positions is bit-identical to the observed
-    values. ``converged`` is False only when an iterative imputer ran out
-    of iterations and returned its best iterate.
+    values.
     """
 
     data: Dataset
     imputed_mask: np.ndarray
     method: "ImputationMethod | None"
-    converged: bool = True
 
     def __post_init__(self):
         mask = np.array(self.imputed_mask, dtype=bool)
@@ -125,7 +123,6 @@ class CompletedDataset:
         inc: IncompleteDataset,
         imputed_values: np.ndarray,
         method: "ImputationMethod | None",
-        converged: bool = True,
     ) -> "CompletedDataset":
         """Fill inc's masked entries with imputed_values (in mask order).
 
@@ -140,7 +137,7 @@ class CompletedDataset:
         y = inc.y.copy()
         y[inc.mask] = values
         data = Dataset(inc.x1, inc.x2, y)
-        return cls(data=data, imputed_mask=inc.mask, method=method, converged=converged)
+        return cls(data=data, imputed_mask=inc.mask, method=method)
 
 
 def solve_shift(scores, prop: float) -> float:

@@ -2,9 +2,12 @@
 
 ``predict`` and ``draw`` are the two regression imputers (conditional
 mean, and conditional mean plus residual noise). ``pmm`` is type-1
-predictive mean matching. ``softimpute`` is low-rank matrix completion
-by alternating least squares. The forest imputer lives in its own module;
-:class:`Forest` is its method object.
+predictive mean matching. ``softimpute`` is rank-2 matrix completion of
+(x1, x2, y); with holes only in y and no penalty, its fixed point is the
+uncentred total-least-squares plane of the observed rows, which it
+computes directly. :func:`als_matrix_complete` is the iterative
+reference that reaches the same point. The forest imputer lives in its
+own module; :class:`Forest` is its method object.
 """
 
 from __future__ import annotations
@@ -24,12 +27,6 @@ from .stochastics import RngStream
 IMPUTE_DESIGN = DesignSpec(response="y", predictors=("x1", "x2"))
 # pmm copies y from one of this many nearest observed rows
 PMM_DONORS = 5
-# softimpute: rank-2 ALS with no ridge penalty, run to a relative
-# objective change of SOFT_TOL or SOFT_MAX_ITER iterations
-SOFT_RANK = 2
-SOFT_RIDGE = 0.0
-SOFT_MAX_ITER = 200
-SOFT_TOL = 1e-5
 
 
 class ImputationMethod:
@@ -71,7 +68,7 @@ class SoftImpute(ImputationMethod):
     label: ClassVar[str] = "softimpute"
 
     def impute(self, inc, stream):
-        return impute_softimpute(inc, stream)
+        return impute_softimpute(inc)
 
 
 @dataclass(frozen=True)
@@ -193,15 +190,19 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
         return np.linalg.pinv(gram) @ rhs
 
 
-def impute_softimpute(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
-    """Fill masked y from the low-rank ALS reconstruction of raw (x1, x2, y)."""
-    matrix = np.column_stack([inc.x1, inc.x2, inc.y])
-    recon, _, converged = als_matrix_complete(
-        matrix, SOFT_RANK, SOFT_RIDGE, SOFT_MAX_ITER, SOFT_TOL, stream
-    )
-    return CompletedDataset.from_imputation(
-        inc, recon[inc.mask, 2], SoftImpute(), converged=converged
-    )
+def impute_softimpute(inc: IncompleteDataset) -> CompletedDataset:
+    """Fill masked y on the uncentred total-least-squares plane of the observed rows.
+
+    This is the fixed point of rank-2 ALS on raw (x1, x2, y) with no ridge
+    and holes only in y: the plane orthogonal to the last right singular
+    vector v of the observed rows, so y = -(v1*x1 + v2*x2) / v3.
+    """
+    if inc.n_observed < 3:
+        raise ValueError(f"softimpute needs at least 3 observed rows, got {inc.n_observed}")
+    observed = np.column_stack([inc.x1, inc.x2, inc.y])[~inc.mask]
+    v = np.linalg.svd(observed, full_matrices=False)[2][-1]
+    values = -(v[0] * inc.x1[inc.mask] + v[1] * inc.x2[inc.mask]) / v[2]
+    return CompletedDataset.from_imputation(inc, values, SoftImpute())
 
 
 def impute_dispatch(

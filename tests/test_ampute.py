@@ -85,7 +85,6 @@ class TestCompletedDataset:
         )
         np.testing.assert_array_equal(completed.data.y[~inc.mask], inc.y[~inc.mask])
         assert np.all(completed.data.y[inc.mask] == 0.0)
-        assert completed.converged
 
     def test_wrong_value_count_rejected(self):
         inc = ampute(_data(100), MCAR, make_stream(SeedSpec(42, 1)))

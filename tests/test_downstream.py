@@ -24,7 +24,7 @@ from imputebench.downstream import (
     estimate_params,
     quantile,
 )
-from imputebench.imputers import Draw, Predict, impute_predict
+from imputebench.imputers import Draw, Predict, SoftImpute, impute_predict
 from imputebench.stochastics import SeedSpec, make_stream
 
 MCAR = MissingnessSpec(Mechanism.MCAR)
@@ -253,9 +253,10 @@ class TestDecomposeMse:
         with pytest.raises(ValueError, match="no rows are masked"):
             decompose_mse(inc, sample, Predict(), 10, make_stream(SeedSpec(30, 5)), spec)
 
-    def test_predict_has_no_variance(self, low_setup):
+    @pytest.mark.parametrize("method", [Predict(), SoftImpute()], ids=lambda m: m.label)
+    def test_predict_has_no_variance(self, low_setup, method):
         spec, sample, inc = low_setup
-        result = decompose_mse(inc, sample, Predict(), 10, make_stream(SeedSpec(30, 1)), spec)
+        result = decompose_mse(inc, sample, method, 10, make_stream(SeedSpec(30, 1)), spec)
         assert result.variance < 1e-10
         assert result.noise == pytest.approx(0.8, abs=1e-12)
 

@@ -216,4 +216,3 @@ class TestImputeForest:
         )
         expected = predict_forest(trees, np.column_stack([x1[mask], x2[mask]]))
         np.testing.assert_array_equal(completed.data.y[mask], expected)
-        assert completed.converged is True

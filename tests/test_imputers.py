@@ -14,10 +14,6 @@ from imputebench.downstream import estimate_params
 from imputebench.forest import ForestParams
 from imputebench.imputers import (
     PMM_DONORS,
-    SOFT_MAX_ITER,
-    SOFT_RANK,
-    SOFT_RIDGE,
-    SOFT_TOL,
     Draw,
     Forest,
     ImputationMethod,
@@ -89,7 +85,6 @@ class TestMethodParams:
             assert dataclasses.fields(method) == ()
         assert tuple(f.name for f in dataclasses.fields(Forest)) == ("params",)
         assert PMM_DONORS == 5
-        assert (SOFT_RANK, SOFT_RIDGE, SOFT_MAX_ITER, SOFT_TOL) == (2, 0.0, 200, 1e-5)
 
 
 class TestPredictMethod:
@@ -206,13 +201,6 @@ class TestPmmMethod:
         assert all(v in observed for v in completed.data.y[inc.mask])
 
 
-def _tls_prediction(inc):
-    """y on the uncentered total-least-squares plane of the observed rows."""
-    observed = np.column_stack([inc.x1, inc.x2, inc.y])[~inc.mask]
-    v = np.linalg.svd(observed, full_matrices=False)[2][-1]
-    return -(v[0] * inc.x1[inc.mask] + v[1] * inc.x2[inc.mask]) / v[2]
-
-
 class TestAlsMatrixComplete:
     def test_rank_one_recovery(self):
         gen = np.random.default_rng(3)
@@ -252,7 +240,8 @@ class TestAlsMatrixComplete:
     def test_fixed_point_is_total_least_squares_plane(self, high_pop):
         # rank 2 of three columns, no ridge, holes only in y: the fixed
         # point puts the masked y on the plane orthogonal to the last
-        # right singular vector of the observed rows
+        # right singular vector of the observed rows, which softimpute
+        # computes directly
         inc = _amputed(high_pop, MCAR, rep=16)
         matrix = np.column_stack([inc.x1, inc.x2, inc.y])
         recon, _, converged = als_matrix_complete(
@@ -260,7 +249,8 @@ class TestAlsMatrixComplete:
             stream=make_stream(SeedSpec(73, 3)),
         )
         assert converged
-        np.testing.assert_allclose(recon[inc.mask, 2], _tls_prediction(inc), rtol=0, atol=1e-5)
+        direct = impute_softimpute(inc).data.y[inc.mask]
+        np.testing.assert_allclose(recon[inc.mask, 2], direct, rtol=0, atol=1e-5)
 
 
 class TestSoftImputeMethod:
@@ -268,19 +258,28 @@ class TestSoftImputeMethod:
         rhos, r2s = [], []
         for rep in range(20):
             inc = _amputed(high_pop, MCAR, rep=rep, seed=74)
-            completed = impute_softimpute(inc, make_stream(SeedSpec(75, rep)))
+            completed = impute_softimpute(inc)
             rhos.append(np.corrcoef(completed.data.y, completed.data.x1)[0, 1])
             truth = Dataset(inc.x1, inc.x2, inc.truth_y)
             r2s.append(estimate_params(completed, truth).r2_y)
         assert np.mean(rhos) > 0.87
         assert np.mean(r2s) > 0.85
 
-    def test_non_convergence_flagged(self, low_pop):
-        # a low-signal sample and stream on which ALS reaches SOFT_MAX_ITER
+    def test_same_values_on_any_stream(self, low_pop):
+        # the plane is a function of the observed rows alone
         inc = _amputed(low_pop, MCAR, rep=9)
-        completed = impute_softimpute(inc, make_stream(SeedSpec(76, 1)))
-        assert completed.converged is False
-        assert np.all(np.isfinite(completed.data.y))
+        first = SoftImpute().impute(inc, make_stream(SeedSpec(76, 1)))
+        second = SoftImpute().impute(inc, make_stream(SeedSpec(76, 2)))
+        np.testing.assert_array_equal(first.data.y, second.data.y)
+
+    def test_too_few_observed_rows_rejected(self):
+        # the thin SVD of two rows has no null vector to fix a plane
+        x1, x2, truth = np.random.default_rng(2).normal(size=(3, 6))
+        mask = np.arange(6) >= 2
+        y = np.where(mask, np.nan, truth)
+        inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
+        with pytest.raises(ValueError, match="at least 3 observed rows, got 2"):
+            impute_softimpute(inc)
 
 
 class TestDispatch:
@@ -290,7 +289,7 @@ class TestDispatch:
             (Predict(), impute_predict(inc)),
             (Draw(), impute_draw(inc, make_stream(SeedSpec(77, 0)))),
             (Pmm(), impute_pmm(inc, make_stream(SeedSpec(77, 0)))),
-            (SoftImpute(), impute_softimpute(inc, make_stream(SeedSpec(77, 0)))),
+            (SoftImpute(), impute_softimpute(inc)),
         ]
         for method, direct in pairs:
             routed = impute_dispatch(inc, method, make_stream(SeedSpec(77, 0)))
