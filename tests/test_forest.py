@@ -8,9 +8,8 @@ from imputebench.datagen import PopulationSpec, draw_sample, generate_population
 from imputebench.forest import (
     MIN_NODE_SIZE,
     ForestParams,
-    _best_split,
+    PackedForest,
     fit_forest,
-    fit_tree,
     impute_forest,
     predict_forest,
 )
@@ -23,6 +22,160 @@ def _xy(n=200, seed=0, noise=0.0):
     x = gen.normal(size=(n, 2))
     y = 2.0 + 0.8 * x[:, 0] + 0.4 * x[:, 1] + noise * gen.normal(size=n)
     return x, y
+
+
+# --- reference: the per-node grower that fit_forest must reproduce bit for bit
+
+
+class _TreeBuilder:
+    """Accumulates node arrays while growing one tree depth-first."""
+
+    def __init__(self):
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[float] = []
+
+    def add(self) -> int:
+        self.feature.append(-1)
+        self.threshold.append(np.nan)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(np.nan)
+        return len(self.feature) - 1
+
+    def freeze(self) -> dict[str, np.ndarray]:
+        return {
+            "feature": np.array(self.feature, dtype=np.intp),
+            "threshold": np.array(self.threshold, dtype=np.float64),
+            "left": np.array(self.left, dtype=np.intp),
+            "right": np.array(self.right, dtype=np.intp),
+            "value": np.array(self.value, dtype=np.float64),
+        }
+
+
+def _best_split(xs: np.ndarray, ys: np.ndarray) -> float | None:
+    """Threshold of one feature's best boundary, or None when none is legal.
+
+    xs must be ascending. Scores every split point k (left = xs[:k+1])
+    where the neighbours differ and both children keep MIN_NODE_SIZE
+    rows; the first-minimum convention resolves equal scores to the
+    smallest threshold.
+    """
+    m = xs.size
+    c1 = np.cumsum(ys)
+    c2 = np.cumsum(ys * ys)
+    t1, t2 = c1[-1], c2[-1]
+    k = np.arange(m - 1)
+    n_left = k + 1.0
+    n_right = m - n_left
+    valid = (xs[:-1] < xs[1:]) & (n_left >= MIN_NODE_SIZE) & (n_right >= MIN_NODE_SIZE)
+    if not valid.any():
+        return None
+    sse_left = c2[:-1] - c1[:-1] ** 2 / n_left
+    sse_right = (t2 - c2[:-1]) - (t1 - c1[:-1]) ** 2 / n_right
+    score = np.where(valid, sse_left + sse_right, np.inf)
+    best = int(np.argmin(score))
+    lo, hi = xs[best], xs[best + 1]
+    mid = 0.5 * (lo + hi)
+    # midpoints of adjacent floats can round up to hi; the rule is x <= thr
+    thr = mid if mid < hi else lo
+    return float(thr)
+
+
+def fit_tree(x: np.ndarray, y: np.ndarray, stream) -> dict[str, np.ndarray]:
+    """Grow one CART regression tree on a bootstrap resample of the rows.
+
+    Stream use, in order: the bootstrap index draw, then one feature
+    permutation per splittable node in depth-first, left-first order;
+    the node splits on the permutation's first entry.
+    """
+    n, p = x.shape
+    gen = stream.generator
+    rows = gen.integers(0, n, size=n)
+    xb, yb = x[rows], y[rows]
+    order = [np.argsort(xb[:, f], kind="stable") for f in range(p)]
+
+    tree = _TreeBuilder()
+    member_root = np.ones(n, dtype=bool)
+    stack = [(tree.add(), member_root)]
+    while stack:
+        node_id, member = stack.pop()
+        node_y = yb[member]
+        tree.value[node_id] = float(node_y.mean())
+        if node_y.size < 2 * MIN_NODE_SIZE or node_y.min() == node_y.max():
+            continue
+        f = int(gen.permutation(p)[0])
+        sel = order[f][member[order[f]]]
+        thr = _best_split(xb[sel, f], yb[sel])
+        if thr is None:
+            continue
+        go_left = member & (xb[:, f] <= thr)
+        left_id = tree.add()
+        right_id = tree.add()
+        tree.feature[node_id] = f
+        tree.threshold[node_id] = thr
+        tree.left[node_id] = left_id
+        tree.right[node_id] = right_id
+        stack.append((right_id, member & ~go_left))
+        stack.append((left_id, go_left))
+    return tree.freeze()
+
+
+def _assert_matches_reference(x, y, n_trees, spec):
+    """Every tree of fit_forest equals the reference tree on its child stream."""
+    forest = fit_forest(x, y, ForestParams(n_trees=n_trees), make_stream(spec))
+    assert forest.feature.shape == (n_trees, 2 * (len(y) // MIN_NODE_SIZE) + 1)
+    for t in range(n_trees):
+        ref = fit_tree(x, y, make_stream(spec).child(t))
+        k = ref["feature"].size
+        assert forest.n_nodes[t] == k
+        for name in ("feature", "threshold", "left", "right"):
+            np.testing.assert_array_equal(getattr(forest, name)[t, :k], ref[name])
+        leaf = ref["feature"] == -1
+        np.testing.assert_array_equal(forest.value[t, :k][leaf], ref["value"][leaf])
+        assert (forest.feature[t, k:] == -1).all()
+
+
+def _ci_forest_sample():
+    """Observed rows of one ci-scale forest-cell sample: 10^5 population, 1,000 rows, MAR."""
+    pop = generate_population(PopulationSpec(r_squared=0.2, size=100_000), make_stream(SeedSpec(98, 0)))
+    sample = draw_sample(pop, 1000, make_stream(SeedSpec(98, 1)))
+    inc = ampute(sample, MissingnessSpec(Mechanism.MAR_RIGHT), make_stream(SeedSpec(98, 2)))
+    obs = inc.observed_rows()
+    return np.column_stack([obs["x1"], obs["x2"]]), obs["y"]
+
+
+def _rounded_x():
+    x, y = _xy(300, seed=20, noise=0.5)
+    return np.round(x, 1), y
+
+
+def _constant_y_block():
+    x, y = _xy(300, seed=21, noise=0.5)
+    y[x[:, 0] < 0.3] = 1.25
+    return x, y
+
+
+def _binary_y():
+    # small integer sums: symmetric boundaries score exactly equal
+    gen = np.random.default_rng(27)
+    x = np.round(gen.normal(size=(300, 2)), 1)
+    return x, (gen.random(300) < 0.5).astype(float)
+
+
+def _root_never_splits():
+    return _xy(2 * MIN_NODE_SIZE - 1, seed=22, noise=0.5)
+
+
+def _adjacent_floats():
+    # x takes two adjacent floats whose midpoint rounds up to the larger one
+    lo = 1.0 + np.spacing(1.0)
+    hi = np.nextafter(lo, 2.0)
+    gen = np.random.default_rng(23)
+    upper = gen.random((300, 2)) < 0.5
+    return np.where(upper, hi, lo), upper @ np.array([1.0, 2.0]) + 0.1 * gen.normal(size=300)
 
 
 class TestForestParams:
@@ -40,12 +193,14 @@ class TestForestParams:
 
 
 class TestFitTree:
+    """Single trees of a fitted forest, and the reference split rule."""
+
     def test_constant_response_single_leaf(self):
         x, _ = _xy(50)
         y = np.full(50, 3.25)
-        tree = fit_tree(x, y, make_stream(SeedSpec(90, 0)))
-        assert tree.n_nodes == 1
-        np.testing.assert_array_equal(tree.predict(x), np.full(50, 3.25))
+        forest = fit_forest(x, y, ForestParams(n_trees=3), make_stream(SeedSpec(90, 0)))
+        np.testing.assert_array_equal(forest.n_nodes, [1, 1, 1])
+        np.testing.assert_array_equal(forest.predict(x), np.full(50, 3.25))
 
     def test_step_function_recovered(self):
         xs = np.sort(np.random.default_rng(1).normal(size=200))
@@ -61,36 +216,37 @@ class TestFitTree:
 
     def test_predictions_within_training_range(self):
         x, y = _xy(300, seed=2, noise=1.0)
-        tree = fit_tree(x, y, make_stream(SeedSpec(90, 2)))
+        forest = fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 2)))
         query = np.random.default_rng(3).normal(size=(500, 2)) * 3
-        pred = tree.predict(query)
+        pred = forest.predict(query)
         assert pred.min() >= y.min() and pred.max() <= y.max()
 
     def test_deterministic_given_stream(self):
         x, y = _xy(150, seed=4, noise=0.5)
-        a = fit_tree(x, y, make_stream(SeedSpec(90, 3)))
-        b = fit_tree(x, y, make_stream(SeedSpec(90, 3)))
+        a = fit_forest(x, y, ForestParams(n_trees=5), make_stream(SeedSpec(90, 3)))
+        b = fit_forest(x, y, ForestParams(n_trees=5), make_stream(SeedSpec(90, 3)))
         for name in ("feature", "threshold", "left", "right", "value"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_min_node_size_respected(self):
         x, y = _xy(60, seed=5, noise=0.5)
-        tree = fit_tree(x, y, make_stream(SeedSpec(90, 4)))
-        # the leaves partition the tree's bootstrap rows, replayed from a
-        # stream with the same address; none may hold fewer than MIN_NODE_SIZE
-        rows = make_stream(SeedSpec(90, 4)).generator.integers(0, 60, size=60)
+        forest = fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 4)))
+        feature, threshold = forest.feature[0], forest.threshold[0]
+        left, right = forest.left[0], forest.right[0]
+        # the leaves partition the tree's bootstrap rows, replayed from the
+        # tree's child stream; none may hold fewer than MIN_NODE_SIZE
+        rows = make_stream(SeedSpec(90, 4)).child(0).generator.integers(0, 60, size=60)
         xb = x[rows]
-        leaves = tree.feature == -1
         node = np.zeros(60, dtype=int)
-        live = tree.feature[node] >= 0
+        live = feature[node] >= 0
         while live.any():
             cur = node[live]
-            go_left = xb[live, tree.feature[cur]] <= tree.threshold[cur]
-            node[live] = np.where(go_left, tree.left[cur], tree.right[cur])
-            live = tree.feature[node] >= 0
+            go_left = xb[live, feature[cur]] <= threshold[cur]
+            node[live] = np.where(go_left, left[cur], right[cur])
+            live = feature[node] >= 0
         _, counts = np.unique(node, return_counts=True)
         assert counts.min() >= MIN_NODE_SIZE
-        assert leaves.sum() == len(counts) > 1
+        assert (forest.n_nodes[0] + 1) // 2 == len(counts) > 1
 
     @pytest.mark.parametrize("bad", [
         lambda x, y: (np.empty((0, 2)), np.empty(0)),
@@ -101,33 +257,109 @@ class TestFitTree:
         x, y = _xy(30)
         bx, by = bad(x, y)
         with pytest.raises(ValueError):
-            fit_tree(bx, by, make_stream(SeedSpec(90, 5)))
+            fit_forest(bx, by, ForestParams(n_trees=1), make_stream(SeedSpec(90, 5)))
+
+    @pytest.mark.parametrize("n_columns", [1, 3])
+    def test_two_columns_required(self, n_columns):
+        # one feature bit per split picks one of exactly two columns
+        x = np.random.default_rng(26).normal(size=(30, n_columns))
+        with pytest.raises(ValueError, match=f"two columns .*got {n_columns}"):
+            fit_forest(x, x[:, 0], ForestParams(n_trees=1), make_stream(SeedSpec(90, 5)))
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("data, n_trees", [
+        (_ci_forest_sample, 100),
+        (_rounded_x, 20),
+        (_constant_y_block, 20),
+        (_binary_y, 20),
+        (_root_never_splits, 5),
+        (_adjacent_floats, 20),
+    ], ids=[
+        "ci-sample", "rounded-x", "constant-y-block", "binary-y", "root-never-splits",
+        "adjacent-floats",
+    ])
+    def test_trees_bit_identical(self, data, n_trees):
+        x, y = data()
+        _assert_matches_reference(x, y, n_trees, SeedSpec(96, n_trees))
+
+    def test_adjacent_floats_split_at_the_lower_value(self):
+        # x <= thr must keep lo left and hi right; the midpoint rounds to hi
+        x, y = _adjacent_floats()
+        lo, hi = np.unique(x)
+        assert 0.5 * (lo + hi) == hi
+        forest = fit_forest(x, y, ForestParams(n_trees=20), make_stream(SeedSpec(96, 20)))
+        thr = forest.threshold[forest.feature >= 0]
+        assert thr.size > 0 and (thr == lo).all()
+
+    def test_predictions_bit_identical(self):
+        x, y = _xy(200, seed=24, noise=0.5)
+        spec = SeedSpec(96, 99)
+        forest = fit_forest(x, y, ForestParams(n_trees=30), make_stream(spec))
+        # 300 rows: predict adds PASS_ROWS // 300 = 13 trees per chunk, in three chunks
+        query = np.random.default_rng(25).normal(size=(300, 2))
+        total = np.zeros(len(query))
+        for t in range(30):
+            ref = fit_tree(x, y, make_stream(spec).child(t))
+            node = np.zeros(len(query), dtype=np.intp)
+            while (ref["feature"][node] >= 0).any():
+                split = ref["feature"][node] >= 0
+                cur = node[split]
+                go_left = query[split, ref["feature"][cur]] <= ref["threshold"][cur]
+                node[split] = np.where(go_left, ref["left"][cur], ref["right"][cur])
+            total += ref["value"][node]
+        np.testing.assert_array_equal(predict_forest(forest, query), total / 30)
+
+
+def _generator_state(gen):
+    state = gen.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+        state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
+    )
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("n", [499, 500])
+    def test_feature_bits_equal_permutation_draws(self, n):
+        k = 2 * (n // MIN_NODE_SIZE) + 1
+        for t in range(4):
+            packed = make_stream(SeedSpec(97, n)).child(t).generator
+            per_node = make_stream(SeedSpec(97, n)).child(t).generator
+            np.testing.assert_array_equal(
+                packed.integers(0, n, size=n), per_node.integers(0, n, size=n)
+            )
+            bits = 1 - (packed.integers(0, 2**32, size=k, dtype=np.uint32) & 1)
+            firsts = [per_node.permutation(2)[0] for _ in range(k)]
+            np.testing.assert_array_equal(bits, firsts)
+            assert _generator_state(packed) == _generator_state(per_node)
 
 
 class TestForest:
     def test_single_tree_forest_matches_fit_tree(self):
         x, y = _xy(120, seed=6, noise=0.5)
-        params = ForestParams(n_trees=1)
-        stream = make_stream(SeedSpec(91, 0))
-        forest = fit_forest(x, y, params, stream)
-        lone = fit_tree(x, y, make_stream(SeedSpec(91, 0)).child(0))
-        assert len(forest) == 1
-        np.testing.assert_array_equal(forest[0].predict(x), lone.predict(x))
+        lone = fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(91, 0)))
+        seven = fit_forest(x, y, ForestParams(n_trees=7), make_stream(SeedSpec(91, 0)))
+        assert lone.n_trees == 1 and seven.n_trees == 7
+        for name in ("feature", "threshold", "left", "right", "value"):
+            np.testing.assert_array_equal(getattr(lone, name)[0], getattr(seven, name)[0])
+        ref = fit_tree(x, y, make_stream(SeedSpec(91, 0)).child(0))
+        np.testing.assert_array_equal(lone.feature[0, : lone.n_nodes[0]], ref["feature"])
 
     def test_heldout_r_squared(self):
         spec = PopulationSpec(r_squared=0.8, size=2000)
         pop = generate_population(spec, make_stream(SeedSpec(91, 1)))
         x = np.column_stack([pop.x1, pop.x2])
-        trees = fit_forest(x[:1000], pop.y[:1000], ForestParams(), make_stream(SeedSpec(91, 2)))
-        pred = predict_forest(trees, x[1000:])
+        forest = fit_forest(x[:1000], pop.y[:1000], ForestParams(), make_stream(SeedSpec(91, 2)))
+        pred = predict_forest(forest, x[1000:])
         resid = pop.y[1000:] - pred
         r2 = 1.0 - resid @ resid / np.sum((pop.y[1000:] - pop.y[1000:].mean()) ** 2)
         assert r2 > 0.6
 
     def test_forest_average_within_range(self):
         x, y = _xy(100, seed=7, noise=2.0)
-        trees = fit_forest(x, y, ForestParams(n_trees=20), make_stream(SeedSpec(91, 3)))
-        pred = predict_forest(trees, np.random.default_rng(8).normal(size=(200, 2)) * 4)
+        forest = fit_forest(x, y, ForestParams(n_trees=20), make_stream(SeedSpec(91, 3)))
+        pred = predict_forest(forest, np.random.default_rng(8).normal(size=(200, 2)) * 4)
         assert pred.min() >= y.min() and pred.max() <= y.max()
 
     def test_more_trees_not_worse(self):
@@ -136,15 +368,16 @@ class TestForest:
             x, y = _xy(200, seed=100 + seed, noise=0.5)
             xt, yt = _xy(200, seed=300 + seed, noise=0.5)
             for n_trees, sink in ((10, small_mses), (100, big_mses)):
-                trees = fit_forest(
+                forest = fit_forest(
                     x, y, ForestParams(n_trees=n_trees), make_stream(SeedSpec(92, seed))
                 )
-                sink.append(np.mean((predict_forest(trees, xt) - yt) ** 2))
+                sink.append(np.mean((predict_forest(forest, xt) - yt) ** 2))
         assert np.mean(big_mses) <= 1.05 * np.mean(small_mses)
 
     def test_predict_empty_forest(self):
+        none = PackedForest(*(np.empty((0, 3)) for _ in range(5)))
         with pytest.raises(ValueError):
-            predict_forest([], np.zeros((3, 2)))
+            predict_forest(none, np.zeros((3, 2)))
 
 
 class TestImputeForest:
@@ -210,9 +443,9 @@ class TestImputeForest:
         inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
         params = ForestParams(n_trees=4)
         completed = impute_forest(inc, Forest(params), make_stream(SeedSpec(93, 4)))
-        trees = fit_forest(
+        forest = fit_forest(
             np.column_stack([x1[~mask], x2[~mask]]), truth[~mask], params,
             make_stream(SeedSpec(93, 4)),
         )
-        expected = predict_forest(trees, np.column_stack([x1[mask], x2[mask]]))
+        expected = predict_forest(forest, np.column_stack([x1[mask], x2[mask]]))
         np.testing.assert_array_equal(completed.data.y[mask], expected)
