@@ -14,7 +14,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Dict
 
 import numpy as np
-from scipy.special import expit
 
 from .datagen import Dataset
 from .stochastics import RngStream
@@ -140,12 +139,20 @@ class CompletedDataset:
         return cls(data=data, imputed_mask=inc.mask, method=method)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)); below x = -709 exp overflows to inf and this is 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def solve_shift(scores, prop: float) -> float:
     """Shift b with mean(logistic(scores + b)) = prop, by bisection.
 
     The mean masking probability is strictly increasing in b, so plain
     bisection on an expanding bracket converges; iteration stops once the
     calibration error is below 1e-8 (well inside the 1e-6 contract).
+    Scores so large that float spacing leaves no shift within 1e-8 of prop
+    raise ValueError.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0 or not np.all(np.isfinite(s)):
@@ -154,7 +161,7 @@ def solve_shift(scores, prop: float) -> float:
         raise ValueError(f"prop must lie strictly in (0,1), got {prop}")
 
     def gap(b: float) -> float:
-        return float(np.mean(expit(s + b))) - prop
+        return float(np.mean(_logistic(s + b))) - prop
 
     lo, hi = -1.0, 1.0
     while gap(lo) > 0:
@@ -170,7 +177,7 @@ def solve_shift(scores, prop: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise ValueError(f"no shift calibrates the scores to prop {prop}: gap {g:.3g} remains")
 
 
 def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> IncompleteDataset:
@@ -190,7 +197,7 @@ def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> Incomplet
             raise ValueError("amputation scores are constant: x1 does not vary")
         score = (data.x1 - np.mean(data.x1)) / sd
         shift = solve_shift(score, PROP)
-        probs = expit(score + shift)
+        probs = _logistic(score + shift)
     mask = stream.generator.random(n) < probs
     y = data.y.copy()
     y[mask] = np.nan

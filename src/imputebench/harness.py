@@ -12,7 +12,6 @@ do not depend on execution order or worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -233,6 +232,8 @@ def _run_grid(
         rows.extend(cell for cell in cells if cell.level == level)
     row = partial(_table_row, cfg)
     if threads > 1 and len(rows) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
+
         with ProcessPoolExecutor(max_workers=min(threads, len(rows))) as pool:
             return SummaryTable(rows=tuple(pool.map(row, rows)))
     return SummaryTable(rows=tuple(map(row, rows)))

@@ -5,6 +5,13 @@ columns, so the normal equations are solved by Cholesky factorization
 and rank deficiency is refused outright instead of regularized. The fit
 object keeps the triangular factor around because prediction variance
 and Bayesian parameter draws both need it.
+
+Triangular solves use numpy alone. The lower factor L is solved by
+forward substitution, one row at a time, and the upper factor L' by
+np.linalg.solve: LU of an upper-triangular matrix never pivots, so that
+is plain back substitution. Both give the bits of LAPACK's triangular
+solver, which the tests keep as the reference; np.linalg.solve on L
+pivots and does not.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .stochastics import RngStream
 
@@ -105,6 +111,14 @@ def design_matrix(data, spec: DesignSpec) -> np.ndarray:
     return np.column_stack([np.ones(n)] + arrays)
 
 
+def _forward_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve lower @ y = b for lower-triangular lower, row by row."""
+    y = np.empty_like(b)
+    for k in range(b.size):
+        y[k] = (b[k] - lower[k, :k] @ y[:k]) / lower[k, k]
+    return y
+
+
 def fit_ols(data, spec: DesignSpec) -> OlsFit:
     """Fit the design by solving the normal equations.
 
@@ -132,9 +146,7 @@ def fit_ols(data, spec: DesignSpec) -> OlsFit:
         raise SingularDesignError("design matrix is rank deficient") from exc
 
     xty = x.T @ y
-    beta = solve_triangular(
-        factor.T, solve_triangular(factor, xty, lower=True), lower=False
-    )
+    beta = np.linalg.solve(factor.T, _forward_solve(factor, xty))
     resid = y - x @ beta
     sigma2 = max(float(resid @ resid) / (n - p - 1), 0.0)
     return OlsFit(
@@ -165,6 +177,6 @@ def bayes_param_draw(fit: OlsFit, stream: RngStream) -> tuple[np.ndarray, float]
     chi2 = float(stream.generator.chisquare(dof))
     sigma2_draw = fit.residual_variance * dof / chi2
     z = stream.generator.standard_normal(fit.coefficients.size)
-    shift = solve_triangular(fit.crossprod_factor.T, z, lower=False)
+    shift = np.linalg.solve(fit.crossprod_factor.T, z)
     beta_draw = fit.coefficients + math.sqrt(sigma2_draw) * shift
     return beta_draw, float(sigma2_draw)

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from imputebench.ampute import (
     IncompleteDataset,
     Mechanism,
     MissingnessSpec,
+    _logistic,
     ampute,
     solve_shift,
 )
@@ -128,6 +131,36 @@ class TestSolveShift:
         with pytest.raises(ValueError):
             solve_shift(np.zeros(5), 1.0)
 
+    @pytest.mark.parametrize("scores", [[1e17], [1e17, -1e17]], ids=["one", "two"])
+    def test_uncalibrated_shift_raises(self, scores):
+        # float spacing at 1e17 leaves no shift within 1e-8 of the target
+        with pytest.raises(ValueError, match="gap"):
+            solve_shift(np.array(scores), 0.3)
+
+    @pytest.mark.parametrize("big", [1e3, 1e300])
+    def test_huge_scores_warn_nothing(self, big):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert solve_shift(np.array([big, -big]), 0.5) == 0.0
+            b = solve_shift(np.array([-big, 0.0, 0.0, 0.0]), 0.5)
+            assert abs(np.mean(expit(np.array([-big, 0.0, 0.0, 0.0]) + b)) - 0.5) < 1e-6
+
+
+class TestLogistic:
+    def test_within_rounding_of_libm_formula(self):
+        # np.exp and libm exp differ by up to one ulp; the add and the
+        # divide each round once on both routes, so 3 eps bounds the gap
+        x = np.linspace(-709.0, 745.0, 290_801)
+        ref = np.array([1.0 / (1.0 + math.exp(-v)) for v in x])
+        got = _logistic(x)
+        assert np.all(np.abs(got - ref) <= 3 * np.finfo(np.float64).eps * ref)
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _logistic(np.array([-1e300, -1e3, 1e3, 1e300]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, 1.0])
+
 
 class TestAmpute:
     def test_mcar_masked_count_binomial(self):
@@ -159,6 +192,16 @@ class TestAmpute:
         mar_mask = ampute(data, MAR, make_stream(SeedSpec(46, 1))).mask
         assert abs(np.corrcoef(mcar_mask, data.x1)[0, 1]) < 0.02
         assert np.corrcoef(mar_mask, data.x1)[0, 1] > 0.3
+
+    def test_extreme_score_warns_nothing(self):
+        # one low outlier among 10^6 rows standardizes to a score near -1e3
+        x1 = np.zeros(1_000_000)
+        x1[0] = -1.0
+        data = Dataset(x1, np.zeros_like(x1), np.zeros_like(x1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            inc = ampute(data, MAR, make_stream(SeedSpec(47, 0)))
+        assert not inc.mask[0]
 
     def test_constant_score_rejected(self):
         # x1 is constant while x2 varies: the MAR score reads x1 alone

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import imputebench
 from imputebench.cli import parse_and_dispatch
 from imputebench.harness import ExperimentConfig, format_table, run_table1
 
@@ -210,3 +217,16 @@ class TestRunCommand:
         assert len(table1.strip().split("\n")) == 11
         assert len(table2.strip().split("\n")) == 15
         assert len(figure.strip().split("\n")) == 601
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_neither_scipy_nor_the_pool(self):
+        probe = "import imputebench.cli, json, sys; print(json.dumps(sorted(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(imputebench.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout)
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+        assert "concurrent.futures.process" not in loaded

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from imputebench.datagen import PopulationSpec, coefficients, generate_population
 from imputebench.linmodel import (
@@ -188,3 +190,43 @@ class TestBayesParamDraw:
         shift = np.linalg.solve(np.array(fit.crossprod_factor).T, z)
         np.testing.assert_allclose(beta, fit.coefficients + np.sqrt(sigma2_manual) * shift, atol=1e-12)
         assert sigma2 == pytest.approx(sigma2_manual, abs=1e-15)
+
+
+def _reference_coefficients(fit, cols):
+    """The scipy triangular solves fit_ols used before it went numpy-only."""
+    x = design_matrix(cols, fit.design)
+    factor = fit.crossprod_factor
+    forward = solve_triangular(factor, x.T @ cols["y"], lower=True)
+    return solve_triangular(factor.T, forward, lower=False)
+
+
+def _reference_draw(fit, stream):
+    """bayes_param_draw with the scipy back substitution it used before."""
+    dof = fit.dof
+    sigma2_draw = fit.residual_variance * dof / float(stream.generator.chisquare(dof))
+    z = stream.generator.standard_normal(fit.coefficients.size)
+    shift = solve_triangular(fit.crossprod_factor.T, z, lower=False)
+    return fit.coefficients + math.sqrt(sigma2_draw) * shift
+
+
+class TestMatchesScipyReference:
+    DESIGNS = [
+        FORWARD,
+        DesignSpec(response="y", predictors=("x1",)),
+        DesignSpec(response="y", predictors=()),
+    ]
+
+    @pytest.mark.parametrize("design", DESIGNS, ids=["two", "one", "intercept"])
+    def test_bit_identical(self, design):
+        for seed in range(300):
+            gen = np.random.default_rng(seed)
+            n = int(gen.integers(5, 400))
+            cols = {
+                "x1": gen.normal() + 10.0 ** gen.uniform(-2, 2) * gen.normal(size=n),
+                "x2": 10.0 ** gen.uniform(-2, 2) * gen.normal(size=n),
+                "y": 10.0 ** gen.uniform(-2, 2) * gen.normal(size=n) + gen.normal(),
+            }
+            fit = fit_ols(cols, design)
+            np.testing.assert_array_equal(fit.coefficients, _reference_coefficients(fit, cols))
+            beta, _ = bayes_param_draw(fit, make_stream(SeedSpec(34, seed)))
+            np.testing.assert_array_equal(beta, _reference_draw(fit, make_stream(SeedSpec(34, seed))))
