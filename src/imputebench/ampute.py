@@ -9,6 +9,7 @@ evaluation but kept out of reach of the imputation path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Dict
@@ -25,6 +26,7 @@ if TYPE_CHECKING:
 PROP = 0.5
 _SHIFT_TOL = 1e-8
 _MAX_BISECT = 200
+_NEWTON_STEPS = 6
 
 
 class Mechanism(Enum):
@@ -145,6 +147,40 @@ def _logistic(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _certified_bracket(s: np.ndarray, prop: float) -> tuple[float, float]:
+    """Shifts (low, high) whose gap is below -2 tol and above 2 tol; -inf, inf if none is found.
+
+    Newton steps on the gap from b = 0, with slope mean(p(1 - p)) from
+    the same pass, then one probe 4 tol / slope to either side of the
+    last step. Every probe whose gap is past -2 tol or 2 tol (tol is
+    _SHIFT_TOL) settles that side; a probe at +-inf settles nothing.
+    """
+    low, high = -math.inf, math.inf
+
+    def probe(b: float) -> tuple[float, float]:
+        nonlocal low, high
+        p = _logistic(s + b)
+        g = float(np.mean(p)) - prop
+        if g < -2.0 * _SHIFT_TOL:
+            low = max(low, b)
+        elif g > 2.0 * _SHIFT_TOL:
+            high = min(high, b)
+        return g, float(np.mean(p * (1.0 - p)))
+
+    b = 0.0
+    for _ in range(_NEWTON_STEPS):
+        g, slope = probe(b)
+        if not slope > 0.0:
+            return low, high
+        if abs(g) < _SHIFT_TOL:
+            break
+        b -= g / slope
+    step = 4.0 * _SHIFT_TOL / slope
+    probe(b - step)
+    probe(b + step)
+    return low, high
+
+
 def solve_shift(scores, prop: float) -> float:
     """Shift b with mean(logistic(scores + b)) = prop, by bisection.
 
@@ -153,6 +189,14 @@ def solve_shift(scores, prop: float) -> float:
     calibration error is below 1e-8 (well inside the 1e-6 contract).
     Scores so large that float spacing leaves no shift within 1e-8 of prop
     raise ValueError.
+
+    The bisection skips every evaluation whose outcome is already known:
+    at or below the `low` of _certified_bracket the gap is negative and
+    not converged, at or above `high` positive and not converged. Float
+    add, divide and mean are monotone under rounding and np.exp errs by
+    an ulp or two, so the evaluated gap there is past 2 tol - 1e-15 on
+    the same side, and the midpoints, the stop and the returned shift
+    are bit-identical to evaluating every step.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0 or not np.all(np.isfinite(s)):
@@ -160,8 +204,17 @@ def solve_shift(scores, prop: float) -> float:
     if not 0.0 < prop < 1.0:
         raise ValueError(f"prop must lie strictly in (0,1), got {prop}")
 
-    def gap(b: float) -> float:
+    def evaluated_gap(b: float) -> float:
         return float(np.mean(_logistic(s + b))) - prop
+
+    low, high = _certified_bracket(s, prop)
+
+    def gap(b: float) -> float:
+        if b <= low:
+            return -math.inf
+        if b >= high:
+            return math.inf
+        return evaluated_gap(b)
 
     lo, hi = -1.0, 1.0
     while gap(lo) > 0:
@@ -177,7 +230,9 @@ def solve_shift(scores, prop: float) -> float:
             lo = mid
         else:
             hi = mid
-    raise ValueError(f"no shift calibrates the scores to prop {prop}: gap {g:.3g} remains")
+    raise ValueError(
+        f"no shift calibrates the scores to prop {prop}: gap {evaluated_gap(mid):.3g} remains"
+    )
 
 
 def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> IncompleteDataset:

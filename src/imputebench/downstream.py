@@ -11,6 +11,7 @@ the masked rows, which differ exactly by the masked fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -41,13 +42,28 @@ class DecompositionResult:
 
 
 def quantile(values, q: float) -> float:
-    """Linear-interpolation sample quantile: h = (n-1)q between order stats."""
+    """Linear-interpolation sample quantile: h = (n-1)q between order stats.
+
+    Equal to np.quantile(values, q) under ==, from one partition. As
+    numpy does, it partitions on {0, lo, hi, n-1} with lo = floor(h) and
+    hi = lo + 1 (both capped at n-1), then takes a + (b-a)g with
+    g = h - lo, or b - (b-a)(1-g) when g >= 0.5. Non-finite values raise
+    ValueError; they sort to the ends, so the partition shows them.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("quantile of an empty sequence")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0,1], got {q}")
-    return float(np.quantile(arr, q))
+    last = arr.size - 1
+    h = last * q
+    lo = min(math.floor(h), last)
+    hi = min(lo + 1, last)
+    part = np.partition(arr.ravel(), sorted({0, lo, hi, last}))
+    if not (math.isfinite(part[0]) and math.isfinite(part[last])):
+        raise ValueError("quantile of non-finite values")
+    a, b, g = float(part[lo]), float(part[hi]), h - lo
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
 
 
 def estimate_params(completed: CompletedDataset, truth: Dataset) -> ParamSet:

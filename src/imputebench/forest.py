@@ -284,7 +284,9 @@ def fit_forest(
     ys = yb.reshape(n_trees, n)[np.arange(n_trees)[:, None], order].ravel()
     m = size[leaf_t, leaf]
     at = leaf_t * n + start[leaf_t, leaf]
-    for s in np.unique(m):
+    # distinct sizes from a sort: np.unique would import numpy.ma
+    sizes = np.sort(m)
+    for s in sizes[np.flatnonzero(np.diff(sizes, prepend=-1))]:
         pick = np.flatnonzero(m == s)
         value[leaf_t[pick], leaf[pick]] = ys[at[pick, None] + np.arange(s)].mean(axis=1)
     return PackedForest(feature, threshold, left, right, value)

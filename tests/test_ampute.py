@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+import imputebench.ampute as ampute_module
 from imputebench.ampute import (
     PROP,
     CompletedDataset,
@@ -17,6 +20,13 @@ from imputebench.ampute import (
     solve_shift,
 )
 from imputebench.datagen import Dataset, PopulationSpec, generate_population
+from imputebench.harness import (
+    ExperimentConfig,
+    _assign_cells,
+    _build_population,
+    _sample_and_mask,
+)
+from imputebench.imputers import Draw, Predict
 from imputebench.stochastics import SeedSpec, make_stream
 
 MCAR = MissingnessSpec(Mechanism.MCAR)
@@ -144,6 +154,106 @@ class TestSolveShift:
             assert solve_shift(np.array([big, -big]), 0.5) == 0.0
             b = solve_shift(np.array([-big, 0.0, 0.0, 0.0]), 0.5)
             assert abs(np.mean(expit(np.array([-big, 0.0, 0.0, 0.0]) + b)) - 0.5) < 1e-6
+
+
+# --- reference: the plain bisection that solve_shift must reproduce bit for bit
+
+def _reference_solve_shift(scores, prop: float) -> float:
+    s = np.asarray(scores, dtype=np.float64)
+
+    def gap(b: float) -> float:
+        return float(np.mean(_logistic(s + b))) - prop
+
+    lo, hi = -1.0, 1.0
+    while gap(lo) > 0:
+        lo *= 2.0
+    while gap(hi) < 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g = gap(mid)
+        if abs(g) < 1e-8:
+            return mid
+        if g < 0:
+            lo = mid
+        else:
+            hi = mid
+    raise ValueError(f"no shift calibrates the scores to prop {prop}: gap {g:.3g} remains")
+
+
+def _outcome(solve, scores, prop):
+    """(shift, sign bit) of a solve, or the message it raised."""
+    try:
+        shift = solve(scores, prop)
+    except ValueError as exc:
+        return str(exc)
+    return shift, math.copysign(1.0, shift)
+
+
+@st.composite
+def _score_vectors(draw):
+    n = draw(st.integers(1, 2000))
+    family = draw(st.sampled_from(["normal", "heavy", "tied", "1e3", "1e17"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "heavy":
+        return gen.standard_t(2, size=n)
+    if family == "tied":
+        return np.round(gen.normal(size=n))
+    scores = gen.normal(size=n)
+    if family in ("1e3", "1e17"):
+        far = gen.random(n) < draw(st.floats(0.0, 1.0))
+        scores[far] = float(family) * gen.choice([-1.0, 1.0], size=int(far.sum()))
+    return scores
+
+
+@pytest.fixture(scope="module")
+def ci_mar_scores():
+    """The 200 MAR score vectors of table1's predict cells at ci scale, seed 123."""
+    cfg = ExperimentConfig(pop_size=100_000, base_seed=123)
+    captured = []
+
+    def capture(scores, prop):
+        captured.append(np.array(scores))
+        return solve_shift(scores, prop)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ampute_module, "solve_shift", capture)
+        for cell in _assign_cells((Predict(), Draw())):
+            if cell.method.label == "predict" and cell.mech == MAR:
+                pop = _build_population(cfg, cell.level)
+                for t in range(1, 101):
+                    _sample_and_mask(cfg, pop, cell.cell_id, cell.mech, t)
+    assert len(captured) == 200
+    return captured
+
+
+class TestSolveShiftMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=_score_vectors(), prop=st.floats(0.01, 0.99))
+    def test_random_scores(self, scores, prop):
+        assert _outcome(solve_shift, scores, prop) == _outcome(
+            _reference_solve_shift, scores, prop
+        )
+
+    def test_ci_mar_scores(self, ci_mar_scores):
+        for scores in ci_mar_scores:
+            assert _outcome(solve_shift, scores, PROP) == _outcome(
+                _reference_solve_shift, scores, PROP
+            )
+
+    def test_at_most_ten_logistic_passes(self, ci_mar_scores, monkeypatch):
+        # the reference takes 16-27 passes on these vectors
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return _logistic(x)
+
+        monkeypatch.setattr(ampute_module, "_logistic", counted)
+        for scores in ci_mar_scores:
+            calls.clear()
+            solve_shift(scores, PROP)
+            assert len(calls) <= 10
 
 
 class TestLogistic:

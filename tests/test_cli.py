@@ -230,3 +230,23 @@ class TestImportFootprint:
         loaded = json.loads(done.stdout)
         assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
         assert "concurrent.futures.process" not in loaded
+
+    def test_tables_skip_numpy_ma(self):
+        # np.unique and np.quantile import numpy.ma on first use
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from imputebench.cli import parse_and_dispatch\n"
+            "for table in ('table1', 'table2'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert parse_and_dispatch(\n"
+            "            [table, '--reps', '2', '--pop-size', '2000', '--samples', '200']\n"
+            "        ) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(imputebench.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout)
+        assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []

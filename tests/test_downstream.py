@@ -2,7 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import naive_quantile
 from imputebench.ampute import (
     CompletedDataset,
     IncompleteDataset,
@@ -51,9 +55,19 @@ def _complete(x1, x2, y):
     return CompletedDataset(Dataset(x1, x2, y), np.zeros(len(y), dtype=bool), None)
 
 
+def _wide_values(n, seed):
+    gen = np.random.default_rng(seed)
+    return gen.normal(size=n) * 10.0 ** gen.integers(-5, 5, size=n)
+
+
 class TestQuantile:
     def test_interpolated_value(self):
         assert quantile(np.arange(1.0, 11.0), 0.9) == pytest.approx(9.1, abs=1e-12)
+
+    @pytest.mark.parametrize("values", [[0.1, 0.7], [10.1, 0.7]])
+    def test_midpoint_rounds_as_numpy(self, values):
+        # g = 0.5 takes numpy's b - (b-a)(1-g), which rounds differently from a + (b-a)g here
+        assert quantile(values, 0.5) == float(np.quantile(values, 0.5))
 
     def test_boundaries(self):
         values = np.array([3.0, 1.0, 2.0])
@@ -63,6 +77,10 @@ class TestQuantile:
     def test_constant(self):
         assert quantile(np.full(7, 4.2), 0.35) == 4.2
 
+    @pytest.mark.parametrize("q", [0.0, 0.9, 1.0])
+    def test_single_value(self, q):
+        assert quantile(np.array([-2.5]), q) == -2.5
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             quantile(np.empty(0), 0.5)
@@ -71,6 +89,30 @@ class TestQuantile:
     def test_q_out_of_range(self, q):
         with pytest.raises(ValueError):
             quantile(np.arange(5.0), q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_non_finite_rejected(self, bad, q):
+        values = np.random.default_rng(14).normal(size=50)
+        values[17] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            quantile(values, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e6, 1e6)),
+            # few distinct values: ties and constant arrays
+            arrays(np.float64, st.integers(1, 300), elements=st.sampled_from([-1.5, 0.0, 2.0])),
+            # full-precision values over ten decades, where the two lerp
+            # forms round differently
+            st.builds(_wide_values, st.integers(1, 300), st.integers(0, 2**32 - 1)),
+        ),
+        q=st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_equals_numpy(self, values, q):
+        assert quantile(values, q) == float(np.quantile(values, q))
+        assert quantile(values, q) == pytest.approx(naive_quantile(values, q), rel=1e-12, abs=1e-6)
 
 
 class TestParamSet:
