@@ -90,7 +90,8 @@ def estimate_params(completed: CompletedDataset, truth: Dataset) -> ParamSet:
     centred = [data.x1 - data.x1.mean(), data.x2 - data.x2.mean(), ydot - mu]
     cov = np.empty((3, 3))
     for i, j in combinations_with_replacement(range(3), 2):
-        cov[i, j] = cov[j, i] = centred[i] @ centred[j] / (n - 1)
+        # a pairwise sum, not a BLAS dot, whose bits depend on its thread count
+        cov[i, j] = cov[j, i] = np.add.reduce(centred[i] * centred[j]) / (n - 1)
     p90 = 100.0 * float(np.mean(ydot > quantile(truth.y, 0.9)))
 
     sq_err = (truth.y - ydot) ** 2

@@ -8,14 +8,16 @@ is scored by the children's summed squared error, and ties break toward
 the smallest threshold, so a fit is a pure function of (data, stream).
 
 All trees of a forest grow in lockstep. Each feature's bootstrap rows are
-sorted once per tree, and every node owns one contiguous segment of both
-sorted orders. Each step pops the next node from every tree's depth-first,
-left-first stack, scores all popped nodes in flat numpy passes, cuts the
-drawn feature's segment at the best boundary and stable-partitions the
-other feature's segment into the two children. Each tree therefore sees
-its nodes, draws and sums in the same order as a grower that visits one
-node at a time, and comes out bit-identical to that grower's tree. The
-forest is one packed node table with a row per tree.
+sorted once per tree, by a stable sort of their ranks in x, and every node
+owns one contiguous segment of both sorted orders. Each step pops the next
+node from every tree's depth-first, left-first stack and scores the legal
+boundaries of all popped nodes in flat numpy passes. A node's split is its
+first boundary whose score equals the node's minimum (a segmented minimum,
+not a sort); the step cuts the drawn feature's segment there and
+stable-partitions the other feature's segment into the two children. Each
+tree therefore sees its nodes, draws and sums in the same order as a grower
+that visits one node at a time, and comes out bit-identical to that
+grower's tree. The forest is one packed node table with a row per tree.
 
 The imputer fits one forest and predicts the holes: only y is
 incomplete, so the fit data never changes and a missForest-style refit
@@ -90,26 +92,25 @@ class PackedForest:
         """
         if self.n_trees == 0:
             raise ValueError("the forest has no trees")
-        x = np.asarray(x, dtype=np.float64)
-        n_rows = x.shape[0]
-        width = self.feature.shape[1]
+        (n_rows, n_cols), (n_trees, width) = np.shape(x), self.feature.shape
         feature, threshold = self.feature.ravel(), self.threshold.ravel()
-        left, right = self.left.ravel(), self.right.ravel()
+        # flat ids of a node's children, right then left: child[2 * node + (x <= thr)]
+        tree_at = width * np.arange(n_trees)[:, None]
+        child = np.stack([self.right + tree_at, self.left + tree_at], axis=-1).ravel()
+        x = np.asarray(x, dtype=np.float64).ravel()
         total = np.zeros((1, n_rows))
         chunk = max(1, PASS_ROWS // max(1, n_rows))
-        for first in range(0, self.n_trees, chunk):
-            n_chunk = min(chunk, self.n_trees - first)
-            # flat node index of each (tree, row) entry, and its tree's offset
-            root = np.repeat(np.arange(first, first + n_chunk) * width, n_rows)
-            node = root.copy()
+        for first in range(0, n_trees, chunk):
+            n_chunk = min(chunk, n_trees - first)
+            # flat node of each (tree, row) entry, and its row's offset in x
+            node = np.repeat(np.arange(first, first + n_chunk) * width, n_rows)
             walking = np.arange(node.size)
+            x_at = np.tile(np.arange(n_rows) * n_cols, n_chunk)
             while walking.size:
                 cur = node[walking]
-                feat = feature[cur]
-                split = feat >= 0
-                walking, cur, feat = walking[split], cur[split], feat[split]
-                go_left = x[walking % n_rows, feat] <= threshold[cur]
-                node[walking] = root[walking] + np.where(go_left, left[cur], right[cur])
+                split = feature[cur] >= 0
+                walking, cur, x_at = walking[split], cur[split], x_at[split]
+                node[walking] = child[2 * cur + (x[x_at + feature[cur]] <= threshold[cur])]
             leaves = self.value.ravel()[node].reshape(n_chunk, n_rows)
             # one sum down the tree axis adds the trees one after another
             total = np.add.reduce(np.concatenate([total, leaves]), axis=0, keepdims=True)
@@ -122,6 +123,15 @@ def _runs(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = np.cumsum(size) - size
     run = np.repeat(np.arange(size.size), size)
     return run, np.arange(run.size) - first[run], first
+
+
+def _bootstrap_orders(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per feature, each tree's bootstrap positions (rows is trees by n) sorted
+    by (x, position): a stable argsort of the rows' ranks in finite x, cast
+    to the fewest bytes; numpy radix-sorts ranks of 8 and 16 bits."""
+    rank = np.stack([np.searchsorted(np.sort(col), col) for col in x.T])
+    ranked = rank.astype(np.min_scalar_type(x.shape[0]))[:, rows]
+    return ranked.argsort(axis=-1, kind="stable").astype(np.int32)
 
 
 def fit_forest(
@@ -138,7 +148,7 @@ def fit_forest(
     entry of one ``permutation(2)`` draw, so the trees equal those of a
     grower that draws a permutation at each splittable node. A tree has at
     most 2 * (n // MIN_NODE_SIZE) - 1 nodes, so N bits always suffice. The
-    bit trick holds for two features only, and x must be (x1, x2).
+    bit trick holds for two features only: x must be (x1, x2). x and y are finite.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -148,22 +158,22 @@ def fit_forest(
         raise ValueError(f"x must have the two columns (x1, x2), got {x.shape[1]}")
     if y.shape != (x.shape[0],):
         raise ValueError("y length must match the number of rows")
+    for name, values in (("x", x), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite value")
     n, n_trees = x.shape[0], params.n_trees
     width = 2 * (n // MIN_NODE_SIZE) + 1
-    # per feature and tree, the bootstrap rows' x and their positions sorted
-    # by (x, position); flat index (f * n_trees + t) * n + j. Positions and
-    # node bookkeeping are int32 to keep the peak memory of a fit small.
-    xb = np.empty((2, n_trees, n))
-    yb = np.empty((n_trees, n))
-    order = np.empty((2, n_trees, n), dtype=np.int32)
+    # each tree's bootstrap rows, then per feature and tree the rows' x and
+    # their positions sorted by (x, position); flat index (f * n_trees + t) * n
+    # + j. Positions and node bookkeeping are int32 to keep a fit's peak small.
+    rows = np.empty((n_trees, n), dtype=np.intp)
     split_on = np.empty((n_trees, width), dtype=np.int32)
     for t in range(n_trees):
         gen = stream.child(t).generator
-        rows = gen.integers(0, n, size=n)
-        xb[:, t], yb[t] = x.T[:, rows], y[rows]
-        order[:, t] = np.argsort(xb[:, t], axis=1, kind="stable")
+        rows[t] = gen.integers(0, n, size=n)
         split_on[t] = 1 - (gen.integers(0, 2**32, size=width, dtype=np.uint32) & 1)
-    xb, yb, order = xb.ravel(), yb.ravel(), order.ravel()
+    xb, yb = x.T[:, rows].ravel(), y[rows].ravel()
+    order = _bootstrap_orders(x, rows).ravel()
     go_left = np.zeros(n_trees * n, dtype=bool)
 
     feature = np.full((n_trees, width), -1, dtype=np.intp)
@@ -196,32 +206,36 @@ def fit_forest(
             keep = varies[run]
             pos, ys = pos[keep], ys[keep]
             run, j, first = _runs(m)
-        if t.size == 0:
-            return
         xs = xb[fx[run] + pos]
-        # sums restart at each node's first row, as a per-node cumsum does
-        padded = np.zeros((t.size, m.max()))
-        padded[run, j] = ys
-        c1 = np.cumsum(padded, axis=1)
-        padded[run, j] = ys * ys
-        c2 = np.cumsum(padded, axis=1)
-        t1, t2 = c1[np.arange(t.size), m - 1][run], c2[np.arange(t.size), m - 1][run]
-        c1, c2 = c1[run, j], c2[run, j]
-        n_left = j + 1.0
-        n_right = m[run] - n_left
-        x_next = np.append(xs[1:], np.inf)
-        ok = np.flatnonzero(
-            (xs < x_next) & (n_left >= MIN_NODE_SIZE) & (n_right >= MIN_NODE_SIZE)
-        )
+        # legal boundaries, between distinct values with MIN_NODE_SIZE rows on
+        # each side; a node's last row never is one, so xs[k + 1] is its own
+        n_left = j[:-1] + 1
+        sized = (n_left >= MIN_NODE_SIZE) & (m[run[:-1]] - n_left >= MIN_NODE_SIZE)
+        ok = np.flatnonzero(sized & (xs[:-1] < xs[1:]))
         if ok.size == 0:
             return
-        score = (c2[ok] - c1[ok] ** 2 / n_left[ok]) + (
-            (t2[ok] - c2[ok]) - (t1[ok] - c1[ok]) ** 2 / n_right[ok]
+        # sums restart at each node's first row, as a per-node cumsum does
+        wide = m.max()
+        cell = run * wide + j
+        padded = np.zeros((t.size, wide))
+        padded.ravel()[cell] = ys
+        c1 = np.cumsum(padded, axis=1).ravel()
+        padded.ravel()[cell] = ys * ys
+        c2 = np.cumsum(padded, axis=1).ravel()
+        cand = run[ok]
+        at, end = cell[ok], cand * wide + m[cand] - 1
+        n_left = j[ok] + 1.0
+        n_right = m[cand] - n_left
+        score = (c2[at] - c1[at] ** 2 / n_left) + (
+            (c2[end] - c2[at]) - (c1[end] - c1[at]) ** 2 / n_right
         )
-        # lexsort is stable: the first entry of each node is its first minimum
-        ranked = ok[np.lexsort((score, run[ok]))]
-        best = ranked[np.append(True, run[ranked[1:]] != run[ranked[:-1]])]
-        cut = run[best]
+        # each node's first minimum score; NaN (overflowed sums) first, as in np.argmin
+        starts = np.flatnonzero(np.append(True, cand[1:] != cand[:-1]))
+        low = np.empty(t.size)
+        low[cand[starts]] = np.minimum.reduceat(score, starts)
+        hit = np.flatnonzero((score == low[cand]) | np.isnan(score))
+        hit = hit[np.searchsorted(hit, starts)]
+        best, cut = ok[hit], cand[hit]
         mid = 0.5 * (xs[best] + xs[best + 1])
         # midpoints of adjacent floats can round up to hi; the rule is x <= thr
         thr = np.where(mid < xs[best + 1], mid, xs[best])

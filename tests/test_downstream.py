@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import imputebench
 from conftest import naive_quantile
 from imputebench.ampute import (
     CompletedDataset,
@@ -269,6 +274,28 @@ class TestEstimateParams:
         completed = CompletedDataset.from_imputation(inc, np.zeros(50), None)
         with pytest.raises(ValueError):
             estimate_params(completed, Dataset(x1, x2, truth_y))
+
+    def test_truth_rows_ignore_blas_thread_count(self):
+        # OpenBLAS splits a 10^5-long dot over its threads, and the split moves bits
+        probe = (
+            "from imputebench.harness import ExperimentConfig, _Cell, _table_row\n"
+            "cfg = ExperimentConfig(pop_size=100_000)\n"
+            "for level in (0, 1):\n"
+            "    print(_table_row(cfg, _Cell(-1, level)).params.as_array().tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONPATH=str(Path(imputebench.__file__).parents[1]),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert len(outputs[0].split()) == 2
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")

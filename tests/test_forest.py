@@ -2,6 +2,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from imputebench.ampute import IncompleteDataset, Mechanism, MissingnessSpec, ampute
 from imputebench.datagen import PopulationSpec, draw_sample, generate_population
@@ -9,6 +12,7 @@ from imputebench.forest import (
     MIN_NODE_SIZE,
     ForestParams,
     PackedForest,
+    _bootstrap_orders,
     fit_forest,
     impute_forest,
     predict_forest,
@@ -266,6 +270,26 @@ class TestFitTree:
         with pytest.raises(ValueError, match=f"two columns .*got {n_columns}"):
             fit_forest(x, x[:, 0], ForestParams(n_trees=1), make_stream(SeedSpec(90, 5)))
 
+    @pytest.mark.parametrize("name", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_refused(self, name, bad):
+        # NaN would leave a node unsplit silently, and sorts apart from the reference
+        x, y = _xy(30)
+        (x if name == "x" else y).flat[7] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+            fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 5)))
+
+    @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
+    def test_bootstrap_orders_at_rank_width_edges(self, n):
+        # ranks take one byte up to n = 255 and two up to n = 65_535
+        gen = np.random.default_rng(n)
+        x = np.column_stack([gen.permutation(n), gen.integers(0, 7, size=n)]).astype(float)
+        rows = gen.integers(0, n, size=(2, n))
+        orders = _bootstrap_orders(x, rows)
+        assert orders.shape == (2, 2, n)
+        for f in range(2):
+            np.testing.assert_array_equal(orders[f], np.argsort(x[rows, f], axis=1, kind="stable"))
+
 
 class TestMatchesReference:
     @pytest.mark.parametrize("data, n_trees", [
@@ -283,6 +307,21 @@ class TestMatchesReference:
         x, y = data()
         _assert_matches_reference(x, y, n_trees, SeedSpec(96, n_trees))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 80), n_trees=st.integers(1, 4))
+    def test_tie_heavy_inputs(self, data, n, n_trees):
+        # few distinct values: tied x, tied scores and constant nodes everywhere
+        values = st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0])
+        x = data.draw(arrays(np.float64, (n, 2), elements=values))
+        y = data.draw(arrays(np.float64, n, elements=values))
+        _assert_matches_reference(x, y, n_trees, SeedSpec(96, data.draw(st.integers(0, 999))))
+
+    def test_overflowing_sums(self):
+        # y * y overflows, so scores are NaN; the first NaN wins, as np.argmin has it
+        x, y = _xy(200, seed=3, noise=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_matches_reference(x, y * 1e160, 10, SeedSpec(96, 5))
+
     def test_adjacent_floats_split_at_the_lower_value(self):
         # x <= thr must keep lo left and hi right; the midpoint rounds to hi
         x, y = _adjacent_floats()
@@ -298,6 +337,8 @@ class TestMatchesReference:
         forest = fit_forest(x, y, ForestParams(n_trees=30), make_stream(spec))
         # 300 rows: predict adds PASS_ROWS // 300 = 13 trees per chunk, in three chunks
         query = np.random.default_rng(25).normal(size=(300, 2))
+        # rows sitting on each root's threshold must go left: the rule is x <= thr
+        query[-30:] = forest.threshold[:, :1]
         total = np.zeros(len(query))
         for t in range(30):
             ref = fit_tree(x, y, make_stream(spec).child(t))
