@@ -71,11 +71,11 @@ class IncompleteDataset:
         if not all(getattr(self, c).size == n for c in ("x1", "x2", "y", "truth_y")):
             raise ValueError("all columns must share the mask's length")
         for name in ("x1", "x2", "truth_y"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"column {name} contains non-finite values")
-        if not np.all(np.isnan(self.y[self.mask])):
+        if not np.isnan(self.y[self.mask]).all():
             raise ValueError("masked y entries must be NaN")
-        if not np.all(np.isfinite(self.y[~self.mask])):
+        if not np.isfinite(self.y[~self.mask]).all():
             raise ValueError("unmasked y entries must be finite")
 
     def __len__(self) -> int:
@@ -160,12 +160,12 @@ def _certified_bracket(s: np.ndarray, prop: float) -> tuple[float, float]:
     def probe(b: float) -> tuple[float, float]:
         nonlocal low, high
         p = _logistic(s + b)
-        g = float(np.mean(p)) - prop
+        g = float(np.add.reduce(p) / p.size) - prop
         if g < -2.0 * _SHIFT_TOL:
             low = max(low, b)
         elif g > 2.0 * _SHIFT_TOL:
             high = min(high, b)
-        return g, float(np.mean(p * (1.0 - p)))
+        return g, float(np.add.reduce(p * (1.0 - p)) / p.size)
 
     b = 0.0
     for _ in range(_NEWTON_STEPS):
@@ -199,13 +199,13 @@ def solve_shift(scores, prop: float) -> float:
     are bit-identical to evaluating every step.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.size == 0 or not np.all(np.isfinite(s)):
+    if s.size == 0 or not np.isfinite(s).all():
         raise ValueError("scores must be non-empty and finite")
     if not 0.0 < prop < 1.0:
         raise ValueError(f"prop must lie strictly in (0,1), got {prop}")
 
     def evaluated_gap(b: float) -> float:
-        return float(np.mean(_logistic(s + b))) - prop
+        return float(np.add.reduce(_logistic(s + b)) / s.size) - prop
 
     low, high = _certified_bracket(s, prop)
 
@@ -245,12 +245,18 @@ def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> Incomplet
     """
     n = len(data)
     if spec.mechanism is Mechanism.MCAR:
-        probs = np.full(n, PROP)
+        probs = PROP
     else:
-        sd = float(np.std(data.x1))
-        if sd == 0.0 or not np.isfinite(sd):
+        c = data.x1 - np.add.reduce(data.x1) / n  # np.std's own steps, bit for bit
+        with np.errstate(over="ignore"):
+            ss = np.add.reduce(c * c)
+        if not math.isfinite(ss):  # x1 so large that its squares overflow: rescale first
+            c = c / np.abs(c).max()
+            ss = np.add.reduce(c * c)
+        sd = math.sqrt(ss / n)
+        if sd == 0.0 or not math.isfinite(sd):
             raise ValueError("amputation scores are constant: x1 does not vary")
-        score = (data.x1 - np.mean(data.x1)) / sd
+        score = c / sd
         shift = solve_shift(score, PROP)
         probs = _logistic(score + shift)
     mask = stream.generator.random(n) < probs

@@ -70,7 +70,7 @@ class Dataset:
             col = np.array(getattr(self, name), dtype=np.float64)
             if col.ndim != 1:
                 raise ValueError(f"column {name} must be one-dimensional")
-            if not np.all(np.isfinite(col)):
+            if not np.isfinite(col).all():
                 raise ValueError(f"column {name} contains non-finite values")
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -113,15 +113,18 @@ class ParamSet:
             raise ValueError("mse fields must be non-negative")
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)])
+        return np.array([getattr(self, name) for name in _PARAM_FIELDS])
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
+        return _PARAM_FIELDS
 
     @classmethod
     def from_array(cls, values) -> "ParamSet":
         return cls(*(float(v) for v in values))
+
+
+_PARAM_FIELDS = tuple(f.name for f in fields(ParamSet))
 
 
 @dataclass(frozen=True)

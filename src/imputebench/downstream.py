@@ -86,18 +86,18 @@ def estimate_params(completed: CompletedDataset, truth: Dataset) -> ParamSet:
             raise ValueError(f"column {name} is constant; downstream parameters undefined")
     ydot = data.y
 
-    mu = float(np.mean(ydot))
-    centred = [data.x1 - data.x1.mean(), data.x2 - data.x2.mean(), ydot - mu]
+    mu = float(np.add.reduce(ydot) / n)
+    centred = [col - np.add.reduce(col) / n for col in (data.x1, data.x2)] + [ydot - mu]
     cov = np.empty((3, 3))
     for i, j in combinations_with_replacement(range(3), 2):
         # a pairwise sum, not a BLAS dot, whose bits depend on its thread count
         cov[i, j] = cov[j, i] = np.add.reduce(centred[i] * centred[j]) / (n - 1)
-    p90 = 100.0 * float(np.mean(ydot > quantile(truth.y, 0.9)))
+    p90 = 100.0 * (np.count_nonzero(ydot > quantile(truth.y, 0.9)) / n)
 
     sq_err = (truth.y - ydot) ** 2
-    mse_full = float(np.mean(sq_err))
-    n_missing = int(np.count_nonzero(completed.imputed_mask))
-    mse_missing = float(np.mean(sq_err[completed.imputed_mask])) if n_missing else 0.0
+    mse_full = float(np.add.reduce(sq_err) / n)
+    sq_mis = sq_err[completed.imputed_mask]
+    mse_missing = float(np.add.reduce(sq_mis) / sq_mis.size) if sq_mis.size else 0.0
     return ParamSet(
         mu=mu, p90=p90, mse_full=mse_full, mse_missing=mse_missing, **moment_params(cov)
     )

@@ -5,7 +5,8 @@ its own stream, addressed by a (base_seed, stream_id) pair. Streams are
 backed by the counter-based Philox generator keyed through a SeedSequence,
 so distinct ids give independent sequences, splitting is O(1), and results
 are identical regardless of how work is scheduled across threads or
-processes.
+processes. A stream builds its SeedSequence, Philox and Generator on its
+first ``generator`` access, so a stream never drawn from builds none.
 """
 
 from __future__ import annotations
@@ -66,11 +67,15 @@ class RngStream:
     def __init__(self, entropy: tuple[int, ...], spawn_key: tuple[int, ...] = ()):
         self._entropy = tuple(int(v) for v in entropy)
         self._spawn_key = tuple(int(v) for v in spawn_key)
-        seq = np.random.SeedSequence(entropy=list(self._entropy), spawn_key=self._spawn_key)
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        if min(self._entropy + self._spawn_key, default=0) < 0:
+            raise ValueError(f"stream entropy and keys must be non-negative: {self!r}")
+        self._gen = None
 
     @property
     def generator(self) -> np.random.Generator:
+        if self._gen is None:
+            seq = np.random.SeedSequence(entropy=list(self._entropy), spawn_key=self._spawn_key)
+            self._gen = np.random.Generator(np.random.Philox(seq))
         return self._gen
 
     def child(self, key: int) -> "RngStream":

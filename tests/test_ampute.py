@@ -313,6 +313,15 @@ class TestAmpute:
             inc = ampute(data, MAR, make_stream(SeedSpec(47, 0)))
         assert not inc.mask[0]
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_large_magnitude_x1_standardizes(self, scale):
+        # the squares of x1's deviations overflow; the suite turns that warning
+        # into an error, and an overflowed sd used to read as a constant x1
+        x1 = 1.0 + 0.1 * np.random.default_rng(51).standard_normal(50)
+        big = ampute(Dataset(scale * x1, x1, x1), MAR, make_stream(SeedSpec(51, 0)))
+        unit = ampute(Dataset(x1, x1, x1), MAR, make_stream(SeedSpec(51, 0)))
+        np.testing.assert_array_equal(big.mask, unit.mask)
+
     def test_constant_score_rejected(self):
         # x1 is constant while x2 varies: the MAR score reads x1 alone
         data = Dataset(np.ones(100), np.arange(100.0), np.zeros(100))

@@ -1,0 +1,193 @@
+"""The replication path: direct ufunc reductions, generators built on first draw.
+
+A table1 replication calls ``np.add.reduce``, ``np.count_nonzero`` and
+``ndarray.all`` where numpy's ``mean``/``all``/``std`` wrappers would call
+the same reductions through several Python layers. These tests check that
+the direct forms give the wrappers' bits, that the wrappers stay off the
+path, and that a replication builds a generator only for the streams it
+draws from.
+"""
+
+import math
+from itertools import combinations_with_replacement
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import imputebench.ampute as ampute_module
+from imputebench.ampute import CompletedDataset, Mechanism, MissingnessSpec, ampute
+from imputebench.datagen import Dataset, ParamSet, moment_params
+from imputebench.downstream import estimate_params, quantile
+from imputebench.harness import ExperimentConfig, _assign_cells, _build_population, _replicate
+from imputebench.imputers import Draw, Predict
+from imputebench.stochastics import SeedSpec, make_stream
+
+MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
+
+# magnitudes 1e-150 to 1e150 of either sign, and both zeros; the array
+# strategy fills most of a long array with one value, which makes ties
+_ELEMENTS = (
+    st.floats(1e-150, 1e150)
+    | st.floats(-1e150, -1e-150)
+    | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+)
+_COLUMNS = arrays(np.float64, st.integers(1, 3000), elements=_ELEMENTS)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _outcome(fn):
+    """The bytes of fn's result, or the message of the ValueError it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return _bits(fn())
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(x=_COLUMNS)
+def test_add_reduce_over_size_is_np_mean(x):
+    assert _bits(np.add.reduce(x) / x.size) == _bits(np.mean(x))
+
+
+@settings(deadline=None)
+@given(x=_COLUMNS)
+def test_one_pass_score_is_centred_over_np_std(x):
+    c = x - np.add.reduce(x) / x.size
+    sd = math.sqrt(np.add.reduce(c * c) / x.size)
+    if sd == 0.0:
+        return
+    assert _bits(c / sd) == _bits((x - np.mean(x)) / float(np.std(x)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(x1=arrays(np.float64, st.integers(2, 3000), elements=_ELEMENTS))
+def test_ampute_mar_score_is_centred_over_np_std(x1):
+    with np.errstate(all="ignore"):
+        sd = float(np.std(x1))
+    if sd == 0.0:
+        return
+    seen = []
+
+    def capture(scores, prop):
+        seen.append(np.array(scores))
+        raise ValueError("captured")
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="captured"):
+        mp.setattr(ampute_module, "solve_shift", capture)
+        ampute(Dataset(x1, x1, x1), MAR, make_stream(SeedSpec(0, 0)))
+    assert _bits(seen[0]) == _bits((x1 - np.mean(x1)) / sd)
+
+
+def _wrapper_estimate_params(completed, truth) -> ParamSet:
+    """estimate_params as written with numpy's mean wrappers: the reference."""
+    data = completed.data
+    n = len(data)
+    if n != len(truth):
+        raise ValueError("completed and truth datasets must be row-aligned")
+    if n <= 3:
+        raise ValueError(f"need more than 3 rows, got {n}")
+    for name, col in data.columns.items():
+        if col.min() == col.max():
+            raise ValueError(f"column {name} is constant; downstream parameters undefined")
+    ydot = data.y
+    mu = float(np.mean(ydot))
+    centred = [data.x1 - data.x1.mean(), data.x2 - data.x2.mean(), ydot - mu]
+    cov = np.empty((3, 3))
+    for i, j in combinations_with_replacement(range(3), 2):
+        cov[i, j] = cov[j, i] = np.add.reduce(centred[i] * centred[j]) / (n - 1)
+    p90 = 100.0 * float(np.mean(ydot > quantile(truth.y, 0.9)))
+    sq_err = (truth.y - ydot) ** 2
+    mse_full = float(np.mean(sq_err))
+    n_missing = int(np.count_nonzero(completed.imputed_mask))
+    mse_missing = float(np.mean(sq_err[completed.imputed_mask])) if n_missing else 0.0
+    return ParamSet(
+        mu=mu, p90=p90, mse_full=mse_full, mse_missing=mse_missing, **moment_params(cov)
+    )
+
+
+@st.composite
+def _completed_and_truth(draw):
+    n = draw(st.integers(1, 3000))
+    cols = [draw(arrays(np.float64, n, elements=_ELEMENTS)) for _ in range(4)]
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = gen.random(n) < draw(st.floats(0.0, 1.0))
+    x1, x2, y, truth_y = cols
+    completed = CompletedDataset(data=Dataset(x1, x2, y), imputed_mask=mask, method=None)
+    return completed, Dataset(x1, x2, truth_y)
+
+
+@settings(deadline=None)
+@given(pair=_completed_and_truth())
+def test_estimate_params_equals_wrapper_reference(pair):
+    completed, truth = pair
+    got = _outcome(lambda: estimate_params(completed, truth).as_array())
+    want = _outcome(lambda: _wrapper_estimate_params(completed, truth).as_array())
+    assert got == want
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    x1=arrays(np.float64, st.integers(4, 300), elements=st.floats(-1e3, 1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_params_equals_wrapper_reference_on_regression_data(x1, seed):
+    gen = np.random.default_rng(seed)
+    n = x1.size
+    x2 = 0.5 * x1 + gen.normal(size=n)
+    truth_y = x1 + x2 + gen.normal(size=n)
+    mask = gen.random(n) < 0.5
+    y = np.where(mask, truth_y + gen.normal(size=n), truth_y)
+    completed = CompletedDataset(data=Dataset(x1, x2, y), imputed_mask=mask, method=None)
+    truth = Dataset(x1, x2, truth_y)
+    got = _outcome(lambda: estimate_params(completed, truth).as_array())
+    want = _outcome(lambda: _wrapper_estimate_params(completed, truth).as_array())
+    assert got == want
+
+
+# ---------------------------------------------------------------------
+# one replication of each table1 cell
+# ---------------------------------------------------------------------
+
+_CFG = ExperimentConfig(n_sample=300, t_rep=1, base_seed=123, pop_size=5_000)
+_TABLE1_CELLS = [c for c in _assign_cells((Predict(), Draw())) if c.level == 0]
+
+
+def _cell_id(cell):
+    return f"{cell.method.label}-{cell.mech.mechanism.label}"
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("cell", _TABLE1_CELLS, ids=_cell_id)
+def test_replication_calls_no_numpy_reduction_wrapper(monkeypatch, cell):
+    pop = _build_population(_CFG, cell.level)
+    calls = {}
+    for name in ("mean", "all", "any", "std"):
+        _counting(monkeypatch, np, name, calls)
+    _replicate(pop, cell, _CFG, 1)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("cell", _TABLE1_CELLS, ids=_cell_id)
+def test_replication_builds_a_generator_per_drawn_stream(monkeypatch, cell):
+    # sampling and amputation always draw; only draw's imputation stream does
+    pop = _build_population(_CFG, cell.level)
+    calls = {}
+    _counting(monkeypatch, np.random, "Generator", calls)
+    _replicate(pop, cell, _CFG, 1)
+    assert calls == {"Generator": 3 if cell.method.label == "draw" else 2}

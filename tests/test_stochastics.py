@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imputebench.stochastics import Purpose, SeedSpec, make_stream, substream_id
+from imputebench.stochastics import Purpose, RngStream, SeedSpec, make_stream, substream_id
 
 
 class TestSeedSpec:
@@ -76,6 +76,42 @@ class TestChildStreams:
     def test_bad_child_key(self, key):
         with pytest.raises(ValueError):
             make_stream(SeedSpec(0, 0)).child(key)
+
+
+class TestBuiltOnFirstDraw:
+    def _count_seed_sequences(self, monkeypatch):
+        calls = []
+        real = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("spawn_key"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        return calls
+
+    def test_make_stream_and_child_build_no_seed_sequence(self, monkeypatch):
+        calls = self._count_seed_sequences(monkeypatch)
+        parent = make_stream(SeedSpec(5, 9))
+        child = parent.child(3).child(1)
+        assert calls == []
+        child.generator.random(2)
+        child.generator.random(2)
+        assert calls == [(3, 1)]
+
+    def test_touching_the_parent_first_changes_no_draw(self):
+        touched = make_stream(SeedSpec(5, 9))
+        first = touched.generator.random(4)
+        child = touched.child(2).generator.random(4)
+        untouched = make_stream(SeedSpec(5, 9))
+        late_child = untouched.child(2).generator.random(4)
+        np.testing.assert_array_equal(child, late_child)
+        np.testing.assert_array_equal(first, untouched.generator.random(4))
+
+    @pytest.mark.parametrize("entropy,spawn_key", [((-1, 0), ()), ((1, 0), (2, -3))])
+    def test_negative_entropy_rejected_before_any_draw(self, entropy, spawn_key):
+        with pytest.raises(ValueError):
+            RngStream(entropy, spawn_key)
 
 
 class TestSubstreamId:
