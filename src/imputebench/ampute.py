@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -88,15 +88,6 @@ class IncompleteDataset:
     @property
     def n_missing(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-    def observed_rows(self) -> Dict[str, np.ndarray]:
-        """Columns restricted to rows with observed y."""
-        keep = ~self.mask
-        return {"x1": self.x1[keep], "x2": self.x2[keep], "y": self.y[keep]}
-
-    def missing_rows(self) -> Dict[str, np.ndarray]:
-        """Predictor columns restricted to rows with missing y."""
-        return {"x1": self.x1[self.mask], "x2": self.x2[self.mask]}
 
 
 @dataclass(frozen=True)
@@ -247,11 +238,12 @@ def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> Incomplet
     if spec.mechanism is Mechanism.MCAR:
         probs = PROP
     else:
-        c = data.x1 - np.add.reduce(data.x1) / n  # np.std's own steps, bit for bit
         with np.errstate(over="ignore"):
+            c = data.x1 - np.add.reduce(data.x1) / n  # np.std's own steps, bit for bit
             ss = np.add.reduce(c * c)
-        if not math.isfinite(ss):  # x1 so large that its squares overflow: rescale first
-            c = c / np.abs(c).max()
+        if not math.isfinite(ss):  # x1 so large that its sum or squares overflow: rescale
+            x1 = data.x1 / np.abs(data.x1).max()
+            c = x1 - np.add.reduce(x1) / n
             ss = np.add.reduce(c * c)
         sd = math.sqrt(ss / n)
         if sd == 0.0 or not math.isfinite(sd):

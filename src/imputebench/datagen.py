@@ -127,13 +127,6 @@ class ParamSet:
 _PARAM_FIELDS = tuple(f.name for f in fields(ParamSet))
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Analytic parameter values implied by a PopulationSpec."""
-
-    params: ParamSet
-
-
 def coefficients(spec: PopulationSpec) -> tuple[float, float, float]:
     """Generator constants (beta1, beta2, noise_sd).
 
@@ -205,7 +198,7 @@ def _moment_regression(c, response: int, first: int, second: int, name: str) -> 
     return b1, min(max((b1 * c1 + b2 * c2) / c[response][response], 0.0), 1.0)
 
 
-def ground_truth(spec: PopulationSpec) -> GroundTruth:
+def ground_truth(spec: PopulationSpec) -> ParamSet:
     """Closed-form population values of every reported parameter.
 
     The generator fixes the population covariance of (x1, x2, y): unit
@@ -221,9 +214,7 @@ def ground_truth(spec: PopulationSpec) -> GroundTruth:
     cov_x2_y = beta2 + rho * beta1
     var_y = beta1 * cov_x1_y + beta2 * cov_x2_y + noise_sd * noise_sd
     cov = [[1.0, rho, cov_x1_y], [rho, 1.0, cov_x2_y], [cov_x1_y, cov_x2_y, var_y]]
-    return GroundTruth(
-        ParamSet(mu=0.0, p90=10.0, mse_full=0.0, mse_missing=0.0, **moment_params(cov))
-    )
+    return ParamSet(mu=0.0, p90=10.0, mse_full=0.0, mse_missing=0.0, **moment_params(cov))
 
 
 def draw_sample(pop: Dataset, n: int, stream: RngStream) -> Dataset:

@@ -126,8 +126,7 @@ def decompose_mse(
     if inc.n_missing == 0:
         raise ValueError("no rows are masked; the imputation MSE is undefined")
     beta1, beta2, noise_sd = coefficients(population)
-    mis = inc.missing_rows()
-    surface = beta1 * mis["x1"] + beta2 * mis["x2"]
+    surface = beta1 * inc.x1[inc.mask] + beta2 * inc.x2[inc.mask]
     truth_mis = truth.y[inc.mask]
 
     draws = np.empty((repeats, inc.n_missing))

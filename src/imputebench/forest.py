@@ -325,10 +325,7 @@ def impute_forest(inc: IncompleteDataset, method, stream: RngStream) -> Complete
     if inc.n_missing == 0:
         return CompletedDataset.from_imputation(inc, np.empty(0), method)
 
-    obs = inc.observed_rows()
-    x_obs = np.column_stack([obs["x1"], obs["x2"]])
-    y_obs = obs["y"]
-    mis = inc.missing_rows()
-    x_mis = np.column_stack([mis["x1"], mis["x2"]])
-    values = predict_forest(fit_forest(x_obs, y_obs, method.params, stream), x_mis)
+    x = np.column_stack([inc.x1, inc.x2])
+    keep = ~inc.mask
+    values = predict_forest(fit_forest(x[keep], inc.y[keep], method.params, stream), x[inc.mask])
     return CompletedDataset.from_imputation(inc, values, method)

@@ -2,12 +2,13 @@
 
 ``predict`` and ``draw`` are the two regression imputers (conditional
 mean, and conditional mean plus residual noise). ``pmm`` is type-1
-predictive mean matching. ``softimpute`` is rank-2 matrix completion of
-(x1, x2, y); with holes only in y and no penalty, its fixed point is the
-uncentred total-least-squares plane of the observed rows, which it
-computes directly. :func:`als_matrix_complete` is the iterative
-reference that reaches the same point. The forest imputer lives in its
-own module; :class:`Forest` is its method object.
+predictive mean matching. All three fit ``linmodel.fit_ols``, y on
+(x1, x2), to the observed rows' columns. ``softimpute`` is rank-2
+matrix completion of (x1, x2, y); with holes only in y and no penalty,
+its fixed point is the uncentred total-least-squares plane of the
+observed rows, which it computes directly (the iterative ALS that
+reaches the same point is a test reference). The forest imputer lives
+in its own module; :class:`Forest` is its method object.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import numpy as np
 
 from .ampute import CompletedDataset, IncompleteDataset
 from .forest import ForestParams, impute_forest
-from .linmodel import DesignSpec, bayes_param_draw, design_matrix, fit_ols, predict
+from .linmodel import bayes_param_draw, fit_ols, predict
 from .stochastics import RngStream
 
-# the imputation model of every regression-based method: y on both predictors
-IMPUTE_DESIGN = DesignSpec(response="y", predictors=("x1", "x2"))
 # pmm copies y from one of this many nearest observed rows
 PMM_DONORS = 5
 
@@ -83,17 +82,19 @@ class Forest(ImputationMethod):
 
 def impute_predict(inc: IncompleteDataset) -> CompletedDataset:
     """Fill masked y with fitted values from OLS on the observed rows."""
-    fit = fit_ols(inc.observed_rows(), IMPUTE_DESIGN)
-    values = predict(fit, inc.missing_rows())
+    keep = ~inc.mask
+    fit = fit_ols(inc.x1[keep], inc.x2[keep], inc.y[keep])
+    values = predict(fit.coefficients, inc.x1[inc.mask], inc.x2[inc.mask])
     return CompletedDataset.from_imputation(inc, values, Predict())
 
 
 def impute_draw(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
     """Fill masked y with fitted values plus N(0, sigma2) residual noise."""
-    fit = fit_ols(inc.observed_rows(), IMPUTE_DESIGN)
-    x_mis = design_matrix(inc.missing_rows(), IMPUTE_DESIGN)
+    keep = ~inc.mask
+    fit = fit_ols(inc.x1[keep], inc.x2[keep], inc.y[keep])
+    fitted = predict(fit.coefficients, inc.x1[inc.mask], inc.x2[inc.mask])
     noise = math.sqrt(fit.residual_variance) * stream.generator.standard_normal(inc.n_missing)
-    return CompletedDataset.from_imputation(inc, x_mis @ fit.coefficients + noise, Draw())
+    return CompletedDataset.from_imputation(inc, fitted + noise, Draw())
 
 
 def impute_pmm(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
@@ -106,15 +107,14 @@ def impute_pmm(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
     """
     if PMM_DONORS > inc.n_observed:
         raise ValueError(f"{PMM_DONORS} donors exceed the {inc.n_observed} observed rows")
-    obs = inc.observed_rows()
-    fit = fit_ols(obs, IMPUTE_DESIGN)
-    yhat_obs = predict(fit, obs)
+    keep = ~inc.mask
+    x1_obs, x2_obs, y_obs = inc.x1[keep], inc.x2[keep], inc.y[keep]
+    fit = fit_ols(x1_obs, x2_obs, y_obs)
+    yhat_obs = predict(fit.coefficients, x1_obs, x2_obs)
     beta_star, _ = bayes_param_draw(fit, stream)
-    yhat_mis = design_matrix(inc.missing_rows(), IMPUTE_DESIGN) @ beta_star
+    yhat_mis = predict(beta_star, inc.x1[inc.mask], inc.x2[inc.mask])
 
     n_mis = inc.n_missing
-    if n_mis == 0:
-        return CompletedDataset.from_imputation(inc, np.empty(0), Pmm())
     dist = np.abs(yhat_obs[None, :] - yhat_mis[:, None])
     if PMM_DONORS < dist.shape[1]:
         pool = np.argpartition(dist, PMM_DONORS - 1, axis=1)[:, :PMM_DONORS]
@@ -122,72 +122,7 @@ def impute_pmm(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
         pool = np.broadcast_to(np.arange(dist.shape[1]), dist.shape).copy()
     pick = stream.generator.integers(0, pool.shape[1], size=n_mis)
     donor_idx = pool[np.arange(n_mis), pick]
-    return CompletedDataset.from_imputation(inc, obs["y"][donor_idx], Pmm())
-
-
-def als_matrix_complete(
-    matrix: np.ndarray,
-    rank_max: int,
-    ridge: float,
-    max_iter: int,
-    tol: float,
-    stream: RngStream,
-) -> tuple[np.ndarray, list[float], bool]:
-    """Complete a matrix with NaN holes by rank-constrained ALS.
-
-    Factorizes as A @ B.T with rank <= rank_max, minimizing the squared
-    error over observed entries plus ridge * (|A|^2 + |B|^2). Each half
-    step is a ridge regression against the matrix refilled with the
-    current predictions at the holes; refilling makes the step an exact
-    majorize-minimize move on the observed-entry objective, so the
-    objective never increases, and it pins hole predictions to the
-    global low-rank structure instead of letting per-row systems run
-    free. Returns the reconstruction, the objective value at start and
-    after every iteration, and a convergence flag.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    observed = np.isfinite(m)
-    n_rows, n_cols = m.shape
-    rank = min(rank_max, n_rows, n_cols)
-    holes = ~observed
-
-    a = stream.generator.standard_normal(n_rows * rank).reshape(n_rows, rank)
-    b = np.zeros((n_cols, rank))
-    filled = np.where(observed, m, 0.0)  # holes start at the b = 0 prediction
-
-    def objective() -> float:
-        resid = (m - a @ b.T)[observed]
-        penalty = ridge * (float(np.sum(a * a)) + float(np.sum(b * b)))
-        return float(resid @ resid) + penalty
-
-    def refill() -> None:
-        recon = a @ b.T
-        filled[holes] = recon[holes]
-
-    objectives = [objective()]
-    floor = 1e-12 * objectives[0] + np.finfo(float).tiny
-    converged = False
-    for _ in range(max_iter):
-        b = _gram_solve(a.T @ a, a.T @ filled, ridge).T
-        refill()
-        a = _gram_solve(b.T @ b, b.T @ filled.T, ridge).T
-        refill()
-        objectives.append(objective())
-        prev, cur = objectives[-2], objectives[-1]
-        if abs(prev - cur) <= tol * max(prev, np.finfo(float).tiny) or cur <= floor:
-            converged = True
-            break
-    return a @ b.T, objectives, converged
-
-
-def _gram_solve(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve (gram + ridge I) w = rhs column-wise; pseudoinverse fallback."""
-    if ridge > 0:
-        return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(gram) @ rhs
+    return CompletedDataset.from_imputation(inc, y_obs[donor_idx], Pmm())
 
 
 def impute_softimpute(inc: IncompleteDataset) -> CompletedDataset:
@@ -203,10 +138,3 @@ def impute_softimpute(inc: IncompleteDataset) -> CompletedDataset:
     v = np.linalg.svd(observed, full_matrices=False)[2][-1]
     values = -(v[0] * inc.x1[inc.mask] + v[1] * inc.x2[inc.mask]) / v[2]
     return CompletedDataset.from_imputation(inc, values, SoftImpute())
-
-
-def impute_dispatch(
-    inc: IncompleteDataset, method: ImputationMethod, stream: RngStream
-) -> CompletedDataset:
-    """Impute ``inc`` with ``method``; the same as ``method.impute(inc, stream)``."""
-    return method.impute(inc, stream)

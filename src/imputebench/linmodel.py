@@ -1,182 +1,111 @@
-"""Ordinary least squares on fully observed rows.
+"""The imputation model: OLS of y on (x1, x2) with an intercept.
 
-Small, exact linear algebra: designs here have at most a handful of
-columns, so the normal equations are solved by Cholesky factorization
-and rank deficiency is refused outright instead of regularized. The fit
-object keeps the triangular factor around because prediction variance
-and Bayesian parameter draws both need it.
-
-Triangular solves use numpy alone. The lower factor L is solved by
-forward substitution, one row at a time, and the upper factor L' by
-np.linalg.solve: LU of an upper-triangular matrix never pivots, so that
-is plain back substitution. Both give the bits of LAPACK's triangular
-solver, which the tests keep as the reference; np.linalg.solve on L
-pivots and does not.
+It is fitted from centred moments with the 2x2 Cramer's-rule solve of
+``datagen._moment_regression``. Centring keeps data far from the origin
+well conditioned, and ``np.add.reduce`` keeps the bits off the BLAS
+thread count: nothing here calls BLAS or LAPACK. The posterior draw uses
+the lower Cholesky factor of the uncentred X'X in closed form,
+L = [[sqrt(n), 0], [sqrt(n) x-bar, chol(S)]], with x-bar the predictor
+means and chol(S) the factor of their centred scatter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import _COLLINEAR_FLOOR
 from .stochastics import RngStream
-
-# reciprocal condition numbers below this are treated as rank deficiency
-_RCOND_FLOOR = 1e-12
 
 
 class SingularDesignError(ValueError):
-    """Design matrix is rank deficient (or numerically indistinguishable)."""
+    """The predictors are collinear (or numerically indistinguishable)."""
 
 
 class InsufficientDataError(ValueError):
-    """Too few rows to estimate the requested design."""
-
-
-@dataclass(frozen=True)
-class DesignSpec:
-    """Names the response and predictor columns of a regression.
-
-    Every design has an intercept, so an intercept-only design (no
-    predictors) is legal.
-    """
-
-    response: str
-    predictors: tuple[str, ...]
-
-    def __post_init__(self):
-        preds = tuple(self.predictors)
-        object.__setattr__(self, "predictors", preds)
-        if len(set(preds)) != len(preds):
-            raise ValueError(f"duplicate predictor names: {preds}")
-        if self.response in preds:
-            raise ValueError(f"response {self.response!r} listed among predictors")
+    """Too few rows to estimate the design."""
 
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Frozen result of an OLS fit.
+    """Frozen result of fit_ols.
 
-    Fields
-    ------
-    design : DesignSpec
-    coefficients : ndarray, intercept first
-    residual_variance : float
-        SSE / (n1 - p - 1).
-    n_obs : int
-    p : int
-        Number of non-intercept predictors.
-    crossprod_factor : ndarray
-        Lower Cholesky factor L of the normal-equations matrix X'X.
+    coefficients are (b0, b1, b2), intercept first and read-only, and
+    residual_variance is SSE / (n_obs - 3). The posterior draw reads the
+    predictor means and scatter_factor = (a, b, c), the lower Cholesky
+    factor [[a, 0], [b, c]] of the predictors' centred scatter.
     """
 
-    design: DesignSpec
     coefficients: np.ndarray
     residual_variance: float
     n_obs: int
-    p: int
-    crossprod_factor: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("coefficients", "crossprod_factor"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    means: tuple[float, float]
+    scatter_factor: tuple[float, float, float]
 
     @property
     def dof(self) -> int:
-        return self.n_obs - self.p - 1
+        return self.n_obs - 3
 
 
-def _columns_of(data) -> Mapping[str, np.ndarray]:
-    cols = getattr(data, "columns", None)
-    if cols is not None:
-        return cols
-    if isinstance(data, Mapping):
-        return data
-    raise TypeError(f"expected a dataset or column mapping, got {type(data).__name__}")
+def fit_ols(x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> OlsFit:
+    """Fit y ~ x1 + x2 with an intercept.
 
-
-def design_matrix(data, spec: DesignSpec) -> np.ndarray:
-    """Stack the design columns, intercept first."""
-    cols = _columns_of(data)
-    missing = [name for name in spec.predictors if name not in cols]
-    if missing:
-        raise ValueError(f"missing predictor columns: {missing}")
-    arrays = [np.asarray(cols[name], dtype=np.float64) for name in spec.predictors]
-    n = len(arrays[0]) if arrays else len(np.asarray(cols[spec.response]))
-    return np.column_stack([np.ones(n)] + arrays)
-
-
-def _forward_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve lower @ y = b for lower-triangular lower, row by row."""
-    y = np.empty_like(b)
-    for k in range(b.size):
-        y[k] = (b[k] - lower[k, :k] @ y[:k]) / lower[k, k]
-    return y
-
-
-def fit_ols(data, spec: DesignSpec) -> OlsFit:
-    """Fit the design by solving the normal equations.
-
-    Raises SingularDesignError on a rank-deficient design and
-    InsufficientDataError when fewer than p + 2 rows are supplied.
+    Raises InsufficientDataError on 3 rows or fewer and
+    SingularDesignError when the centred determinant s11 s22 - s12^2 is
+    not above _COLLINEAR_FLOOR * s11 * s22.
     """
-    cols = _columns_of(data)
-    if spec.response not in cols:
-        raise ValueError(f"missing response column: {spec.response!r}")
-    y = np.asarray(cols[spec.response], dtype=np.float64)
-    x = design_matrix(data, spec)
-    n, k = x.shape
-    p = len(spec.predictors)
-    if n <= p + 1:
-        raise InsufficientDataError(f"need more than p + 1 = {p + 1} rows, got {n}")
-    if y.shape[0] != n:
-        raise ValueError("response length does not match predictor length")
-
-    xtx = x.T @ x
-    if np.linalg.cond(xtx) > 1.0 / _RCOND_FLOOR:
-        raise SingularDesignError("design matrix is rank deficient")
-    try:
-        factor = np.linalg.cholesky(xtx)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("design matrix is rank deficient") from exc
-
-    xty = x.T @ y
-    beta = np.linalg.solve(factor.T, _forward_solve(factor, xty))
-    resid = y - x @ beta
-    sigma2 = max(float(resid @ resid) / (n - p - 1), 0.0)
+    n = y.size
+    if x1.size != n or x2.size != n:
+        raise ValueError(f"columns differ in length: {x1.size}, {x2.size}, {n}")
+    if n <= 3:
+        raise InsufficientDataError(f"need more than 3 rows, got {n}")
+    m1, m2, my = (float(np.add.reduce(col)) / n for col in (x1, x2, y))
+    c1, c2, cy = x1 - m1, x2 - m2, y - my
+    s11 = float(np.add.reduce(c1 * c1))
+    s12 = float(np.add.reduce(c1 * c2))
+    s22 = float(np.add.reduce(c2 * c2))
+    s1y = float(np.add.reduce(c1 * cy))
+    s2y = float(np.add.reduce(c2 * cy))
+    det = s11 * s22 - s12 * s12
+    if not det > _COLLINEAR_FLOOR * s11 * s22:
+        raise SingularDesignError("the predictors x1 and x2 are collinear")
+    b1 = (s22 * s1y - s12 * s2y) / det
+    b2 = (s11 * s2y - s12 * s1y) / det
+    resid = cy - b1 * c1 - b2 * c2
+    coefficients = np.array((my - b1 * m1 - b2 * m2, b1, b2))
+    coefficients.flags.writeable = False
+    a = math.sqrt(s11)
     return OlsFit(
-        design=spec,
-        coefficients=beta,
-        residual_variance=sigma2,
+        coefficients=coefficients,
+        residual_variance=float(np.add.reduce(resid * resid)) / (n - 3),
         n_obs=n,
-        p=p,
-        crossprod_factor=factor,
+        means=(m1, m2),
+        scatter_factor=(a, s12 / a, math.sqrt(det / s11)),
     )
 
 
-def predict(fit: OlsFit, rows) -> np.ndarray:
-    """Fitted values of the design at the supplied rows."""
-    x = design_matrix(rows, fit.design)
-    return x @ fit.coefficients
+def predict(coefficients, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """b0 + b1 x1 + b2 x2 for coefficients (b0, b1, b2)."""
+    b0, b1, b2 = coefficients
+    return b0 + b1 * x1 + b2 * x2
 
 
 def bayes_param_draw(fit: OlsFit, stream: RngStream) -> tuple[np.ndarray, float]:
     """One draw of (beta, sigma^2) from the standard conjugate posterior.
 
-    sigma2_draw = sigma2_hat * dof / chi2(dof), then
-    beta_draw = beta_hat + sqrt(sigma2_draw) * L^-T z with L the Cholesky
-    factor of X'X, so cov(beta_draw | sigma2_draw) = sigma2_draw (X'X)^-1.
-    Draw order is fixed: the chi-square first, then the normal vector.
+    sigma2_draw = sigma2_hat * dof / chi2(dof), then beta_draw = beta_hat +
+    sqrt(sigma2_draw) w with L' w = z, so cov(beta_draw | sigma2_draw) =
+    sigma2_draw (X'X)^-1; L' is upper triangular, so w is solved from the
+    last coordinate up. Draw order is fixed: the chi-square, then z.
     """
-    dof = fit.dof
-    chi2 = float(stream.generator.chisquare(dof))
-    sigma2_draw = fit.residual_variance * dof / chi2
-    z = stream.generator.standard_normal(fit.coefficients.size)
-    shift = np.linalg.solve(fit.crossprod_factor.T, z)
-    beta_draw = fit.coefficients + math.sqrt(sigma2_draw) * shift
-    return beta_draw, float(sigma2_draw)
+    gen = stream.generator
+    sigma2_draw = fit.residual_variance * fit.dof / float(gen.chisquare(fit.dof))
+    z0, z1, z2 = gen.standard_normal(3).tolist()
+    a, b, c = fit.scatter_factor
+    w2 = z2 / c
+    w1 = (z1 - b * w2) / a
+    w0 = z0 / math.sqrt(fit.n_obs) - fit.means[0] * w1 - fit.means[1] * w2
+    beta_draw = fit.coefficients + math.sqrt(sigma2_draw) * np.array((w0, w1, w2))
+    return beta_draw, sigma2_draw

@@ -39,13 +39,13 @@ from imputebench.imputers import (
     Pmm,
     Predict,
     SoftImpute,
-    als_matrix_complete,
-    impute_dispatch,
     impute_pmm,
     impute_predict,
 )
-from imputebench.linmodel import DesignSpec, design_matrix, fit_ols, predict
+from imputebench.linmodel import fit_ols, predict
 from imputebench.stochastics import SeedSpec, make_stream
+
+from als_reference import als_matrix_complete
 
 _SCALES = {"ci": (20, 100_000, 2.0), "desk": (200, 1_000_000, 1.0)}
 _scale_name = os.environ.get("IMPUTEBENCH_ACCEPTANCE_SCALE", "ci")
@@ -85,7 +85,6 @@ EXPECTED_PMM = {
 }
 PMM_FIELDS = ("sigma", "rho", "gamma", "r2_y", "delta", "r2_x")
 
-XY_DESIGN = DesignSpec(response="y", predictors=("x1", "x2"))
 MCAR = MissingnessSpec(Mechanism.MCAR)
 MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
 
@@ -128,7 +127,7 @@ def test_table1_cells(table1):
 def test_ground_truth_rows(table1):
     for signal, r_squared in (("high", 0.8), ("low", 0.2)):
         row = _row(table1, signal, "truth", "none")
-        analytic = ground_truth(PopulationSpec(r_squared=r_squared)).params
+        analytic = ground_truth(PopulationSpec(r_squared=r_squared))
         for name in FIELDS:
             tol = (0.3 if name == "p90" else 0.01) * TOL
             got = getattr(row.params, name)
@@ -221,9 +220,8 @@ def test_invariant_suite(naive_params):
     for trial in range(10):
         x1, x2 = gen.normal(size=50), gen.normal(size=50)
         y = 1.0 + 0.6 * x1 - 0.3 * x2 + gen.normal(size=50)
-        data = Dataset(x1, x2, y)
-        fit = fit_ols(data, XY_DESIGN)
-        ref = np.linalg.pinv(design_matrix(data, XY_DESIGN)) @ y
+        fit = fit_ols(x1, x2, y)
+        ref = np.linalg.pinv(np.column_stack([np.ones(50), x1, x2])) @ y
         assert np.max(np.abs(fit.coefficients - ref)) < 1e-8
 
     # shared inputs for the imputation-level invariants
@@ -239,8 +237,11 @@ def test_invariant_suite(naive_params):
     assert all(v in observed for v in completed.data.y[inc.mask])
 
     # predict-imputed values sit on the fitted hyperplane
-    fit = fit_ols(inc.observed_rows(), XY_DESIGN)
-    resid = impute_predict(inc).data.y[inc.mask] - predict(fit, inc.missing_rows())
+    keep = ~inc.mask
+    fit = fit_ols(inc.x1[keep], inc.x2[keep], inc.y[keep])
+    resid = impute_predict(inc).data.y[inc.mask] - predict(
+        fit.coefficients, inc.x1[inc.mask], inc.x2[inc.mask]
+    )
     assert np.max(np.abs(resid)) < 1e-10
 
     # matrix completion objective never increases
@@ -259,7 +260,7 @@ def test_invariant_suite(naive_params):
         Forest(params=ForestParams(n_trees=10)),
     )
     for method in methods:
-        out = impute_dispatch(inc, method, make_stream(SeedSpec(990, 5)))
+        out = method.impute(inc, make_stream(SeedSpec(990, 5)))
         np.testing.assert_array_equal(out.data.y[~inc.mask], inc.y[~inc.mask])
 
     # parameter estimation agrees with a naively coded reference

@@ -52,12 +52,9 @@ class TestIncompleteDataset:
     def test_counts_and_accessors(self):
         inc = ampute(_data(1000), MCAR, make_stream(SeedSpec(41, 0)))
         assert inc.n_observed + inc.n_missing == 1000
-        obs = inc.observed_rows()
-        assert obs["y"].size == inc.n_observed
-        assert np.all(np.isfinite(obs["y"]))
-        mis = inc.missing_rows()
-        assert mis["x1"].size == inc.n_missing
-        assert "y" not in mis
+        assert inc.y[~inc.mask].size == inc.n_observed
+        assert np.all(np.isfinite(inc.y[~inc.mask]))
+        assert inc.x1[inc.mask].size == inc.n_missing
 
     def test_requires_nan_at_mask(self):
         with pytest.raises(ValueError):
@@ -320,6 +317,15 @@ class TestAmpute:
         x1 = 1.0 + 0.1 * np.random.default_rng(51).standard_normal(50)
         big = ampute(Dataset(scale * x1, x1, x1), MAR, make_stream(SeedSpec(51, 0)))
         unit = ampute(Dataset(x1, x1, x1), MAR, make_stream(SeedSpec(51, 0)))
+        np.testing.assert_array_equal(big.mask, unit.mask)
+
+    @pytest.mark.parametrize("scale", [1e306, 1e307])
+    def test_x1_whose_sum_overflows_standardizes(self, scale):
+        # at 1e307 the sum of 50 values overflows before centring; it used to
+        # warn, or without the warning filter refuse x1 as constant
+        x1 = 1.0 + 0.1 * np.random.default_rng(52).standard_normal(50)
+        big = ampute(Dataset(scale * x1, x1, x1), MAR, make_stream(SeedSpec(52, 0)))
+        unit = ampute(Dataset(x1, x1, x1), MAR, make_stream(SeedSpec(52, 0)))
         np.testing.assert_array_equal(big.mask, unit.mask)
 
     def test_constant_score_rejected(self):

@@ -150,14 +150,14 @@ class TestGeneratePopulation:
 class TestGroundTruth:
     @pytest.mark.parametrize("r_squared,expected", [(0.8, HIGH_TRUTH), (0.2, LOW_TRUTH)])
     def test_matches_frozen_oracle(self, r_squared, expected):
-        params = ground_truth(PopulationSpec(r_squared=r_squared)).params
+        params = ground_truth(PopulationSpec(r_squared=r_squared))
         for name, value in expected.items():
             assert getattr(params, name) == pytest.approx(value, abs=1e-12), name
 
     @pytest.mark.parametrize("r_squared", [0.8, 0.2])
     def test_matches_empirical_population(self, r_squared):
         spec, pop = _population(r_squared, 1_000_000)
-        truth = ground_truth(spec).params
+        truth = ground_truth(spec)
         completed = CompletedDataset(
             data=pop, imputed_mask=np.zeros(len(pop), dtype=bool), method=None
         )

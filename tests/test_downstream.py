@@ -163,7 +163,7 @@ class TestEstimateParams:
             mask=np.zeros(len(pop), dtype=bool), truth_y=pop.y,
         )
         params = estimate_params(CompletedDataset.from_imputation(inc, np.empty(0), None), pop)
-        gt = ground_truth(spec).params
+        gt = ground_truth(spec)
         assert params.p90 == 10.0
         for name in ("mu", "sigma", "rho", "gamma", "r2_y", "delta", "r2_x"):
             assert getattr(params, name) == pytest.approx(getattr(gt, name), abs=0.01), name

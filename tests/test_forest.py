@@ -147,8 +147,8 @@ def _ci_forest_sample():
     pop = generate_population(PopulationSpec(r_squared=0.2, size=100_000), make_stream(SeedSpec(98, 0)))
     sample = draw_sample(pop, 1000, make_stream(SeedSpec(98, 1)))
     inc = ampute(sample, MissingnessSpec(Mechanism.MAR_RIGHT), make_stream(SeedSpec(98, 2)))
-    obs = inc.observed_rows()
-    return np.column_stack([obs["x1"], obs["x2"]]), obs["y"]
+    keep = ~inc.mask
+    return np.column_stack([inc.x1[keep], inc.x2[keep]]), inc.y[keep]
 
 
 def _rounded_x():

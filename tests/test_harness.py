@@ -31,7 +31,6 @@ from imputebench.imputers import (
     Pmm,
     Predict,
     SoftImpute,
-    impute_dispatch,
 )
 from imputebench.stochastics import Purpose, SeedSpec, make_stream, substream_id
 
@@ -93,7 +92,7 @@ def _replay(cfg, mech, method, cell_id, t):
     )
     sample = draw_sample(pop, cfg.n_sample, rep_stream(Purpose.SAMPLING))
     inc = ampute(sample, mech, rep_stream(Purpose.AMPUTATION))
-    completed = impute_dispatch(inc, method, rep_stream(Purpose.IMPUTATION))
+    completed = method.impute(inc, rep_stream(Purpose.IMPUTATION))
     return estimate_params(completed, sample).as_array()
 
 
@@ -155,7 +154,7 @@ class TestRunTable1:
         _, table = table1_small
         for r_squared, signal in ((0.8, "high"), (0.2, "low")):
             truth = table.truth_params(signal)
-            gt = ground_truth(PopulationSpec(r_squared=r_squared)).params
+            gt = ground_truth(PopulationSpec(r_squared=r_squared))
             assert truth.p90 == pytest.approx(10.0, abs=0.3)
             for name in ("mu", "sigma", "rho", "gamma", "r2_y", "delta", "r2_x"):
                 assert getattr(truth, name) == pytest.approx(getattr(gt, name), abs=0.01), name

@@ -1,11 +1,12 @@
-"""The replication path: direct ufunc reductions, generators built on first draw.
+"""The replication path: direct ufunc reductions, generators built on first draw, no LAPACK.
 
 A table1 replication calls ``np.add.reduce``, ``np.count_nonzero`` and
 ``ndarray.all`` where numpy's ``mean``/``all``/``std`` wrappers would call
 the same reductions through several Python layers. These tests check that
 the direct forms give the wrappers' bits, that the wrappers stay off the
-path, and that a replication builds a generator only for the streams it
-draws from.
+path, that a replication builds a generator only for the streams it
+draws from, and that the table1 cells and pmm call no numpy.linalg
+function, whose bits can depend on the BLAS thread count.
 """
 
 import math
@@ -19,10 +20,10 @@ from hypothesis.extra.numpy import arrays
 
 import imputebench.ampute as ampute_module
 from imputebench.ampute import CompletedDataset, Mechanism, MissingnessSpec, ampute
-from imputebench.datagen import Dataset, ParamSet, moment_params
+from imputebench.datagen import Dataset, ParamSet, draw_sample, moment_params
 from imputebench.downstream import estimate_params, quantile
 from imputebench.harness import ExperimentConfig, _assign_cells, _build_population, _replicate
-from imputebench.imputers import Draw, Predict
+from imputebench.imputers import Draw, Predict, impute_pmm
 from imputebench.stochastics import SeedSpec, make_stream
 
 MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
@@ -191,3 +192,34 @@ def test_replication_builds_a_generator_per_drawn_stream(monkeypatch, cell):
     _counting(monkeypatch, np.random, "Generator", calls)
     _replicate(pop, cell, _CFG, 1)
     assert calls == {"Generator": 3 if cell.method.label == "draw" else 2}
+
+
+# ---------------------------------------------------------------------
+# no LAPACK on the regression imputers' path
+# ---------------------------------------------------------------------
+
+
+def _forbid_linalg(monkeypatch):
+    """Make every public numpy.linalg function raise when called."""
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    for name in dir(np.linalg):
+        obj = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(obj) and not isinstance(obj, type):  # not LinAlgError
+            monkeypatch.setattr(np.linalg, name, forbidden(name))
+
+
+def test_table1_cells_and_pmm_call_no_numpy_linalg(monkeypatch):
+    # a LAPACK or BLAS solve can change its bits with the thread count;
+    # the fit is moment sums and a closed-form 2x2 solve instead
+    pop = _build_population(_CFG, 0)
+    inc = ampute(draw_sample(pop, 300, make_stream(SeedSpec(5, 0))), MAR, make_stream(SeedSpec(5, 1)))
+    _forbid_linalg(monkeypatch)
+    with pytest.raises(AssertionError, match="numpy.linalg.solve called"):
+        np.linalg.solve(np.eye(2), np.ones(2))
+    for cell in _TABLE1_CELLS:
+        _replicate(pop, cell, _CFG, 1)
+    impute_pmm(inc, make_stream(SeedSpec(5, 2)))

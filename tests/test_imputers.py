@@ -20,19 +20,18 @@ from imputebench.imputers import (
     Pmm,
     Predict,
     SoftImpute,
-    als_matrix_complete,
-    impute_dispatch,
     impute_draw,
     impute_pmm,
     impute_predict,
     impute_softimpute,
 )
-from imputebench.linmodel import DesignSpec, fit_ols, predict
+from imputebench.linmodel import fit_ols, predict
 from imputebench.stochastics import SeedSpec, make_stream
+
+from als_reference import als_matrix_complete
 
 MCAR = MissingnessSpec(Mechanism.MCAR)
 MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
-DESIGN = DesignSpec(response="y", predictors=("x1", "x2"))
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +58,15 @@ def _no_missing(n=50, seed=0):
     return IncompleteDataset(
         x1=x1, x2=x2, y=y, mask=np.zeros(n, dtype=bool), truth_y=y
     )
+
+
+def _observed_fit(inc):
+    keep = ~inc.mask
+    return fit_ols(inc.x1[keep], inc.x2[keep], inc.y[keep])
+
+
+def _fitted_at_missing(fit, inc):
+    return predict(fit.coefficients, inc.x1[inc.mask], inc.x2[inc.mask])
 
 
 def _noiseless(n=200, seed=1, mask_every=4):
@@ -108,17 +116,16 @@ class TestPredictMethod:
     def test_lands_on_fitted_hyperplane(self, low_pop):
         inc = _amputed(low_pop, MAR, rep=1)
         completed = impute_predict(inc)
-        fit = fit_ols(inc.observed_rows(), DESIGN)
-        resid = completed.data.y[inc.mask] - predict(fit, inc.missing_rows())
+        resid = completed.data.y[inc.mask] - _fitted_at_missing(_observed_fit(inc), inc)
         assert np.max(np.abs(resid)) < 1e-10
 
 
 class TestDrawMethod:
     def test_noise_variance_matches_residual_variance(self, low_pop):
         inc = _amputed(low_pop, MCAR, rep=2)
-        fit = fit_ols(inc.observed_rows(), DESIGN)
+        fit = _observed_fit(inc)
         completed = impute_draw(inc, make_stream(SeedSpec(62, 0)))
-        noise = completed.data.y[inc.mask] - predict(fit, inc.missing_rows())
+        noise = completed.data.y[inc.mask] - _fitted_at_missing(fit, inc)
         assert np.var(noise) == pytest.approx(fit.residual_variance, rel=0.15)
 
     def test_low_signal_mar_sigma(self, low_pop):
@@ -292,7 +299,7 @@ class TestDispatch:
             (SoftImpute(), impute_softimpute(inc)),
         ]
         for method, direct in pairs:
-            routed = impute_dispatch(inc, method, make_stream(SeedSpec(77, 0)))
+            routed = method.impute(inc, make_stream(SeedSpec(77, 0)))
             np.testing.assert_array_equal(routed.data.y, direct.data.y)
 
     def test_routes_forest(self, low_pop):
@@ -301,7 +308,7 @@ class TestDispatch:
         inc = _amputed(low_pop, MCAR, rep=12)
         params = ForestParams(n_trees=5)
         method = Forest(params=params)
-        routed = impute_dispatch(inc, method, make_stream(SeedSpec(77, 1)))
+        routed = method.impute(inc, make_stream(SeedSpec(77, 1)))
         direct = impute_forest(inc, method, make_stream(SeedSpec(77, 1)))
         np.testing.assert_array_equal(routed.data.y, direct.data.y)
 
@@ -311,12 +318,46 @@ class TestDispatch:
 
         inc = _amputed(low_pop, MCAR, rep=13)
         with pytest.raises(ValueError):
-            impute_dispatch(inc, Bogus(), make_stream(SeedSpec(77, 2)))
+            Bogus().impute(inc, make_stream(SeedSpec(77, 2)))
 
     def test_method_recorded_on_output(self, low_pop):
         inc = _amputed(low_pop, MCAR, rep=14)
-        completed = impute_dispatch(inc, Pmm(), make_stream(SeedSpec(77, 3)))
+        completed = Pmm().impute(inc, make_stream(SeedSpec(77, 3)))
         assert completed.method == Pmm()
+
+
+class TestFarFromOrigin:
+    # x1, x2 = 1e4 + N(0, 1): well conditioned once centred, while the
+    # uncentred X'X has a condition number near 1e16
+    @staticmethod
+    def _far(n=1000, seed=81):
+        gen = np.random.default_rng(seed)
+        x1 = 1e4 + gen.normal(size=n)
+        x2 = 1e4 + 0.5 * (x1 - 1e4) + gen.normal(size=n)
+        truth = 1.0 + 0.8 * (x1 - 1e4) + 0.4 * (x2 - 1e4) + gen.normal(size=n)
+        mask = gen.random(n) < 0.5
+        return IncompleteDataset(
+            x1=x1, x2=x2, y=np.where(mask, np.nan, truth), mask=mask, truth_y=truth
+        )
+
+    def test_predict_matches_lstsq(self):
+        inc = self._far()
+        keep = ~inc.mask
+        design = np.column_stack([np.ones(inc.n_observed), inc.x1[keep], inc.x2[keep]])
+        beta = np.linalg.lstsq(design, inc.y[keep], rcond=None)[0]
+        want = beta[0] + beta[1] * inc.x1[inc.mask] + beta[2] * inc.x2[inc.mask]
+        got = impute_predict(inc).data.y[inc.mask]
+        # relative to the largest imputed value: single values pass near 0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("method", [Draw(), Pmm()], ids=lambda m: m.label)
+    def test_stochastic_methods_accept(self, method):
+        inc = self._far()
+        completed = method.impute(inc, make_stream(SeedSpec(82, 0)))
+        imputed = completed.data.y[inc.mask]
+        assert np.all(np.isfinite(imputed))
+        # the imputations keep the observed rows' spread about x
+        assert np.std(imputed) == pytest.approx(np.std(inc.y[~inc.mask]), rel=0.2)
 
 
 class TestCrossMethodInvariants:
@@ -329,7 +370,7 @@ class TestCrossMethodInvariants:
     ], ids=lambda m: m.label)
     def test_observed_values_bit_exact(self, low_pop, method):
         inc = _amputed(low_pop, MAR, rep=15)
-        completed = impute_dispatch(inc, method, make_stream(SeedSpec(78, 0)))
+        completed = method.impute(inc, make_stream(SeedSpec(78, 0)))
         np.testing.assert_array_equal(completed.data.y[~inc.mask], inc.y[~inc.mask])
         np.testing.assert_array_equal(completed.imputed_mask, inc.mask)
         assert np.all(np.isfinite(completed.data.y))

@@ -12,7 +12,7 @@ from imputebench.ampute import CompletedDataset, IncompleteDataset, solve_shift
 from imputebench.datagen import Dataset
 from imputebench.downstream import estimate_params
 from imputebench.forest import ForestParams
-from imputebench.imputers import Draw, Forest, Pmm, Predict, SoftImpute, impute_dispatch
+from imputebench.imputers import Draw, Forest, Pmm, Predict, SoftImpute
 from imputebench.stochastics import SeedSpec, make_stream
 
 METHODS = (Predict(), Draw(), Pmm(), SoftImpute(), Forest(params=ForestParams(n_trees=3)))
@@ -38,7 +38,7 @@ def incomplete_datasets(draw):
 @settings(max_examples=25, deadline=None)
 @given(inc=incomplete_datasets(), seed=st.integers(0, 2**31))
 def test_imputation_keeps_observed_values_and_fills_only_the_mask(method, inc, seed):
-    completed = impute_dispatch(inc, method, make_stream(SeedSpec(seed, 0)))
+    completed = method.impute(inc, make_stream(SeedSpec(seed, 0)))
     np.testing.assert_array_equal(completed.data.y[~inc.mask], inc.y[~inc.mask])
     np.testing.assert_array_equal(completed.imputed_mask, inc.mask)
     assert np.all(np.isfinite(completed.data.y))
