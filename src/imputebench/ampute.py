@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import Dataset, _trusted
 from .stochastics import RngStream
 
 if TYPE_CHECKING:
@@ -126,10 +126,14 @@ class CompletedDataset:
             raise ValueError(
                 f"expected {inc.n_missing} imputed values, got shape {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise ValueError("column y contains non-finite values")
+        # inc's x1, x2 and observed y are validated and read-only: only y changes
         y = inc.y.copy()
         y[inc.mask] = values
-        data = Dataset(inc.x1, inc.x2, y)
-        return cls(data=data, imputed_mask=inc.mask, method=method)
+        y.flags.writeable = False
+        data = _trusted(Dataset, x1=inc.x1, x2=inc.x2, y=y)
+        return _trusted(cls, data=data, imputed_mask=inc.mask, method=method)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -226,32 +230,64 @@ def solve_shift(scores, prop: float) -> float:
     )
 
 
+def _mask_rows(x1: np.ndarray, mechanism: Mechanism, u: np.ndarray) -> np.ndarray:
+    """Read-only masks of a (k, n) block of x1 rows from their (k, n) uniform draws.
+
+    Each row is masked on its own, as ampute describes; the arithmetic
+    runs once on the block. Row sums are np.add.reduce along axis 1,
+    which on a C-contiguous block sums each row exactly as it sums the
+    row alone, so no row's mask depends on the others.
+    """
+    n = x1.shape[1]
+    if mechanism is Mechanism.MCAR:
+        probs = PROP
+    else:
+        with np.errstate(over="ignore"):
+            c = x1 - np.add.reduce(x1, axis=1, keepdims=True) / n  # np.std's own steps
+            ss = np.add.reduce(c * c, axis=1, keepdims=True)
+        for r in np.flatnonzero(~np.isfinite(ss)):  # x1 so large that its sum or squares overflow
+            row = x1[r] / np.abs(x1[r]).max()
+            c[r] = row - np.add.reduce(row) / n
+            ss[r] = np.add.reduce(c[r] * c[r])
+        sd = np.sqrt(ss / n)
+        if not ((sd != 0.0) & np.isfinite(sd)).all():
+            raise ValueError("amputation scores are constant: x1 does not vary")
+        score = c / sd
+        shift = np.array([solve_shift(row, PROP) for row in score])
+        probs = _logistic(score + shift[:, None])
+    mask = u < probs
+    mask.flags.writeable = False
+    return mask
+
+
+def _incomplete_rows(
+    x1: np.ndarray, x2: np.ndarray, y: np.ndarray, mask: np.ndarray
+) -> list[IncompleteDataset]:
+    """One IncompleteDataset per row of read-only (k, n) blocks cut from a validated Dataset.
+
+    y gets its holes once for the whole block; each dataset's columns are
+    row views of the blocks, not copies, and pass no check again: x1, x2
+    and y are finite already and y is NaN exactly where mask is true.
+    """
+    holes = y.copy()
+    holes[mask] = np.nan
+    holes.flags.writeable = False
+    return [
+        _trusted(IncompleteDataset, x1=x1[r], x2=x2[r], y=holes[r], mask=mask[r], truth_y=y[r])
+        for r in range(y.shape[0])
+    ]
+
+
 def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> IncompleteDataset:
     """Mask y entries of data according to spec.
 
     MCAR compares one uniform draw per row against PROP. MAR compares it
     against logistic(score + b): the score is standardized x1, and b is
     calibrated by solve_shift so the expected proportion equals PROP.
-    Rows with high x1 are censored more.
+    Rows with high x1 are censored more. This is the one-row block of
+    _mask_rows; solve_shift draws nothing, so drawing first moves no bit.
     """
-    n = len(data)
-    if spec.mechanism is Mechanism.MCAR:
-        probs = PROP
-    else:
-        with np.errstate(over="ignore"):
-            c = data.x1 - np.add.reduce(data.x1) / n  # np.std's own steps, bit for bit
-            ss = np.add.reduce(c * c)
-        if not math.isfinite(ss):  # x1 so large that its sum or squares overflow: rescale
-            x1 = data.x1 / np.abs(data.x1).max()
-            c = x1 - np.add.reduce(x1) / n
-            ss = np.add.reduce(c * c)
-        sd = math.sqrt(ss / n)
-        if sd == 0.0 or not math.isfinite(sd):
-            raise ValueError("amputation scores are constant: x1 does not vary")
-        score = c / sd
-        shift = solve_shift(score, PROP)
-        probs = _logistic(score + shift)
-    mask = stream.generator.random(n) < probs
-    y = data.y.copy()
-    y[mask] = np.nan
-    return IncompleteDataset(x1=data.x1, x2=data.x2, y=y, mask=mask, truth_y=data.y)
+    u = stream.generator.random(len(data))
+    x1, x2, y = (col[None, :] for col in (data.x1, data.x2, data.y))
+    (inc,) = _incomplete_rows(x1, x2, y, _mask_rows(x1, spec.mechanism, u[None, :]))
+    return inc

@@ -127,6 +127,19 @@ class ParamSet:
 _PARAM_FIELDS = tuple(f.name for f in fields(ParamSet))
 
 
+def _trusted(cls, **values):
+    """An instance of the frozen dataclass cls, skipping its __post_init__.
+
+    No copy and no check: every value must already be what __post_init__
+    would make of it (arrays read-only, float64 or bool, finite where the
+    class requires it), because it was cut from data that passed it.
+    """
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def coefficients(spec: PopulationSpec) -> tuple[float, float, float]:
     """Generator constants (beta1, beta2, noise_sd).
 
@@ -217,9 +230,14 @@ def ground_truth(spec: PopulationSpec) -> ParamSet:
     return ParamSet(mu=0.0, p90=10.0, mse_full=0.0, mse_missing=0.0, **moment_params(cov))
 
 
-def draw_sample(pop: Dataset, n: int, stream: RngStream) -> Dataset:
-    """Sample n rows without replacement from the population."""
+def _sample_rows(pop: Dataset, n: int, stream: RngStream) -> np.ndarray:
+    """Indices of n population rows drawn without replacement from stream."""
     if n > len(pop):
         raise ValueError(f"sample size {n} exceeds population size {len(pop)}")
-    idx = stream.generator.choice(len(pop), size=n, replace=False)
+    return stream.generator.choice(len(pop), size=n, replace=False)
+
+
+def draw_sample(pop: Dataset, n: int, stream: RngStream) -> Dataset:
+    """Sample n rows without replacement from the population."""
+    idx = _sample_rows(pop, n, stream)
     return Dataset(pop.x1[idx], pop.x2[idx], pop.y[idx])

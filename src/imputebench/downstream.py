@@ -50,19 +50,23 @@ def quantile(values, q: float) -> float:
     g = h - lo, or b - (b-a)(1-g) when g >= 0.5. Non-finite values raise
     ValueError; they sort to the ends, so the partition shows them.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
+    return float(_quantile_rows(np.asarray(values, dtype=np.float64).reshape(1, -1), q)[0])
+
+
+def _quantile_rows(rows: np.ndarray, q: float) -> np.ndarray:
+    """quantile of each row of a (k, n) block, from one partition along axis 1."""
+    if rows.shape[1] == 0:
         raise ValueError("quantile of an empty sequence")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0,1], got {q}")
-    last = arr.size - 1
+    last = rows.shape[1] - 1
     h = last * q
     lo = min(math.floor(h), last)
     hi = min(lo + 1, last)
-    part = np.partition(arr.ravel(), sorted({0, lo, hi, last}))
-    if not (math.isfinite(part[0]) and math.isfinite(part[last])):
+    part = np.partition(rows, sorted({0, lo, hi, last}), axis=1)
+    if not (np.isfinite(part[:, 0]).all() and np.isfinite(part[:, last]).all()):
         raise ValueError("quantile of non-finite values")
-    a, b, g = float(part[lo]), float(part[hi]), h - lo
+    a, b, g = part[:, lo], part[:, hi], h - lo
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
 
 
@@ -73,34 +77,61 @@ def estimate_params(completed: CompletedDataset, truth: Dataset) -> ParamSet:
     per call. sigma, rho, gamma, r2_y, delta and r2_x come from the
     sample covariance (ddof 1) of the completed (x1, x2, y) through
     datagen.moment_params, the algebra of the analytic truth. Before any
-    arithmetic, fewer than 4 rows or a constant column raise ValueError.
+    arithmetic, fewer than 4 rows or a constant column raise ValueError,
+    and so does a column whose centred products overflow. This is the
+    one-row block of _estimate_rows.
     """
     data = completed.data
-    n = len(data)
-    if n != len(truth):
+    if len(data) != len(truth):
         raise ValueError("completed and truth datasets must be row-aligned")
+    columns = (data.x1, data.x2, data.y, truth.y, completed.imputed_mask)
+    (params,) = _estimate_rows(*(col[None, :] for col in columns))
+    return params
+
+
+def _estimate_rows(
+    x1: np.ndarray, x2: np.ndarray, y: np.ndarray, truth_y: np.ndarray, mask: np.ndarray
+) -> list[ParamSet]:
+    """estimate_params of each row of C-contiguous (k, n) blocks, in one pass.
+
+    Row t of x1, x2 and y is a completed dataset, row t of truth_y its
+    truth and row t of mask its imputed rows. Every sum is np.add.reduce
+    along axis 1 (a pairwise sum, not a BLAS dot, whose bits depend on
+    its thread count), which sums each row of the block exactly as it
+    sums the row alone, so no row's estimate depends on the others. A
+    row that fails a check fails the block.
+    """
+    n = y.shape[1]
     if n <= 3:
         raise ValueError(f"need more than 3 rows, got {n}")
-    for name, col in data.columns.items():
-        if col.min() == col.max():
+    names = ("x1", "x2", "y")
+    for name, col in zip(names, (x1, x2, y)):
+        if (col.min(axis=1) == col.max(axis=1)).any():
             raise ValueError(f"column {name} is constant; downstream parameters undefined")
-    ydot = data.y
 
-    mu = float(np.add.reduce(ydot) / n)
-    centred = [col - np.add.reduce(col) / n for col in (data.x1, data.x2)] + [ydot - mu]
-    cov = np.empty((3, 3))
-    for i, j in combinations_with_replacement(range(3), 2):
-        # a pairwise sum, not a BLAS dot, whose bits depend on its thread count
-        cov[i, j] = cov[j, i] = np.add.reduce(centred[i] * centred[j]) / (n - 1)
-    p90 = 100.0 * (np.count_nonzero(ydot > quantile(truth.y, 0.9)) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [np.add.reduce(col, axis=1, keepdims=True) / n for col in (x1, x2, y)]
+        centred = [col - m for col, m in zip((x1, x2, y), means)]
+        cov = np.empty((y.shape[0], 3, 3))
+        for i, j in combinations_with_replacement(range(3), 2):
+            cov[:, i, j] = cov[:, j, i] = np.add.reduce(centred[i] * centred[j], axis=1) / (n - 1)
+    for i, name in enumerate(names):  # the off-diagonal sums are bounded by these
+        if not np.isfinite(cov[:, i, i]).all():
+            raise ValueError(f"column {name} is too large: its centred squares overflow")
+    mu = means[2][:, 0]
+    p90 = 100.0 * (np.count_nonzero(y > _quantile_rows(truth_y, 0.9)[:, None], axis=1) / n)
 
-    sq_err = (truth.y - ydot) ** 2
-    mse_full = float(np.add.reduce(sq_err) / n)
-    sq_mis = sq_err[completed.imputed_mask]
-    mse_missing = float(np.add.reduce(sq_mis) / sq_mis.size) if sq_mis.size else 0.0
-    return ParamSet(
-        mu=mu, p90=p90, mse_full=mse_full, mse_missing=mse_missing, **moment_params(cov)
-    )
+    sq_err = (truth_y - y) ** 2
+    mse_full = np.add.reduce(sq_err, axis=1) / n
+    out = []
+    for r in range(y.shape[0]):
+        sq_mis = sq_err[r][mask[r]]
+        mse_missing = float(np.add.reduce(sq_mis) / sq_mis.size) if sq_mis.size else 0.0
+        out.append(ParamSet(
+            mu=float(mu[r]), p90=float(p90[r]), mse_full=float(mse_full[r]),
+            mse_missing=mse_missing, **moment_params(cov[r]),
+        ))
+    return out
 
 
 def decompose_mse(

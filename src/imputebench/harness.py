@@ -7,6 +7,12 @@ private random streams (sampling, amputation, imputation) derived from
 the base seed, the cell's canonical index, and the replication number,
 so any cell or replication can be recomputed in isolation and results
 do not depend on execution order or worker count.
+
+A cell walks its replications in blocks: each replication still draws
+from its own streams, in order, and the arithmetic between the draws
+(gather, mask, estimate) runs once per block on (k, n) arrays whose row
+sums are each row's own sum. No byte depends on how replications are
+grouped into blocks; replication t alone is the block [t, t].
 """
 
 from __future__ import annotations
@@ -19,9 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .ampute import CompletedDataset, IncompleteDataset, Mechanism, MissingnessSpec, ampute
-from .datagen import Dataset, ParamSet, PopulationSpec, draw_sample, generate_population
-from .downstream import DecompositionResult, decompose_mse, estimate_params
+from .ampute import (
+    CompletedDataset,
+    IncompleteDataset,
+    Mechanism,
+    MissingnessSpec,
+    _incomplete_rows,
+    _mask_rows,
+)
+from .datagen import Dataset, ParamSet, PopulationSpec, _sample_rows, _trusted, generate_population
+from .downstream import DecompositionResult, _estimate_rows, decompose_mse, estimate_params
 from .imputers import (
     Draw,
     Forest,
@@ -41,6 +54,10 @@ _N_FIELDS = len(ParamSet.field_names())
 # the mse fields measure error against a zero truth and are never flagged
 _FLAGGABLE_FIELDS = 8
 _FIGURE_CELL = 2**24 - 1
+# a cell's replications run in blocks of this many sample values (16 of
+# 1,000 rows): enough to pay numpy's per-call cost once per block, few
+# enough to keep the blocks' memory small
+_BLOCK_VALUES = 2**14
 
 # The paper's grid, in report order: two signal levels (label, population)
 # crossed with two mechanisms. The labels also sort in this order, so the
@@ -125,12 +142,39 @@ def _rep_stream(cfg: ExperimentConfig, cell_id: int, t: int, purpose: Purpose):
     return make_stream(SeedSpec(cfg.base_seed, substream_id(cell_id, t, purpose)))
 
 
+def _frozen(block: np.ndarray) -> np.ndarray:
+    block.flags.writeable = False
+    return block
+
+
+def _masked_block(
+    cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: MissingnessSpec, first: int, last: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Samples of pop for replications first..last and their amputations.
+
+    Returns the read-only (k, n) blocks x1, x2, y and mask, row i being
+    replication first + i. Each replication draws its rows from its
+    sampling stream and one uniform per row from its amputation stream,
+    in replication order; the gather and the masking arithmetic then run
+    once for the block.
+    """
+    reps = range(first, last + 1)
+    idx = np.empty((len(reps), cfg.n_sample), dtype=np.intp)
+    u = np.empty((len(reps), cfg.n_sample))
+    for i, t in enumerate(reps):
+        idx[i] = _sample_rows(pop, cfg.n_sample, _rep_stream(cfg, cell_id, t, Purpose.SAMPLING))
+        u[i] = _rep_stream(cfg, cell_id, t, Purpose.AMPUTATION).generator.random(cfg.n_sample)
+    x1, x2, y = (_frozen(col[idx]) for col in (pop.x1, pop.x2, pop.y))
+    return x1, x2, y, _mask_rows(x1, mech.mechanism, u)
+
+
 def _sample_and_mask(
     cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: MissingnessSpec, t: int
 ) -> tuple[Dataset, IncompleteDataset]:
-    """Replication t's sample of pop and its amputation, from the cell's streams."""
-    sample = draw_sample(pop, cfg.n_sample, _rep_stream(cfg, cell_id, t, Purpose.SAMPLING))
-    return sample, ampute(sample, mech, _rep_stream(cfg, cell_id, t, Purpose.AMPUTATION))
+    """Replication t's sample of pop and its amputation: the block [t, t]."""
+    x1, x2, y, mask = _masked_block(cfg, pop, cell_id, mech, t, t)
+    (inc,) = _incomplete_rows(x1, x2, y, mask)
+    return _trusted(Dataset, x1=inc.x1, x2=inc.x2, y=inc.truth_y), inc
 
 
 # =====================================================================
@@ -170,18 +214,49 @@ def _failures_named(name: str, t: int | None = None):
         raise RuntimeError(f"{name} failed{where}: {exc}") from exc
 
 
-def _replicate(pop: Dataset, cell: _Cell, cfg: ExperimentConfig, t: int) -> ParamSet:
-    sample, inc = _sample_and_mask(cfg, pop, cell.cell_id, cell.mech, t)
-    completed = cell.method.impute(inc, _rep_stream(cfg, cell.cell_id, t, Purpose.IMPUTATION))
-    return estimate_params(completed, sample)
+def _block_params(
+    pop: Dataset, cell: _Cell, cfg: ExperimentConfig, first: int, last: int
+) -> np.ndarray:
+    """The parameter rows of replications first..last of a cell, one row each.
+
+    Each replication is imputed alone on its own imputation stream; the
+    completed y goes into one (k, n) block, estimated in one pass. A
+    method's completion keeps the replication's x1, x2 and mask, as
+    CompletedDataset.from_imputation does.
+    """
+    x1, x2, y, mask = _masked_block(cfg, pop, cell.cell_id, cell.mech, first, last)
+    completed = np.empty_like(y)
+    for i, inc in enumerate(_incomplete_rows(x1, x2, y, mask)):
+        stream = _rep_stream(cfg, cell.cell_id, first + i, Purpose.IMPUTATION)
+        completed[i] = cell.method.impute(inc, stream).data.y
+    return np.array([p.as_array() for p in _estimate_rows(x1, x2, completed, y, mask)])
+
+
+def _cell_reps(pop: Dataset, cell: _Cell, cfg: ExperimentConfig) -> np.ndarray:
+    """The parameters of each of a cell's replications, row t - 1 for replication t.
+
+    Replications run in blocks of _BLOCK_VALUES // n_sample (at least
+    one); no byte depends on the block size. When a block fails, its
+    replications are rerun one at a time, so the error names the first
+    replication that fails, as a serial run would.
+    """
+    reps = np.empty((cfg.t_rep, _N_FIELDS))
+    k = max(1, _BLOCK_VALUES // cfg.n_sample)
+    for first in range(1, cfg.t_rep + 1, k):
+        last = min(first + k - 1, cfg.t_rep)
+        try:
+            reps[first - 1:last] = _block_params(pop, cell, cfg, first, last)
+        except Exception as exc:
+            for t in range(first, last + 1):
+                with _failures_named(cell.name, t):
+                    _block_params(pop, cell, cfg, t, t)
+            raise RuntimeError(f"{cell.name} failed at replications {first}-{last}: {exc}") from exc
+    return reps
 
 
 def _cell_stats(pop: Dataset, cell: _Cell, cfg: ExperimentConfig) -> tuple[ParamSet, np.ndarray]:
     """Field-wise mean and Monte Carlo standard error over replications."""
-    reps = np.empty((cfg.t_rep, _N_FIELDS))
-    for t in range(1, cfg.t_rep + 1):
-        with _failures_named(cell.name, t):
-            reps[t - 1] = _replicate(pop, cell, cfg, t).as_array()
+    reps = _cell_reps(pop, cell, cfg)
     mean = reps.mean(axis=0)
     if cfg.t_rep > 1:
         stderr = reps.std(axis=0, ddof=1) / math.sqrt(cfg.t_rep)

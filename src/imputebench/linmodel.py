@@ -52,22 +52,26 @@ class OlsFit:
 def fit_ols(x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> OlsFit:
     """Fit y ~ x1 + x2 with an intercept.
 
-    Raises InsufficientDataError on 3 rows or fewer and
-    SingularDesignError when the centred determinant s11 s22 - s12^2 is
-    not above _COLLINEAR_FLOOR * s11 * s22.
+    Raises InsufficientDataError on 3 rows or fewer, ValueError when a
+    centred sum of squares or products overflows, and SingularDesignError
+    when the centred determinant s11 s22 - s12^2 is not above
+    _COLLINEAR_FLOOR * s11 * s22.
     """
     n = y.size
     if x1.size != n or x2.size != n:
         raise ValueError(f"columns differ in length: {x1.size}, {x2.size}, {n}")
     if n <= 3:
         raise InsufficientDataError(f"need more than 3 rows, got {n}")
-    m1, m2, my = (float(np.add.reduce(col)) / n for col in (x1, x2, y))
-    c1, c2, cy = x1 - m1, x2 - m2, y - my
-    s11 = float(np.add.reduce(c1 * c1))
-    s12 = float(np.add.reduce(c1 * c2))
-    s22 = float(np.add.reduce(c2 * c2))
-    s1y = float(np.add.reduce(c1 * cy))
-    s2y = float(np.add.reduce(c2 * cy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2, my = (float(np.add.reduce(col)) / n for col in (x1, x2, y))
+        c1, c2, cy = x1 - m1, x2 - m2, y - my
+        s11 = float(np.add.reduce(c1 * c1))
+        s12 = float(np.add.reduce(c1 * c2))
+        s22 = float(np.add.reduce(c2 * c2))
+        s1y = float(np.add.reduce(c1 * cy))
+        s2y = float(np.add.reduce(c2 * cy))
+    if not all(map(math.isfinite, (s11, s12, s22, s1y, s2y))):
+        raise ValueError("the centred sums of x1, x2 and y overflow: values too large to fit")
     det = s11 * s22 - s12 * s12
     if not det > _COLLINEAR_FLOOR * s11 * s22:
         raise SingularDesignError("the predictors x1 and x2 are collinear")

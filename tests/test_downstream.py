@@ -251,6 +251,16 @@ class TestEstimateParams:
         with pytest.raises(ValueError, match=f"column {column} is constant"):
             estimate_params(_complete(data.x1, data.x2, data.y), data)
 
+    @pytest.mark.parametrize("column", ["x1", "x2", "y"])
+    def test_overflowing_column_named(self, column):
+        # 1e160-scale deviations square past float64; this used to warn and
+        # then fail the ParamSet check with r2 fields of NaN
+        cols = dict(zip(("x1", "x2", "y"), np.random.default_rng(15).normal(size=(3, 50))))
+        cols[column] = 1e160 * cols[column]
+        data = Dataset(**cols)
+        with pytest.raises(ValueError, match=f"column {column} is too large: its centred squares overflow"):
+            estimate_params(_complete(data.x1, data.x2, data.y), data)
+
     @pytest.mark.parametrize("regression", ["y ~ x1 + x2", "x1 ~ y + x2"])
     def test_collinear_regression_named(self, regression):
         x1, x2 = np.random.default_rng(12).normal(size=(2, 20))

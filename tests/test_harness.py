@@ -1,9 +1,9 @@
-from dataclasses import fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
-from imputebench.ampute import Mechanism, MissingnessSpec, ampute
+from imputebench.ampute import CompletedDataset, Mechanism, MissingnessSpec, ampute
 from imputebench.cli import parse_and_dispatch
 from imputebench.datagen import (
     PopulationSpec,
@@ -19,6 +19,10 @@ from imputebench.harness import (
     SIGNALS,
     ExperimentConfig,
     SummaryTable,
+    _BLOCK_VALUES,
+    _build_population,
+    _cell_reps,
+    _Cell,
     export_figure_data,
     format_table,
     run_decomposition,
@@ -131,6 +135,73 @@ class TestRunCell:
             match=r"cell \(signal=high, method=predict, mechanism=MCAR\) failed at replication 1",
         ):
             run_table1(cfg)
+
+
+# n_sample 500 fills a block with 32 replications; this many is a full block and 3
+BLOCK_REPS = _BLOCK_VALUES // 500 + 3
+HIGH_PREDICT_MCAR = 3
+LOW_PREDICT_MAR = 6
+LOW_PREDICT_MCAR = 7
+
+
+def _imputation_streams(cfg, cell_id, reps):
+    return frozenset(
+        repr(make_stream(SeedSpec(cfg.base_seed, substream_id(cell_id, t, Purpose.IMPUTATION))))
+        for t in reps
+    )
+
+
+@dataclass(frozen=True)
+class _PredictExceptOn(Predict):
+    """predict, except on the imputation streams in ``streams``: there it
+    imputes 1e200 if ``huge``, and raises otherwise."""
+
+    streams: frozenset = frozenset()
+    huge: bool = False
+
+    def impute(self, inc, stream):
+        if repr(stream) not in self.streams:
+            return super().impute(inc, stream)
+        if self.huge:
+            return CompletedDataset.from_imputation(inc, np.full(inc.n_missing, 1e200), self)
+        raise ValueError("imputer refused on purpose")
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("method,mech,cell_id", [
+        (Predict(), Mechanism.MCAR, LOW_PREDICT_MCAR),
+        (Predict(), Mechanism.MAR_RIGHT, LOW_PREDICT_MAR),
+        (Draw(), Mechanism.MCAR, LOW_DRAW_MCAR),
+        (Draw(), Mechanism.MAR_RIGHT, LOW_DRAW_MAR),
+    ], ids=["predict-MCAR", "predict-MAR", "draw-MCAR", "draw-MAR"])
+    def test_every_replication_equals_its_replay(self, method, mech, cell_id):
+        cfg = _tiny_cfg(t_rep=BLOCK_REPS)
+        spec = MissingnessSpec(mech)
+        reps = _cell_reps(_build_population(cfg, 1), _Cell(cell_id, 1, method, spec), cfg)
+        for t in range(1, cfg.t_rep + 1):
+            want = _replay(cfg, spec, method, cell_id, t)
+            assert reps[t - 1].tobytes() == want.tobytes(), t
+
+    def test_imputer_failure_names_its_replication(self):
+        # 35 and 38 both fail, in the second block; a serial run meets 35 first
+        cfg = _tiny_cfg(t_rep=BLOCK_REPS + 5)
+        failing = _PredictExceptOn(_imputation_streams(cfg, HIGH_PREDICT_MCAR, (35, 38)))
+        with pytest.raises(
+            RuntimeError,
+            match=r"cell \(signal=high, method=predict, mechanism=MCAR\) failed at "
+                  r"replication 35: imputer refused on purpose$",
+        ):
+            run_table1(replace(cfg, methods=(failing, Draw())))
+
+    def test_estimate_overflow_names_its_replication(self):
+        cfg = _tiny_cfg(t_rep=BLOCK_REPS)
+        huge = _PredictExceptOn(_imputation_streams(cfg, HIGH_PREDICT_MCAR, (34,)), huge=True)
+        with pytest.raises(
+            RuntimeError,
+            match=r"cell \(signal=high, method=predict, mechanism=MCAR\) failed at "
+                  r"replication 34: column y is too large: its centred squares overflow$",
+        ):
+            run_table1(replace(cfg, methods=(huge, Draw())))
 
 
 class TestRunTable1:

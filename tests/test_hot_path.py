@@ -3,10 +3,11 @@
 A table1 replication calls ``np.add.reduce``, ``np.count_nonzero`` and
 ``ndarray.all`` where numpy's ``mean``/``all``/``std`` wrappers would call
 the same reductions through several Python layers. These tests check that
-the direct forms give the wrappers' bits, that the wrappers stay off the
-path, that a replication builds a generator only for the streams it
-draws from, and that the table1 cells and pmm call no numpy.linalg
-function, whose bits can depend on the BLAS thread count.
+the direct forms give the wrappers' bits, that k rows stacked into a
+block give each row's own bits, that the wrappers stay off the path,
+that a replication builds a generator only for the streams it draws
+from, and that the table1 cells and pmm call no numpy.linalg function,
+whose bits can depend on the BLAS thread count.
 """
 
 import math
@@ -19,10 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import imputebench.ampute as ampute_module
-from imputebench.ampute import CompletedDataset, Mechanism, MissingnessSpec, ampute
+from imputebench.ampute import CompletedDataset, Mechanism, MissingnessSpec, _mask_rows, ampute
 from imputebench.datagen import Dataset, ParamSet, draw_sample, moment_params
-from imputebench.downstream import estimate_params, quantile
-from imputebench.harness import ExperimentConfig, _assign_cells, _build_population, _replicate
+from imputebench.downstream import _estimate_rows, estimate_params, quantile
+from imputebench.harness import ExperimentConfig, _assign_cells, _block_params, _build_population
 from imputebench.imputers import Draw, Predict, impute_pmm
 from imputebench.stochastics import SeedSpec, make_stream
 
@@ -153,7 +154,69 @@ def test_estimate_params_equals_wrapper_reference_on_regression_data(x1, seed):
 
 
 # ---------------------------------------------------------------------
-# one replication of each table1 cell
+# blocks: k stacked rows give each row's own bits
+# ---------------------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(block=arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 3000)), elements=_ELEMENTS))
+def test_row_sums_of_a_block_are_each_rows_own_sum(block):
+    # why the block path moves no bit: np.add.reduce along axis 1 of a
+    # C-contiguous block runs the pairwise sum of each row alone
+    got = np.add.reduce(block, axis=1)
+    assert _bits(got) == b"".join(_bits(np.add.reduce(row)) for row in block)
+    assert _bits(np.add.reduce(block, axis=1, keepdims=True)) == _bits(got)
+
+
+@st.composite
+def _stacked_rows(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 1500))
+    cols = [draw(arrays(np.float64, (k, n), elements=_ELEMENTS)) for _ in range(4)]
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = gen.random((k, n)) < draw(st.floats(0.0, 1.0))
+    return cols, mask
+
+
+@settings(deadline=None)
+@given(block=_stacked_rows())
+def test_block_estimator_equals_estimate_params_per_row(block):
+    (x1, x2, y, truth_y), mask = block
+    rows = []
+    for r in range(y.shape[0]):
+        completed = CompletedDataset(data=Dataset(x1[r], x2[r], y[r]), imputed_mask=mask[r], method=None)
+        truth = Dataset(x1[r], x2[r], truth_y[r])
+        rows.append(_outcome(lambda: estimate_params(completed, truth).as_array()))
+    got = _outcome(lambda: [p.as_array() for p in _estimate_rows(x1, x2, y, truth_y, mask)])
+    if all(isinstance(row, bytes) for row in rows):
+        assert got == b"".join(rows)
+    else:  # the block fails as one of its rows does alone
+        assert got in [row for row in rows if isinstance(row, str)]
+
+
+@pytest.mark.parametrize("mechanism", [Mechanism.MCAR, Mechanism.MAR_RIGHT])
+@settings(deadline=None, max_examples=25)
+@given(
+    x1=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 1500)),
+              elements=st.floats(-1e3, 1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_masks_equal_ampute_per_row(mechanism, x1, seed):
+    streams = [make_stream(SeedSpec(seed, r)) for r in range(x1.shape[0])]
+    u = np.array([make_stream(SeedSpec(seed, r)).generator.random(x1.shape[1]) for r in range(x1.shape[0])])
+    rows = [
+        _outcome(lambda: ampute(Dataset(row, row, row), MissingnessSpec(mechanism), stream).mask)
+        for row, stream in zip(x1, streams)
+    ]
+    got = _outcome(lambda: _mask_rows(x1, mechanism, u))
+    if all(isinstance(row, bytes) for row in rows):
+        assert got == b"".join(rows)
+    else:
+        assert got in [row for row in rows if isinstance(row, str)]
+
+
+# ---------------------------------------------------------------------
+# one replication of each table1 cell: the one-replication block
 # ---------------------------------------------------------------------
 
 _CFG = ExperimentConfig(n_sample=300, t_rep=1, base_seed=123, pop_size=5_000)
@@ -180,7 +243,7 @@ def test_replication_calls_no_numpy_reduction_wrapper(monkeypatch, cell):
     calls = {}
     for name in ("mean", "all", "any", "std"):
         _counting(monkeypatch, np, name, calls)
-    _replicate(pop, cell, _CFG, 1)
+    _block_params(pop, cell, _CFG, 1, 1)
     assert calls == {}
 
 
@@ -190,7 +253,7 @@ def test_replication_builds_a_generator_per_drawn_stream(monkeypatch, cell):
     pop = _build_population(_CFG, cell.level)
     calls = {}
     _counting(monkeypatch, np.random, "Generator", calls)
-    _replicate(pop, cell, _CFG, 1)
+    _block_params(pop, cell, _CFG, 1, 1)
     assert calls == {"Generator": 3 if cell.method.label == "draw" else 2}
 
 
@@ -221,5 +284,5 @@ def test_table1_cells_and_pmm_call_no_numpy_linalg(monkeypatch):
     with pytest.raises(AssertionError, match="numpy.linalg.solve called"):
         np.linalg.solve(np.eye(2), np.ones(2))
     for cell in _TABLE1_CELLS:
-        _replicate(pop, cell, _CFG, 1)
+        _block_params(pop, cell, _CFG, 1, 1)
     impute_pmm(inc, make_stream(SeedSpec(5, 2)))

@@ -67,6 +67,15 @@ class TestFitOls:
         with pytest.raises(SingularDesignError):
             fit_ols(x1, x2, y)
 
+    def test_overflowing_sums_are_not_collinearity(self):
+        # the squares of 1e160-scale deviations overflow float64; the suite's
+        # filter turns numpy's overflow warning into an error, and without it
+        # the NaN determinant used to read as collinear predictors
+        x1, x2, y = _random_columns(14, 50)
+        with pytest.raises(ValueError, match="overflow") as info:
+            fit_ols(1e160 * x1, 1e160 * x2, y)
+        assert not isinstance(info.value, SingularDesignError)
+
     def test_too_few_rows(self):
         x1, x2, y = _random_columns(0, 3)
         with pytest.raises(InsufficientDataError):
