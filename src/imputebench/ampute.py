@@ -126,14 +126,52 @@ class CompletedDataset:
             raise ValueError(
                 f"expected {inc.n_missing} imputed values, got shape {values.shape}"
             )
-        if not np.isfinite(values).all():
-            raise ValueError("column y contains non-finite values")
         # inc's x1, x2 and observed y are validated and read-only: only y changes
-        y = inc.y.copy()
-        y[inc.mask] = values
-        y.flags.writeable = False
-        data = _trusted(Dataset, x1=inc.x1, x2=inc.x2, y=y)
+        data = _trusted(Dataset, x1=inc.x1, x2=inc.x2, y=_filled(inc.y, inc.mask, values))
         return _trusted(cls, data=data, imputed_mask=inc.mask, method=method)
+
+
+def _filled(y: np.ndarray, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A read-only copy of y with values, which must be finite, at mask (row-major)."""
+    if not np.isfinite(values).all():
+        raise ValueError("column y contains non-finite values")
+    out = y.copy()
+    out.reshape(-1)[np.flatnonzero(mask)] = values
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class IncompleteBlock:
+    """k incomplete datasets of n rows as read-only (k, n) blocks.
+
+    Row i of each column is dataset i, with IncompleteDataset's meaning
+    and invariants; the harness cuts the blocks from a validated
+    population, so they are not checked again.
+    """
+
+    x1: np.ndarray
+    x2: np.ndarray
+    y: np.ndarray
+    mask: np.ndarray
+    truth_y: np.ndarray
+
+    @classmethod
+    def of(cls, inc: IncompleteDataset) -> "IncompleteBlock":
+        """inc as the block of one dataset."""
+        return cls(*(col[None, :] for col in (inc.x1, inc.x2, inc.y, inc.mask, inc.truth_y)))
+
+    def datasets(self) -> list[IncompleteDataset]:
+        """One IncompleteDataset per row, whose columns are row views of the blocks."""
+        return [
+            _trusted(IncompleteDataset, x1=self.x1[r], x2=self.x2[r], y=self.y[r],
+                     mask=self.mask[r], truth_y=self.truth_y[r])
+            for r in range(self.y.shape[0])
+        ]
+
+    def filled(self, values: np.ndarray) -> np.ndarray:
+        """The completed y block: y with values (finite, row-major) at mask."""
+        return _filled(self.y, self.mask, values)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -142,38 +180,106 @@ def _logistic(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _certified_bracket(s: np.ndarray, prop: float) -> tuple[float, float]:
-    """Shifts (low, high) whose gap is below -2 tol and above 2 tol; -inf, inf if none is found.
+def _shift_search(prop: float):
+    """One row's search for its shift, as a coroutine.
 
-    Newton steps on the gap from b = 0, with slope mean(p(1 - p)) from
-    the same pass, then one probe 4 tol / slope to either side of the
-    last step. Every probe whose gap is past -2 tol or 2 tol (tol is
-    _SHIFT_TOL) settles that side; a probe at +-inf settles nothing.
+    It yields (b, slope) for each shift b whose gap it must evaluate,
+    slope true when it also reads the slope there, and is sent back
+    (gap, slope); it returns the shift or raises ValueError. The gap is
+    mean(logistic(s + b)) - prop and the slope mean(p(1 - p)), both over
+    the row's scores s.
+
+    First it certifies a bracket: Newton steps on the gap from b = 0,
+    then one probe 4 tol / slope to either side of the last step. Every
+    probe whose gap is past -2 tol or 2 tol (tol is _SHIFT_TOL) settles
+    that side as `low` or `high`; a probe at +-inf settles nothing. Then
+    it bisects on an expanding bracket, stopping once the gap is within
+    tol, and evaluates no shift whose outcome is already known: at or
+    below `low` the gap is negative and not converged, at or above
+    `high` positive and not converged. Float add, divide and mean are
+    monotone under rounding and np.exp errs by an ulp or two, so the
+    evaluated gap there is past 2 tol - 1e-15 on the same side, and the
+    midpoints, the stop and the returned shift are bit-identical to
+    evaluating every step.
     """
     low, high = -math.inf, math.inf
 
-    def probe(b: float) -> tuple[float, float]:
+    def settle(b: float, g: float) -> None:
         nonlocal low, high
-        p = _logistic(s + b)
-        g = float(np.add.reduce(p) / p.size) - prop
         if g < -2.0 * _SHIFT_TOL:
             low = max(low, b)
         elif g > 2.0 * _SHIFT_TOL:
             high = min(high, b)
-        return g, float(np.add.reduce(p * (1.0 - p)) / p.size)
 
     b = 0.0
     for _ in range(_NEWTON_STEPS):
-        g, slope = probe(b)
-        if not slope > 0.0:
-            return low, high
-        if abs(g) < _SHIFT_TOL:
+        g, slope = yield b, True
+        settle(b, g)
+        if not slope > 0.0 or abs(g) < _SHIFT_TOL:
             break
         b -= g / slope
-    step = 4.0 * _SHIFT_TOL / slope
-    probe(b - step)
-    probe(b + step)
-    return low, high
+    if slope > 0.0:
+        step = 4.0 * _SHIFT_TOL / slope
+        for probe in (b - step, b + step):
+            settle(probe, (yield probe, False)[0])
+
+    def gap(b: float):
+        if b <= low:
+            return -math.inf
+        if b >= high:
+            return math.inf
+        return (yield b, False)[0]
+
+    lo, hi = -1.0, 1.0
+    while (yield from gap(lo)) > 0:
+        lo *= 2.0
+    while (yield from gap(hi)) < 0:
+        hi *= 2.0
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        g = yield from gap(mid)
+        if abs(g) < _SHIFT_TOL:
+            return mid
+        if g < 0:
+            lo = mid
+        else:
+            hi = mid
+    g = (yield mid, False)[0]
+    raise ValueError(f"no shift calibrates the scores to prop {prop}: gap {g:.3g} remains")
+
+
+def _solve_shifts(scores: np.ndarray, prop: float) -> np.ndarray:
+    """solve_shift of each row of a (k, n) block of scores, in rounds.
+
+    Every row runs its own _shift_search. A round evaluates the shift
+    each unfinished row asks for in one _logistic pass over those rows,
+    so a block takes as many passes as its slowest row; np.add.reduce
+    along axis 1 gives each row the bits of its own sum. A row whose
+    search fails fails the block with its own message.
+    """
+    if scores.shape[1] == 0 or not np.isfinite(scores).all():
+        raise ValueError("scores must be non-empty and finite")
+    if not 0.0 < prop < 1.0:
+        raise ValueError(f"prop must lie strictly in (0,1), got {prop}")
+    n = scores.shape[1]
+    shifts = np.empty(scores.shape[0])
+    searches = [_shift_search(prop) for _ in range(scores.shape[0])]
+    asks = {r: next(search) for r, search in enumerate(searches)}
+    while asks:
+        rows = list(asks)
+        b = np.array([asks[r][0] for r in rows])
+        p = _logistic((scores[rows] if len(rows) < len(shifts) else scores) + b[:, None])
+        gaps = (np.add.reduce(p, axis=1) / n - prop).tolist()
+        wanted = [i for i, r in enumerate(rows) if asks[r][1]]
+        q = p[wanted]
+        slopes = dict(zip(wanted, (np.add.reduce(q * (1.0 - q), axis=1) / n).tolist()))
+        for i, (r, g) in enumerate(zip(rows, gaps)):
+            try:
+                asks[r] = searches[r].send((g, slopes.get(i)))
+            except StopIteration as done:
+                shifts[r] = done.value
+                del asks[r]
+    return shifts
 
 
 def solve_shift(scores, prop: float) -> float:
@@ -183,51 +289,12 @@ def solve_shift(scores, prop: float) -> float:
     bisection on an expanding bracket converges; iteration stops once the
     calibration error is below 1e-8 (well inside the 1e-6 contract).
     Scores so large that float spacing leaves no shift within 1e-8 of prop
-    raise ValueError.
-
-    The bisection skips every evaluation whose outcome is already known:
-    at or below the `low` of _certified_bracket the gap is negative and
-    not converged, at or above `high` positive and not converged. Float
-    add, divide and mean are monotone under rounding and np.exp errs by
-    an ulp or two, so the evaluated gap there is past 2 tol - 1e-15 on
-    the same side, and the midpoints, the stop and the returned shift
-    are bit-identical to evaluating every step.
+    raise ValueError. A certified bracket lets the bisection skip every
+    evaluation whose outcome is known (_shift_search). This is the
+    one-row block of _solve_shifts.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.size == 0 or not np.isfinite(s).all():
-        raise ValueError("scores must be non-empty and finite")
-    if not 0.0 < prop < 1.0:
-        raise ValueError(f"prop must lie strictly in (0,1), got {prop}")
-
-    def evaluated_gap(b: float) -> float:
-        return float(np.add.reduce(_logistic(s + b)) / s.size) - prop
-
-    low, high = _certified_bracket(s, prop)
-
-    def gap(b: float) -> float:
-        if b <= low:
-            return -math.inf
-        if b >= high:
-            return math.inf
-        return evaluated_gap(b)
-
-    lo, hi = -1.0, 1.0
-    while gap(lo) > 0:
-        lo *= 2.0
-    while gap(hi) < 0:
-        hi *= 2.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        if abs(g) < _SHIFT_TOL:
-            return mid
-        if g < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise ValueError(
-        f"no shift calibrates the scores to prop {prop}: gap {evaluated_gap(mid):.3g} remains"
-    )
+    return float(_solve_shifts(s.reshape(1, -1), prop)[0])
 
 
 def _mask_rows(x1: np.ndarray, mechanism: Mechanism, u: np.ndarray) -> np.ndarray:
@@ -253,29 +320,25 @@ def _mask_rows(x1: np.ndarray, mechanism: Mechanism, u: np.ndarray) -> np.ndarra
         if not ((sd != 0.0) & np.isfinite(sd)).all():
             raise ValueError("amputation scores are constant: x1 does not vary")
         score = c / sd
-        shift = np.array([solve_shift(row, PROP) for row in score])
-        probs = _logistic(score + shift[:, None])
+        probs = _logistic(score + _solve_shifts(score, PROP)[:, None])
     mask = u < probs
     mask.flags.writeable = False
     return mask
 
 
-def _incomplete_rows(
+def _incomplete_block(
     x1: np.ndarray, x2: np.ndarray, y: np.ndarray, mask: np.ndarray
-) -> list[IncompleteDataset]:
-    """One IncompleteDataset per row of read-only (k, n) blocks cut from a validated Dataset.
+) -> IncompleteBlock:
+    """The IncompleteBlock of read-only (k, n) blocks cut from a validated Dataset.
 
-    y gets its holes once for the whole block; each dataset's columns are
-    row views of the blocks, not copies, and pass no check again: x1, x2
-    and y are finite already and y is NaN exactly where mask is true.
+    y gets its holes once for the whole block, and nothing is checked
+    again: x1, x2 and y are finite already and the holes are exactly
+    where mask is true.
     """
     holes = y.copy()
-    holes[mask] = np.nan
+    holes.reshape(-1)[np.flatnonzero(mask)] = np.nan
     holes.flags.writeable = False
-    return [
-        _trusted(IncompleteDataset, x1=x1[r], x2=x2[r], y=holes[r], mask=mask[r], truth_y=y[r])
-        for r in range(y.shape[0])
-    ]
+    return IncompleteBlock(x1=x1, x2=x2, y=holes, mask=mask, truth_y=y)
 
 
 def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> IncompleteDataset:
@@ -289,5 +352,5 @@ def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> Incomplet
     """
     u = stream.generator.random(len(data))
     x1, x2, y = (col[None, :] for col in (data.x1, data.x2, data.y))
-    (inc,) = _incomplete_rows(x1, x2, y, _mask_rows(x1, spec.mechanism, u[None, :]))
+    (inc,) = _incomplete_block(x1, x2, y, _mask_rows(x1, spec.mechanism, u[None, :])).datasets()
     return inc

@@ -173,8 +173,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 def parse_and_dispatch(argv=None) -> int:
     """Parse argv and run the chosen subcommand.
 
-    Returns the process exit status: 0 on success, 1 on runtime errors;
-    argparse itself exits with 2 on usage errors.
+    Returns the process exit status: 0 on success, 1 on runtime errors
+    (an allocation too large for memory among them); argparse itself
+    exits with 2 on usage errors.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -184,10 +185,14 @@ def parse_and_dispatch(argv=None) -> int:
         parser.error(f"argument --repeats: must be at least 2, got {args.repeats}")
     try:
         return _dispatch(args)
-    except (CliError, RuntimeError, ValueError, OSError) as exc:
+    except (CliError, RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"imputebench: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
     sys.exit(parse_and_dispatch())
+
+
+if __name__ == "__main__":
+    main()

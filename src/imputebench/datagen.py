@@ -105,12 +105,7 @@ class ParamSet:
     mse_missing: float
 
     def __post_init__(self):
-        if not -1e-9 <= self.r2_y <= 1 + 1e-9 or not -1e-9 <= self.r2_x <= 1 + 1e-9:
-            raise ValueError(f"r2 fields must lie in [0,1], got {self.r2_y}, {self.r2_x}")
-        if not 0.0 <= self.p90 <= 100.0:
-            raise ValueError(f"p90 must be a percentage, got {self.p90}")
-        if self.mse_full < 0 or self.mse_missing < 0:
-            raise ValueError("mse fields must be non-negative")
+        _check_params(self.as_array()[None, :])
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in _PARAM_FIELDS])
@@ -125,6 +120,30 @@ class ParamSet:
 
 
 _PARAM_FIELDS = tuple(f.name for f in fields(ParamSet))
+_R2_Y, _R2_X, _P90, _MSE_FULL, _MSE_MISSING = map(
+    _PARAM_FIELDS.index, ("r2_y", "r2_x", "p90", "mse_full", "mse_missing")
+)
+
+
+def _check_params(rows: np.ndarray) -> None:
+    """ParamSet's checks on each row of a (k, 10) array of field values.
+
+    Raises the ValueError ParamSet raises for the first row that fails,
+    with its first failing check's message.
+    """
+    r2_y, r2_x, p90 = rows[:, _R2_Y], rows[:, _R2_X], rows[:, _P90]
+    bad_r2 = ~((-1e-9 <= r2_y) & (r2_y <= 1 + 1e-9) & (-1e-9 <= r2_x) & (r2_x <= 1 + 1e-9))
+    bad_p90 = ~((0.0 <= p90) & (p90 <= 100.0))
+    bad_mse = (rows[:, _MSE_FULL] < 0) | (rows[:, _MSE_MISSING] < 0)
+    bad = bad_r2 | bad_p90 | bad_mse
+    if not bad.any():
+        return
+    r = int(bad.argmax())
+    if bad_r2[r]:
+        raise ValueError(f"r2 fields must lie in [0,1], got {float(r2_y[r])}, {float(r2_x[r])}")
+    if bad_p90[r]:
+        raise ValueError(f"p90 must be a percentage, got {float(p90[r])}")
+    raise ValueError("mse fields must be non-negative")
 
 
 def _trusted(cls, **values):
@@ -138,6 +157,27 @@ def _trusted(cls, **values):
     for name, value in values.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _row_slices(counts: np.ndarray) -> list[slice]:
+    """Where each row lies in a row-major concatenation of rows counts[i] long."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.add.reduce of each row's slice of a row-major concatenation.
+
+    values holds k rows' values one after another along its last axis,
+    counts[i] of them for row i; the result has one sum per row in its
+    last axis. Each is a pairwise sum over that row's contiguous values
+    alone, the sum of the row by itself, which np.add.reduceat is not.
+    """
+    values = np.ascontiguousarray(values)  # a strided last axis would sum in another order
+    sums = np.empty(values.shape[:-1] + (len(counts),))
+    for i, row in enumerate(_row_slices(counts)):
+        sums[..., i] = np.add.reduce(values[..., row], axis=-1)
+    return sums
 
 
 def coefficients(spec: PopulationSpec) -> tuple[float, float, float]:
@@ -173,42 +213,49 @@ def generate_population(spec: PopulationSpec, stream: RngStream) -> Dataset:
     return Dataset(x1, x2, y)
 
 
-def moment_params(cov) -> Dict[str, float]:
+def moment_params(cov) -> Dict[str, np.ndarray]:
     """The six regression fields of a table row from the covariance of (x1, x2, y).
 
-    sigma and rho (of y with x1) are read off the matrix. gamma and r2_y
-    come from y ~ x1 + x2, delta and r2_x from x1 ~ y + x2. Each is OLS
-    with an intercept, which on centred moments is the 2x2 system S b = c
-    (S the predictors' covariance, c their covariance with the response);
-    R^2 = b'c / var(response), clipped to [0, 1]. ground_truth passes the
-    population covariance, estimate_params a sample's.
+    cov is one 3x3 covariance or a stack of them, shape (..., 3, 3); each
+    field has the stack's shape (a numpy scalar for one matrix). sigma and
+    rho (of y with x1) are read off the matrix. gamma and r2_y come from
+    y ~ x1 + x2, delta and r2_x from x1 ~ y + x2. Each is OLS with an
+    intercept, which on centred moments is the 2x2 system S b = c (S the
+    predictors' covariance, c their covariance with the response);
+    R^2 = b'c / var(response), clipped to [0, 1] as min(max(R^2, 0.0), 1.0)
+    clips a Python float, so NaN and -0.0 pass unchanged. ground_truth
+    passes the population covariance, estimate_params the sample ones.
 
     Raises ValueError naming the regression when 1 - r^2 of its two
-    predictors is below _COLLINEAR_FLOOR.
+    predictors is below _COLLINEAR_FLOOR in any matrix of the stack.
     """
-    c = np.asarray(cov, dtype=np.float64).tolist()
-    gamma, r2_y = _moment_regression(c, 2, 0, 1, "y ~ x1 + x2")
-    delta, r2_x = _moment_regression(c, 0, 2, 1, "x1 ~ y + x2")
-    return {
-        "sigma": math.sqrt(c[2][2]),
-        "rho": c[0][2] / math.sqrt(c[0][0] * c[2][2]),
-        "gamma": gamma,
-        "r2_y": r2_y,
-        "delta": delta,
-        "r2_x": r2_x,
-    }
+    c = np.asarray(cov, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow
+        gamma, r2_y = _moment_regression(c, 2, 0, 1, "y ~ x1 + x2")
+        delta, r2_x = _moment_regression(c, 0, 2, 1, "x1 ~ y + x2")
+        var_x1, var_y = c[..., 0, 0], c[..., 2, 2]
+        return {
+            "sigma": np.sqrt(var_y),
+            "rho": c[..., 0, 2] / np.sqrt(var_x1 * var_y),
+            "gamma": gamma,
+            "r2_y": r2_y,
+            "delta": delta,
+            "r2_x": r2_x,
+        }
 
 
-def _moment_regression(c, response: int, first: int, second: int, name: str) -> tuple[float, float]:
+def _moment_regression(c, response: int, first: int, second: int, name: str):
     """Slope on ``first`` and R^2 of response ~ first + second, by Cramer's rule."""
-    s11, s12, s22 = c[first][first], c[first][second], c[second][second]
-    c1, c2 = c[first][response], c[second][response]
+    s11, s12, s22 = c[..., first, first], c[..., first, second], c[..., second, second]
+    c1, c2 = c[..., first, response], c[..., second, response]
     det = s11 * s22 - s12 * s12
-    if det <= _COLLINEAR_FLOOR * s11 * s22:
+    if (det <= _COLLINEAR_FLOOR * s11 * s22).any():
         raise ValueError(f"regression {name}: the predictors are collinear")
     b1 = (s22 * c1 - s12 * c2) / det
     b2 = (s11 * c2 - s12 * c1) / det
-    return b1, min(max((b1 * c1 + b2 * c2) / c[response][response], 0.0), 1.0)
+    r2 = (b1 * c1 + b2 * c2) / c[..., response, response]
+    r2 = np.where(r2 < 0.0, 0.0, r2)  # max(r2, 0.0) keeps NaN and -0.0
+    return b1, np.where(r2 > 1.0, 1.0, r2)[()]
 
 
 def ground_truth(spec: PopulationSpec) -> ParamSet:
@@ -227,7 +274,8 @@ def ground_truth(spec: PopulationSpec) -> ParamSet:
     cov_x2_y = beta2 + rho * beta1
     var_y = beta1 * cov_x1_y + beta2 * cov_x2_y + noise_sd * noise_sd
     cov = [[1.0, rho, cov_x1_y], [rho, 1.0, cov_x2_y], [cov_x1_y, cov_x2_y, var_y]]
-    return ParamSet(mu=0.0, p90=10.0, mse_full=0.0, mse_missing=0.0, **moment_params(cov))
+    fields = {name: float(v) for name, v in moment_params(cov).items()}
+    return ParamSet(mu=0.0, p90=10.0, mse_full=0.0, mse_missing=0.0, **fields)
 
 
 def _sample_rows(pop: Dataset, n: int, stream: RngStream) -> np.ndarray:

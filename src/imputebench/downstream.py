@@ -18,7 +18,15 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .ampute import CompletedDataset, IncompleteDataset
-from .datagen import Dataset, ParamSet, PopulationSpec, coefficients, moment_params
+from .datagen import (
+    Dataset,
+    ParamSet,
+    PopulationSpec,
+    _check_params,
+    _row_sums,
+    coefficients,
+    moment_params,
+)
 from .imputers import ImputationMethod
 from .stochastics import RngStream
 
@@ -85,23 +93,23 @@ def estimate_params(completed: CompletedDataset, truth: Dataset) -> ParamSet:
     if len(data) != len(truth):
         raise ValueError("completed and truth datasets must be row-aligned")
     columns = (data.x1, data.x2, data.y, truth.y, completed.imputed_mask)
-    (params,) = _estimate_rows(*(col[None, :] for col in columns))
-    return params
+    return ParamSet.from_array(_estimate_rows(*(col[None, :] for col in columns))[0])
 
 
 def _estimate_rows(
     x1: np.ndarray, x2: np.ndarray, y: np.ndarray, truth_y: np.ndarray, mask: np.ndarray
-) -> list[ParamSet]:
+) -> np.ndarray:
     """estimate_params of each row of C-contiguous (k, n) blocks, in one pass.
 
     Row t of x1, x2 and y is a completed dataset, row t of truth_y its
-    truth and row t of mask its imputed rows. Every sum is np.add.reduce
-    along axis 1 (a pairwise sum, not a BLAS dot, whose bits depend on
+    truth and row t of mask its imputed rows; row t of the (k, 10) result
+    holds its ParamSet fields in field order. Every sum is np.add.reduce
+    along the rows (a pairwise sum, not a BLAS dot, whose bits depend on
     its thread count), which sums each row of the block exactly as it
     sums the row alone, so no row's estimate depends on the others. A
-    row that fails a check fails the block.
+    row that fails a check fails the block with its own message.
     """
-    n = y.shape[1]
+    k, n = y.shape
     if n <= 3:
         raise ValueError(f"need more than 3 rows, got {n}")
     names = ("x1", "x2", "y")
@@ -112,25 +120,27 @@ def _estimate_rows(
     with np.errstate(over="ignore", invalid="ignore"):
         means = [np.add.reduce(col, axis=1, keepdims=True) / n for col in (x1, x2, y)]
         centred = [col - m for col, m in zip((x1, x2, y), means)]
-        cov = np.empty((y.shape[0], 3, 3))
+        cov = np.empty((k, 3, 3))
         for i, j in combinations_with_replacement(range(3), 2):
             cov[:, i, j] = cov[:, j, i] = np.add.reduce(centred[i] * centred[j], axis=1) / (n - 1)
     for i, name in enumerate(names):  # the off-diagonal sums are bounded by these
         if not np.isfinite(cov[:, i, i]).all():
             raise ValueError(f"column {name} is too large: its centred squares overflow")
-    mu = means[2][:, 0]
-    p90 = 100.0 * (np.count_nonzero(y > _quantile_rows(truth_y, 0.9)[:, None], axis=1) / n)
 
     sq_err = (truth_y - y) ** 2
-    mse_full = np.add.reduce(sq_err, axis=1) / n
-    out = []
-    for r in range(y.shape[0]):
-        sq_mis = sq_err[r][mask[r]]
-        mse_missing = float(np.add.reduce(sq_mis) / sq_mis.size) if sq_mis.size else 0.0
-        out.append(ParamSet(
-            mu=float(mu[r]), p90=float(p90[r]), mse_full=float(mse_full[r]),
-            mse_missing=mse_missing, **moment_params(cov[r]),
-        ))
+    n_missing = np.count_nonzero(mask, axis=1)
+    mse_missing = np.zeros(k)
+    sq_mis = sq_err.take(np.flatnonzero(mask))
+    np.divide(_row_sums(sq_mis, n_missing), n_missing, out=mse_missing, where=n_missing > 0)
+    fields = {
+        "mu": means[2][:, 0],
+        "p90": 100.0 * (np.count_nonzero(y > _quantile_rows(truth_y, 0.9)[:, None], axis=1) / n),
+        "mse_full": np.add.reduce(sq_err, axis=1) / n,
+        "mse_missing": mse_missing,
+        **moment_params(cov),
+    }
+    out = np.column_stack([fields[name] for name in ParamSet.field_names()])
+    _check_params(out)
     return out
 
 

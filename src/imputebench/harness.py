@@ -10,9 +10,10 @@ do not depend on execution order or worker count.
 
 A cell walks its replications in blocks: each replication still draws
 from its own streams, in order, and the arithmetic between the draws
-(gather, mask, estimate) runs once per block on (k, n) arrays whose row
-sums are each row's own sum. No byte depends on how replications are
-grouped into blocks; replication t alone is the block [t, t].
+(gather, mask and its shift, fill, estimate) runs once per block on
+(k, n) arrays whose row sums are each row's own sum; only the OLS fits
+of predict and draw run row by row. No byte depends on how replications
+are grouped into blocks; replication t alone is the block [t, t].
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .ampute import (
     IncompleteDataset,
     Mechanism,
     MissingnessSpec,
-    _incomplete_rows,
+    _incomplete_block,
     _mask_rows,
 )
 from .datagen import Dataset, ParamSet, PopulationSpec, _sample_rows, _trusted, generate_population
@@ -93,8 +94,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"n_sample={self.n_sample} exceeds pop_size={self.pop_size}"
             )
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
+        # replications 1..t_rep need stream ids, as stochastics lays them out
+        try:
+            substream_id(0, self.t_rep, Purpose.SAMPLING)
+        except ValueError:
+            raise ValueError(
+                f"t_rep={self.t_rep} is more replications than a stream id can address"
+            ) from None
+        SeedSpec(self.base_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,7 @@ def _sample_and_mask(
     cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: MissingnessSpec, t: int
 ) -> tuple[Dataset, IncompleteDataset]:
     """Replication t's sample of pop and its amputation: the block [t, t]."""
-    x1, x2, y, mask = _masked_block(cfg, pop, cell_id, mech, t, t)
-    (inc,) = _incomplete_rows(x1, x2, y, mask)
+    (inc,) = _incomplete_block(*_masked_block(cfg, pop, cell_id, mech, t, t)).datasets()
     return _trusted(Dataset, x1=inc.x1, x2=inc.x2, y=inc.truth_y), inc
 
 
@@ -219,17 +225,17 @@ def _block_params(
 ) -> np.ndarray:
     """The parameter rows of replications first..last of a cell, one row each.
 
-    Each replication is imputed alone on its own imputation stream; the
-    completed y goes into one (k, n) block, estimated in one pass. A
-    method's completion keeps the replication's x1, x2 and mask, as
-    CompletedDataset.from_imputation does.
+    The method imputes the block, each replication drawing only from its
+    own imputation stream, and the completed (k, n) block of y is
+    estimated in one pass. A method's completion keeps the replication's
+    x1, x2 and mask, as CompletedDataset.from_imputation does.
     """
     x1, x2, y, mask = _masked_block(cfg, pop, cell.cell_id, cell.mech, first, last)
-    completed = np.empty_like(y)
-    for i, inc in enumerate(_incomplete_rows(x1, x2, y, mask)):
-        stream = _rep_stream(cfg, cell.cell_id, first + i, Purpose.IMPUTATION)
-        completed[i] = cell.method.impute(inc, stream).data.y
-    return np.array([p.as_array() for p in _estimate_rows(x1, x2, completed, y, mask)])
+    streams = [
+        _rep_stream(cfg, cell.cell_id, t, Purpose.IMPUTATION) for t in range(first, last + 1)
+    ]
+    completed = cell.method.impute_block(_incomplete_block(x1, x2, y, mask), streams)
+    return _estimate_rows(x1, x2, completed, y, mask)
 
 
 def _cell_reps(pop: Dataset, cell: _Cell, cfg: ExperimentConfig) -> np.ndarray:

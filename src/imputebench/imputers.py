@@ -13,13 +13,13 @@ in its own module; :class:`Forest` is its method object.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .ampute import CompletedDataset, IncompleteDataset
+from .ampute import CompletedDataset, IncompleteBlock, IncompleteDataset
+from .datagen import _row_slices
 from .forest import ForestParams, impute_forest
 from .linmodel import bayes_param_draw, fit_ols, predict
 from .stochastics import RngStream
@@ -29,13 +29,27 @@ PMM_DONORS = 5
 
 
 class ImputationMethod:
-    """Base class; concrete methods are frozen dataclasses below."""
+    """Base class; concrete methods are frozen dataclasses below.
+
+    The harness imputes through impute_block, whose default imputes each
+    dataset alone with impute, so a method need define only impute.
+    Predict and Draw also define impute_block, which then never calls
+    impute: a subclass that changes how they impute must override both.
+    """
 
     label: ClassVar[str] = ""
 
     def impute(self, inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
         """Fill the masked y entries of ``inc``, drawing only from ``stream``."""
         raise ValueError(f"unknown imputation method: {self!r}")
+
+    def impute_block(self, block: IncompleteBlock, streams: Sequence[RngStream]) -> np.ndarray:
+        """The completed y of each dataset of ``block``, as a (k, n) block.
+
+        Dataset i draws only from streams[i]. This imputes each dataset
+        alone; predict and draw impute the whole block at once.
+        """
+        return np.array([self.impute(inc, s).data.y for inc, s in zip(block.datasets(), streams)])
 
 
 @dataclass(frozen=True)
@@ -45,6 +59,9 @@ class Predict(ImputationMethod):
     def impute(self, inc, stream):
         return impute_predict(inc)
 
+    def impute_block(self, block, streams):
+        return block.filled(_predict_values(block)[0])
+
 
 @dataclass(frozen=True)
 class Draw(ImputationMethod):
@@ -52,6 +69,9 @@ class Draw(ImputationMethod):
 
     def impute(self, inc, stream):
         return impute_draw(inc, stream)
+
+    def impute_block(self, block, streams):
+        return block.filled(_draw_values(block, streams))
 
 
 @dataclass(frozen=True)
@@ -82,19 +102,44 @@ class Forest(ImputationMethod):
 
 def impute_predict(inc: IncompleteDataset) -> CompletedDataset:
     """Fill masked y with fitted values from OLS on the observed rows."""
-    keep = ~inc.mask
-    fit = fit_ols(inc.x1[keep], inc.x2[keep], inc.y[keep])
-    values = predict(fit.coefficients, inc.x1[inc.mask], inc.x2[inc.mask])
+    values, _ = _predict_values(IncompleteBlock.of(inc))
     return CompletedDataset.from_imputation(inc, values, Predict())
 
 
 def impute_draw(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
     """Fill masked y with fitted values plus N(0, sigma2) residual noise."""
-    keep = ~inc.mask
-    fit = fit_ols(inc.x1[keep], inc.x2[keep], inc.y[keep])
-    fitted = predict(fit.coefficients, inc.x1[inc.mask], inc.x2[inc.mask])
-    noise = math.sqrt(fit.residual_variance) * stream.generator.standard_normal(inc.n_missing)
-    return CompletedDataset.from_imputation(inc, fitted + noise, Draw())
+    values = _draw_values(IncompleteBlock.of(inc), [stream])
+    return CompletedDataset.from_imputation(inc, values, Draw())
+
+
+def _predict_values(block: IncompleteBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Each dataset's fitted values at its masked entries, row-major, and residual variances.
+
+    Dataset i is fitted alone by OLS on its observed rows (fit_ols), and
+    its fitted values are b0 + b1 x1 + b2 x2 with its own b.
+    """
+    fits = []
+    for x1, x2, y, mask in zip(block.x1, block.x2, block.y, block.mask):
+        keep = ~mask
+        fits.append(fit_ols(x1[keep], x2[keep], y[keep]))
+    coefficients = np.array([fit.coefficients for fit in fits])
+    fitted = predict(coefficients.T[:, :, None], block.x1, block.x2)
+    residual_variance = np.array([fit.residual_variance for fit in fits])
+    return fitted.take(np.flatnonzero(block.mask)), residual_variance
+
+
+def _draw_values(block: IncompleteBlock, streams: Sequence[RngStream]) -> np.ndarray:
+    """The fitted values of _predict_values plus N(0, sigma2_i) noise.
+
+    Dataset i draws its one normal per masked entry from streams[i], into
+    its own slice of one noise array.
+    """
+    fitted, residual_variance = _predict_values(block)
+    n_missing = np.count_nonzero(block.mask, axis=1)
+    noise = np.empty(fitted.size)
+    for stream, row in zip(streams, _row_slices(n_missing)):
+        stream.generator.standard_normal(out=noise[row])
+    return fitted + np.repeat(np.sqrt(residual_variance), n_missing) * noise
 
 
 def impute_pmm(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:

@@ -16,6 +16,7 @@ from imputebench.ampute import (
     Mechanism,
     MissingnessSpec,
     _logistic,
+    _solve_shifts,
     ampute,
     solve_shift,
 )
@@ -210,11 +211,11 @@ def ci_mar_scores():
     captured = []
 
     def capture(scores, prop):
-        captured.append(np.array(scores))
-        return solve_shift(scores, prop)
+        captured.extend(np.array(row) for row in scores)
+        return _solve_shifts(scores, prop)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ampute_module, "solve_shift", capture)
+        mp.setattr(ampute_module, "_solve_shifts", capture)
         for cell in _assign_cells((Predict(), Draw())):
             if cell.method.label == "predict" and cell.mech == MAR:
                 pop = _build_population(cfg, cell.level)
@@ -251,6 +252,27 @@ class TestSolveShiftMatchesReference:
             calls.clear()
             solve_shift(scores, PROP)
             assert len(calls) <= 10
+
+    def test_a_block_takes_its_slowest_rows_passes(self, ci_mar_scores, monkeypatch):
+        # a 16-replication block makes one _logistic pass per round of its
+        # slowest row, not one per replication and round
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return _logistic(x)
+
+        monkeypatch.setattr(ampute_module, "_logistic", counted)
+        for first in range(0, len(ci_mar_scores), 16):
+            block = np.array(ci_mar_scores[first:first + 16])
+            rounds = []
+            for scores in block:
+                calls.clear()
+                solve_shift(scores, PROP)
+                rounds.append(len(calls))
+            calls.clear()
+            _solve_shifts(block, PROP)
+            assert len(calls) <= max(rounds) <= 10
 
 
 class TestLogistic:

@@ -126,6 +126,29 @@ class TestArgumentErrors:
             f"need more than 3 rows, got {pop_size}\n"
         )
 
+    def test_reps_past_the_stream_layout(self, capsys):
+        rc, out, err = _run(capsys, ["table1", "--reps", "1000000000000"])
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            "imputebench: t_rep=1000000000000 is more replications than a stream id can address\n"
+        )
+
+    def test_seed_past_64_bits(self, capsys):
+        rc, out, err = _run(capsys, ["table1", "--seed", str(2**64)])
+        assert rc == 1
+        assert out == ""
+        assert err == f"imputebench: base_seed must be a non-negative 64-bit integer, got {2**64}\n"
+
+    def test_population_too_large_for_memory(self, capsys):
+        # 3 x 10^15 floats are 24 PB, past any address space: numpy's
+        # allocation fails at once, and the error is one line
+        rc, out, err = _run(capsys, ["table1", "--pop-size", str(10**15), "--reps", "1"])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("imputebench: Unable to allocate ")
+        assert err.count("\n") == 1
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch(["table9"])
@@ -217,6 +240,29 @@ class TestRunCommand:
         assert len(table1.strip().split("\n")) == 11
         assert len(table2.strip().split("\n")) == 15
         assert len(figure.strip().split("\n")) == 601
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_command(self, capsys):
+        argv = ["table1", "--reps", "2", "--pop-size", "20000", "--samples", "200"]
+        env = dict(os.environ, PYTHONPATH=str(Path(imputebench.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "imputebench.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0
+        assert done.stdout == out != ""
+
+    def test_python_dash_m_exit_status(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(imputebench.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "imputebench.cli", "table1", "--reps", "0"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("imputebench: t_rep must be at least 1")
 
 
 class TestImportFootprint:

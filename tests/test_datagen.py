@@ -139,6 +139,12 @@ class TestGeneratePopulation:
         assert abs(coef[1] - b1) < 0.005
         assert abs(coef[2] - b2) < 0.005
 
+    def test_columns_read_only(self):
+        _, pop = _population(0.8, 100)
+        for col in (pop.x1, pop.x2, pop.y):
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+
     def test_size_and_determinism(self):
         spec = PopulationSpec(r_squared=0.8, size=1000)
         a = generate_population(spec, make_stream(SeedSpec(3, 1)))

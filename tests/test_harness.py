@@ -3,7 +3,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import pytest
 
-from imputebench.ampute import CompletedDataset, Mechanism, MissingnessSpec, ampute
+from imputebench.ampute import Mechanism, MissingnessSpec, ampute
 from imputebench.cli import parse_and_dispatch
 from imputebench.datagen import (
     PopulationSpec,
@@ -59,10 +59,16 @@ class TestExperimentConfig:
         {"n_sample": 0},
         {"n_sample": 2_000_001},
         {"base_seed": -1},
+        {"base_seed": 2**64},
+        {"t_rep": 2**37},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_last_addressable_replication(self):
+        # replications run 1..t_rep, and stream ids hold replications below 2**37
+        assert ExperimentConfig(t_rep=2**37 - 1).t_rep == 2**37 - 1
 
     def test_defaults(self):
         cfg = ExperimentConfig()
@@ -154,17 +160,20 @@ def _imputation_streams(cfg, cell_id, reps):
 @dataclass(frozen=True)
 class _PredictExceptOn(Predict):
     """predict, except on the imputation streams in ``streams``: there it
-    imputes 1e200 if ``huge``, and raises otherwise."""
+    imputes 1e200 if ``huge``, and raises otherwise. The failure enters at
+    the block entry, which the harness calls."""
 
     streams: frozenset = frozenset()
     huge: bool = False
 
-    def impute(self, inc, stream):
-        if repr(stream) not in self.streams:
-            return super().impute(inc, stream)
-        if self.huge:
-            return CompletedDataset.from_imputation(inc, np.full(inc.n_missing, 1e200), self)
-        raise ValueError("imputer refused on purpose")
+    def impute_block(self, block, streams):
+        hit = [i for i, stream in enumerate(streams) if repr(stream) in self.streams]
+        if hit and not self.huge:
+            raise ValueError("imputer refused on purpose")
+        completed = super().impute_block(block, streams).copy()
+        for i in hit:
+            completed[i][block.mask[i]] = 1e200
+        return completed
 
 
 class TestBlocks:

@@ -3,11 +3,13 @@
 A table1 replication calls ``np.add.reduce``, ``np.count_nonzero`` and
 ``ndarray.all`` where numpy's ``mean``/``all``/``std`` wrappers would call
 the same reductions through several Python layers. These tests check that
-the direct forms give the wrappers' bits, that k rows stacked into a
-block give each row's own bits, that the wrappers stay off the path,
-that a replication builds a generator only for the streams it draws
-from, and that the table1 cells and pmm call no numpy.linalg function,
-whose bits can depend on the BLAS thread count.
+the direct forms give the wrappers' bits, that every block kernel (mask
+and shift, predict and draw, estimate, moment algebra) on k stacked rows gives
+each row's own bits or one row's own error, that the scalar code the
+kernels replaced gives the same bits, that the wrappers stay off the
+path, that a replication builds a generator only for the streams it
+draws from, and that the table1 cells and pmm call no numpy.linalg
+function, whose bits can depend on the BLAS thread count.
 """
 
 import math
@@ -15,16 +17,32 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import imputebench.ampute as ampute_module
-from imputebench.ampute import CompletedDataset, Mechanism, MissingnessSpec, _mask_rows, ampute
-from imputebench.datagen import Dataset, ParamSet, draw_sample, moment_params
+from imputebench.ampute import (
+    CompletedDataset,
+    IncompleteDataset,
+    Mechanism,
+    MissingnessSpec,
+    _incomplete_block,
+    _mask_rows,
+    _solve_shifts,
+    ampute,
+    solve_shift,
+)
+from imputebench.datagen import _COLLINEAR_FLOOR, Dataset, ParamSet, draw_sample, moment_params
 from imputebench.downstream import _estimate_rows, estimate_params, quantile
-from imputebench.harness import ExperimentConfig, _assign_cells, _block_params, _build_population
+from imputebench.harness import (
+    ExperimentConfig,
+    _assign_cells,
+    _block_params,
+    _build_population,
+)
 from imputebench.imputers import Draw, Predict, impute_pmm
+from imputebench.linmodel import fit_ols, predict
 from imputebench.stochastics import SeedSpec, make_stream
 
 MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
@@ -78,11 +96,11 @@ def test_ampute_mar_score_is_centred_over_np_std(x1):
     seen = []
 
     def capture(scores, prop):
-        seen.append(np.array(scores))
+        seen.extend(np.array(row) for row in scores)
         raise ValueError("captured")
 
     with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="captured"):
-        mp.setattr(ampute_module, "solve_shift", capture)
+        mp.setattr(ampute_module, "_solve_shifts", capture)
         ampute(Dataset(x1, x1, x1), MAR, make_stream(SeedSpec(0, 0)))
     assert _bits(seen[0]) == _bits((x1 - np.mean(x1)) / sd)
 
@@ -187,11 +205,8 @@ def test_block_estimator_equals_estimate_params_per_row(block):
         completed = CompletedDataset(data=Dataset(x1[r], x2[r], y[r]), imputed_mask=mask[r], method=None)
         truth = Dataset(x1[r], x2[r], truth_y[r])
         rows.append(_outcome(lambda: estimate_params(completed, truth).as_array()))
-    got = _outcome(lambda: [p.as_array() for p in _estimate_rows(x1, x2, y, truth_y, mask)])
-    if all(isinstance(row, bytes) for row in rows):
-        assert got == b"".join(rows)
-    else:  # the block fails as one of its rows does alone
-        assert got in [row for row in rows if isinstance(row, str)]
+    got = _outcome(lambda: _estimate_rows(x1, x2, y, truth_y, mask))
+    _same_rows_or_a_rows_error(got, rows)  # a failing block fails as one of its rows does alone
 
 
 @pytest.mark.parametrize("mechanism", [Mechanism.MCAR, Mechanism.MAR_RIGHT])
@@ -209,10 +224,158 @@ def test_block_masks_equal_ampute_per_row(mechanism, x1, seed):
         for row, stream in zip(x1, streams)
     ]
     got = _outcome(lambda: _mask_rows(x1, mechanism, u))
+    _same_rows_or_a_rows_error(got, rows)
+
+
+def _same_rows_or_a_rows_error(got, rows):
+    """A block's outcome against its rows' own: every row's bits, or one row's error."""
     if all(isinstance(row, bytes) for row in rows):
         assert got == b"".join(rows)
     else:
         assert got in [row for row in rows if isinstance(row, str)]
+
+
+@st.composite
+def _design_rows(draw):
+    """k rows of (x1, x2, y) and keep masks: ordinary, collinear, constant, huge or far off."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 300))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x1, x2, y = gen.normal(size=(3, k, n))
+    for r in range(k):
+        family = draw(st.sampled_from(["normal", "collinear", "constant", "1e160", "1e4"]))
+        if family == "collinear":
+            x2[r] = 2.0 * x1[r]
+        elif family == "constant":
+            x2[r] = 3.0
+        elif family == "1e160":
+            x1[r] *= 1e160
+        elif family == "1e4":
+            x1[r] += 1e4
+    keep = gen.random((k, n)) < draw(st.floats(0.0, 1.0))
+    return x1, x2, y, keep
+
+
+def _parent_imputation(method, x1, x2, y, mask, stream):
+    """predict or draw of one dataset as a scalar fit and fill: the block imputers' reference."""
+    keep = ~mask
+    fit = fit_ols(x1[keep], x2[keep], y[keep])
+    values = predict(fit.coefficients, x1[mask], x2[mask])
+    if isinstance(method, Draw):
+        values = values + math.sqrt(fit.residual_variance) * stream.generator.standard_normal(
+            int(mask.sum()))
+    holes = np.where(mask, np.nan, y)
+    inc = IncompleteDataset(x1=x1, x2=x2, y=holes, mask=mask, truth_y=y)
+    return CompletedDataset.from_imputation(inc, values, method).data.y
+
+
+@settings(deadline=None)
+@given(rows=_design_rows(), method=st.sampled_from([Predict(), Draw()]))
+def test_block_imputers_equal_a_scalar_imputation_per_row(rows, method):
+    x1, x2, y, keep = rows
+    mask = ~keep
+    streams = [make_stream(SeedSpec(11, r)) for r in range(y.shape[0])]
+    want = [
+        _outcome(lambda: _parent_imputation(method, x1[r], x2[r], y[r], mask[r], streams[r]))
+        for r in range(y.shape[0])
+    ]
+    streams = [make_stream(SeedSpec(11, r)) for r in range(y.shape[0])]
+    got = _outcome(lambda: method.impute_block(_incomplete_block(x1, x2, y, mask), streams))
+    _same_rows_or_a_rows_error(got, want)
+
+
+@st.composite
+def _score_rows(draw):
+    """k equally long score rows: normal, heavy-tailed, tied, or partly at +-1e3, 1e17 or 1e300."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 1000))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(k):
+        family = draw(st.sampled_from(["normal", "heavy", "tied", "1e3", "1e17", "1e300"]))
+        if family == "heavy":
+            rows.append(gen.standard_t(2, size=n))
+            continue
+        scores = gen.normal(size=n)
+        if family == "tied":
+            scores = np.round(scores)
+        elif family != "normal":
+            far = gen.random(n) < draw(st.floats(0.0, 1.0))
+            scores[far] = float(family) * gen.choice([-1.0, 1.0], size=int(far.sum()))
+        rows.append(scores)
+    return np.array(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(scores=_score_rows(), prop=st.floats(0.01, 0.99))
+def test_block_shifts_equal_solve_shift_per_row(scores, prop):
+    rows = [_outcome(lambda: solve_shift(row, prop)) for row in scores]
+    _same_rows_or_a_rows_error(_outcome(lambda: _solve_shifts(scores, prop)), rows)
+
+
+def _scalar_moment_params(cov):
+    """moment_params on Python floats, one matrix at a time: the reference of the stacked form."""
+    c = [[float(v) for v in row] for row in cov]
+
+    def regression(response, first, second, name):
+        s11, s12, s22 = c[first][first], c[first][second], c[second][second]
+        c1, c2 = c[first][response], c[second][response]
+        det = s11 * s22 - s12 * s12
+        if det <= _COLLINEAR_FLOOR * s11 * s22:
+            raise ValueError(f"regression {name}: the predictors are collinear")
+        b1 = (s22 * c1 - s12 * c2) / det
+        b2 = (s11 * c2 - s12 * c1) / det
+        return b1, min(max((b1 * c1 + b2 * c2) / c[response][response], 0.0), 1.0)
+
+    gamma, r2_y = regression(2, 0, 1, "y ~ x1 + x2")
+    delta, r2_x = regression(0, 2, 1, "x1 ~ y + x2")
+    rho = c[0][2] / math.sqrt(c[0][0] * c[2][2])
+    return [math.sqrt(c[2][2]), rho, gamma, r2_y, delta, r2_x]
+
+
+_FIELDS6 = ("sigma", "rho", "gamma", "r2_y", "delta", "r2_x")
+_OFF_DIAGONAL = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, math.nan])
+_DIAGONAL = st.floats(1e-3, 1e3) | st.sampled_from([math.inf, math.nan])
+
+
+@st.composite
+def _covariances(draw):
+    """k symmetric 3x3 matrices: positive, infinite or NaN variances, signed zero covariances."""
+    covs = np.empty((draw(st.integers(1, 5)), 3, 3))
+    for cov in covs:
+        for i in range(3):
+            cov[i, i] = draw(_DIAGONAL)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            cov[i, j] = cov[j, i] = draw(_OFF_DIAGONAL)
+    return covs
+
+
+@example(covs=np.array([[[1.0, 0.0, -0.0], [0.0, 1.0, -0.0], [-0.0, -0.0, 1.0]]]))  # r2 -0.0
+@example(covs=np.array([[[1.0, 0.0, math.nan], [0.0, 1.0, 0.5], [math.nan, 0.5, 1.0]]]))  # NaN
+@settings(deadline=None)
+@given(covs=_covariances())
+def test_stacked_moment_params_equal_scalar_per_matrix(covs):
+    # a NaN's sign bit differs between numpy scalars and arrays and means
+    # nothing here, so every NaN is compared as the one NaN; -0.0 is kept
+    def fields6(cov):
+        fields = moment_params(cov)
+        return np.array([fields[name] for name in _FIELDS6]).T
+
+    def canonical(values):
+        values = np.asarray(values, dtype=np.float64)
+        return np.where(np.isnan(values), math.nan, values)
+
+    rows = [_outcome(lambda: canonical(_scalar_moment_params(cov))) for cov in covs]
+    _same_rows_or_a_rows_error(_outcome(lambda: canonical(fields6(covs))), rows)
+    for cov, row in zip(covs, rows):  # and one matrix alone gives its row
+        assert _outcome(lambda: canonical(fields6(cov))) == row
+
+
+def test_clipped_r2_keeps_negative_zero_and_nan():
+    r2_y = moment_params(np.array([[1.0, 0.0, -0.0], [0.0, 1.0, -0.0], [-0.0, -0.0, 1.0]]))["r2_y"]
+    assert r2_y == 0.0 and math.copysign(1.0, r2_y) == -1.0
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(moment_params(np.full((3, 3), math.nan))["r2_x"])
 
 
 # ---------------------------------------------------------------------
