@@ -10,15 +10,18 @@ from imputebench.ampute import IncompleteDataset, Mechanism, MissingnessSpec, am
 from imputebench.datagen import PopulationSpec, draw_sample, generate_population
 from imputebench.forest import (
     MIN_NODE_SIZE,
+    PASS_ROWS,
     ForestParams,
     PackedForest,
-    _bootstrap_orders,
+    _tree_orders,
     fit_forest,
     impute_forest,
     predict_forest,
 )
 from imputebench.imputers import Forest
 from imputebench.stochastics import SeedSpec, make_stream
+
+from forest_reference import TreeBuilder, fit_tree_duplicated
 
 
 def _xy(n=200, seed=0, noise=0.0):
@@ -31,56 +34,28 @@ def _xy(n=200, seed=0, noise=0.0):
 # --- reference: the per-node grower that fit_forest must reproduce bit for bit
 
 
-class _TreeBuilder:
-    """Accumulates node arrays while growing one tree depth-first."""
-
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(np.nan)
-        return len(self.feature) - 1
-
-    def freeze(self) -> dict[str, np.ndarray]:
-        return {
-            "feature": np.array(self.feature, dtype=np.intp),
-            "threshold": np.array(self.threshold, dtype=np.float64),
-            "left": np.array(self.left, dtype=np.intp),
-            "right": np.array(self.right, dtype=np.intp),
-            "value": np.array(self.value, dtype=np.float64),
-        }
-
-
-def _best_split(xs: np.ndarray, ys: np.ndarray) -> float | None:
+def _best_split(xs: np.ndarray, ys: np.ndarray, ws: np.ndarray | None = None) -> float | None:
     """Threshold of one feature's best boundary, or None when none is legal.
 
-    xs must be ascending. Scores every split point k (left = xs[:k+1])
-    where the neighbours differ and both children keep MIN_NODE_SIZE
-    rows; the first-minimum convention resolves equal scores to the
-    smallest threshold.
+    xs must be ascending; ws weights each row (its bootstrap count, 1 by
+    default). Scores every split point k (left = xs[:k+1]) where the
+    neighbours differ and both children keep MIN_NODE_SIZE weight by
+    -c1**2/n_left - (t1 - c1)**2/n_right, with c1 the weighted sum of y
+    left of it: the children's squared error less the node's y² total.
+    The first-minimum convention resolves equal scores to the smallest
+    threshold, and the first NaN wins, as np.argmin has it.
     """
-    m = xs.size
-    c1 = np.cumsum(ys)
-    c2 = np.cumsum(ys * ys)
-    t1, t2 = c1[-1], c2[-1]
-    k = np.arange(m - 1)
-    n_left = k + 1.0
-    n_right = m - n_left
+    ws = np.ones(xs.size) if ws is None else ws
+    c1 = np.cumsum(ws * ys)
+    n_to = np.cumsum(ws)
+    t1 = c1[-1]
+    n_left = n_to[:-1]
+    n_right = n_to[-1] - n_left
     valid = (xs[:-1] < xs[1:]) & (n_left >= MIN_NODE_SIZE) & (n_right >= MIN_NODE_SIZE)
     if not valid.any():
         return None
-    sse_left = c2[:-1] - c1[:-1] ** 2 / n_left
-    sse_right = (t2 - c2[:-1]) - (t1 - c1[:-1]) ** 2 / n_right
-    score = np.where(valid, sse_left + sse_right, np.inf)
-    best = int(np.argmin(score))
+    score = -(c1[:-1] ** 2 / n_left) - (t1 - c1[:-1]) ** 2 / n_right
+    best = int(np.argmin(np.where(valid, score, np.inf)))
     lo, hi = xs[best], xs[best + 1]
     mid = 0.5 * (lo + hi)
     # midpoints of adjacent floats can round up to hi; the rule is x <= thr
@@ -89,33 +64,37 @@ def _best_split(xs: np.ndarray, ys: np.ndarray) -> float | None:
 
 
 def fit_tree(x: np.ndarray, y: np.ndarray, stream) -> dict[str, np.ndarray]:
-    """Grow one CART regression tree on a bootstrap resample of the rows.
+    """Grow one CART regression tree on the distinct rows of a bootstrap.
 
-    Stream use, in order: the bootstrap index draw, then one feature
-    permutation per splittable node in depth-first, left-first order;
-    the node splits on the permutation's first entry.
+    Each row is weighted by its bootstrap count, and a node's size is its
+    weight. The rows of each feature are ordered by (x, row). A leaf's
+    value is the mean of its bootstrap entries in draw order. Stream use,
+    in order: the bootstrap index draw, then one feature permutation per
+    splittable node in depth-first, left-first order; the node splits on
+    the permutation's first entry.
     """
     n, p = x.shape
     gen = stream.generator
     rows = gen.integers(0, n, size=n)
-    xb, yb = x[rows], y[rows]
-    order = [np.argsort(xb[:, f], kind="stable") for f in range(p)]
+    w = np.bincount(rows, minlength=n)
+    order = [np.argsort(x[:, f], kind="stable") for f in range(p)]
+    order = [o[w[o] > 0] for o in order]
 
-    tree = _TreeBuilder()
-    member_root = np.ones(n, dtype=bool)
+    tree = TreeBuilder()
+    member_root = w > 0
     stack = [(tree.add(), member_root)]
     while stack:
         node_id, member = stack.pop()
-        node_y = yb[member]
-        tree.value[node_id] = float(node_y.mean())
-        if node_y.size < 2 * MIN_NODE_SIZE or node_y.min() == node_y.max():
+        node_y = y[member]
+        tree.value[node_id] = float(y[rows[member[rows]]].mean())
+        if w[member].sum() < 2 * MIN_NODE_SIZE or node_y.min() == node_y.max():
             continue
         f = int(gen.permutation(p)[0])
         sel = order[f][member[order[f]]]
-        thr = _best_split(xb[sel, f], yb[sel])
+        thr = _best_split(x[sel, f], y[sel], w[sel])
         if thr is None:
             continue
-        go_left = member & (xb[:, f] <= thr)
+        go_left = member & (x[:, f] <= thr)
         left_id = tree.add()
         right_id = tree.add()
         tree.feature[node_id] = f
@@ -127,12 +106,12 @@ def fit_tree(x: np.ndarray, y: np.ndarray, stream) -> dict[str, np.ndarray]:
     return tree.freeze()
 
 
-def _assert_matches_reference(x, y, n_trees, spec):
+def _assert_matches_reference(x, y, n_trees, spec, reference=fit_tree):
     """Every tree of fit_forest equals the reference tree on its child stream."""
     forest = fit_forest(x, y, ForestParams(n_trees=n_trees), make_stream(spec))
     assert forest.feature.shape == (n_trees, 2 * (len(y) // MIN_NODE_SIZE) + 1)
     for t in range(n_trees):
-        ref = fit_tree(x, y, make_stream(spec).child(t))
+        ref = reference(x, y, make_stream(spec).child(t))
         k = ref["feature"].size
         assert forest.n_nodes[t] == k
         for name in ("feature", "threshold", "left", "right"):
@@ -141,6 +120,21 @@ def _assert_matches_reference(x, y, n_trees, spec):
         np.testing.assert_array_equal(forest.value[t, :k][leaf], ref["value"][leaf])
         assert (forest.feature[t, k:] == -1).all()
 
+
+
+def _reference_predict(x, y, spec, n_trees, query):
+    """Mean of the reference trees' predictions, walked one level at a time."""
+    total = np.zeros(len(query))
+    for t in range(n_trees):
+        ref = fit_tree(x, y, make_stream(spec).child(t))
+        node = np.zeros(len(query), dtype=np.intp)
+        while (ref["feature"][node] >= 0).any():
+            split = ref["feature"][node] >= 0
+            cur = node[split]
+            go_left = query[split, ref["feature"][cur]] <= ref["threshold"][cur]
+            node[split] = np.where(go_left, ref["left"][cur], ref["right"][cur])
+        total += ref["value"][node]
+    return total / n_trees
 
 def _ci_forest_sample():
     """Observed rows of one ci-scale forest-cell sample: 10^5 population, 1,000 rows, MAR."""
@@ -279,16 +273,20 @@ class TestFitTree:
         with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
             fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 5)))
 
-    @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
-    def test_bootstrap_orders_at_rank_width_edges(self, n):
-        # ranks take one byte up to n = 255 and two up to n = 65_535
+    @pytest.mark.parametrize("n", [1, 7, 256, 65_536])
+    def test_tree_orders_sort_distinct_rows_by_x(self, n):
+        # each tree keeps only its drawn rows, stably sorted by x: tied x by row
         gen = np.random.default_rng(n)
         x = np.column_stack([gen.permutation(n), gen.integers(0, 7, size=n)]).astype(float)
-        rows = gen.integers(0, n, size=(2, n))
-        orders = _bootstrap_orders(x, rows)
-        assert orders.shape == (2, 2, n)
+        rows = gen.integers(0, n, size=(3, n))
+        w = np.stack([np.bincount(r, minlength=n) for r in rows])
+        orders = _tree_orders(x, w)
+        assert orders.shape == (2, 3, n)
         for f in range(2):
-            np.testing.assert_array_equal(orders[f], np.argsort(x[rows, f], axis=1, kind="stable"))
+            for t in range(3):
+                drawn = np.flatnonzero(w[t])
+                expected = drawn[np.lexsort((drawn, x[drawn, f]))]
+                np.testing.assert_array_equal(orders[f, t, : drawn.size], expected)
 
 
 class TestMatchesReference:
@@ -317,10 +315,19 @@ class TestMatchesReference:
         _assert_matches_reference(x, y, n_trees, SeedSpec(96, data.draw(st.integers(0, 999))))
 
     def test_overflowing_sums(self):
-        # y * y overflows, so scores are NaN; the first NaN wins, as np.argmin has it
+        # c1 * c1 overflows, so scores are -inf; the first -inf wins
         x, y = _xy(200, seed=3, noise=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
             _assert_matches_reference(x, y * 1e160, 10, SeedSpec(96, 5))
+
+    def test_overflowing_weighted_sums(self):
+        # c1 itself overflows past some boundaries, where t1 - c1 is inf - inf:
+        # those scores are NaN, and the first NaN wins, as np.argmin has it
+        x, y = _xy(200, seed=3, noise=0.5)
+        y = 1e307 * y
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.cumsum(y)).all()
+            _assert_matches_reference(x, y, 10, SeedSpec(96, 5))
 
     def test_adjacent_floats_split_at_the_lower_value(self):
         # x <= thr must keep lo left and hi right; the midpoint rounds to hi
@@ -339,17 +346,40 @@ class TestMatchesReference:
         query = np.random.default_rng(25).normal(size=(300, 2))
         # rows sitting on each root's threshold must go left: the rule is x <= thr
         query[-30:] = forest.threshold[:, :1]
-        total = np.zeros(len(query))
-        for t in range(30):
-            ref = fit_tree(x, y, make_stream(spec).child(t))
-            node = np.zeros(len(query), dtype=np.intp)
-            while (ref["feature"][node] >= 0).any():
-                split = ref["feature"][node] >= 0
-                cur = node[split]
-                go_left = query[split, ref["feature"][cur]] <= ref["threshold"][cur]
-                node[split] = np.where(go_left, ref["left"][cur], ref["right"][cur])
-            total += ref["value"][node]
-        np.testing.assert_array_equal(predict_forest(forest, query), total / 30)
+        np.testing.assert_array_equal(
+            predict_forest(forest, query), _reference_predict(x, y, spec, 30, query)
+        )
+
+    def test_predictions_past_pass_rows(self):
+        # more query rows than PASS_ROWS: every chunk holds a single tree
+        x, y = _xy(200, seed=28, noise=0.5)
+        spec = SeedSpec(96, 98)
+        forest = fit_forest(x, y, ForestParams(n_trees=7), make_stream(spec))
+        query = np.random.default_rng(29).normal(size=(5000, 2))
+        assert len(query) > PASS_ROWS
+        np.testing.assert_array_equal(
+            predict_forest(forest, query), _reference_predict(x, y, spec, 7, query)
+        )
+
+    def test_predict_no_rows(self):
+        x, y = _xy(100, seed=30, noise=0.5)
+        forest = fit_forest(x, y, ForestParams(n_trees=3), make_stream(SeedSpec(96, 97)))
+        pred = predict_forest(forest, np.empty((0, 2)))
+        assert pred.shape == (0,) and pred.dtype == np.float64
+
+
+class TestMatchesDuplicatedRows:
+    """On continuous data, weighting distinct rows and leaving out the y²
+    total change no tree against growing on the duplicated rows."""
+
+    @pytest.mark.parametrize("data, n_trees", [
+        (_ci_forest_sample, 100),
+        (lambda: _xy(300, seed=31, noise=0.5), 50),
+        (lambda: _xy(1000, seed=32, noise=2.0), 20),
+    ], ids=["ci-sample", "continuous-300", "continuous-1000"])
+    def test_trees_bit_identical(self, data, n_trees):
+        x, y = data()
+        _assert_matches_reference(x, y, n_trees, SeedSpec(96, n_trees), fit_tree_duplicated)
 
 
 def _generator_state(gen):
