@@ -5,6 +5,11 @@ and a right-censoring MAR variant masks with probability increasing in
 x1, calibrated by a logistic shift so the expected masked proportion is
 PROP. Only y is ever masked; the original outcome is carried along for
 evaluation but kept out of reach of the imputation path.
+
+IncompleteBlock is the one incomplete container: k masked datasets as
+(k, n) blocks, a single dataset being the block of one, so ampute
+returns a one-row block and the harness masks a block of replications
+at once. CompletedDataset is the input of downstream.estimate_params.
 """
 
 from __future__ import annotations
@@ -39,18 +44,14 @@ class Mechanism(Enum):
 
 
 @dataclass(frozen=True)
-class MissingnessSpec:
-    """The missingness mechanism of a grid cell."""
+class IncompleteBlock:
+    """k incomplete datasets of n rows as read-only (k, n) blocks.
 
-    mechanism: Mechanism
-
-
-@dataclass(frozen=True)
-class IncompleteDataset:
-    """A dataset whose y column has holes.
-
-    y carries NaN at masked positions; truth_y retains the pre-masking
-    values and exists for evaluation only. No imputer may read it.
+    Row i of each column is dataset i; a single dataset is the block of
+    one. y carries NaN at masked positions; truth_y retains the
+    pre-masking values and exists for evaluation only. No imputer may
+    read it. The checks here run on blocks built by hand; the harness
+    cuts its blocks from a validated population with datagen._trusted.
     """
 
     x1: np.ndarray
@@ -60,16 +61,15 @@ class IncompleteDataset:
     truth_y: np.ndarray
 
     def __post_init__(self):
-        mask = np.array(self.mask, dtype=bool)
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
-        for name in ("x1", "x2", "y", "truth_y"):
-            col = np.array(getattr(self, name), dtype=np.float64)
+        shape = np.shape(self.mask)
+        if len(shape) != 2:
+            raise ValueError(f"mask must be a (k, n) block, got shape {shape}")
+        for name in ("x1", "x2", "y", "mask", "truth_y"):
+            col = np.array(getattr(self, name), dtype=bool if name == "mask" else np.float64)
+            if col.shape != shape:
+                raise ValueError(f"column {name} has shape {col.shape}, the mask {shape}")
             col.flags.writeable = False
             object.__setattr__(self, name, col)
-        n = self.mask.size
-        if not all(getattr(self, c).size == n for c in ("x1", "x2", "y", "truth_y")):
-            raise ValueError("all columns must share the mask's length")
         for name in ("x1", "x2", "truth_y"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"column {name} contains non-finite values")
@@ -78,24 +78,31 @@ class IncompleteDataset:
         if not np.isfinite(self.y[~self.mask]).all():
             raise ValueError("unmasked y entries must be finite")
 
-    def __len__(self) -> int:
-        return self.mask.size
+    def filled(self, values: np.ndarray) -> np.ndarray:
+        """The read-only completed y block: y with values at mask, in row-major order.
 
-    @property
-    def n_observed(self) -> int:
-        return int(np.count_nonzero(~self.mask))
-
-    @property
-    def n_missing(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        Observed entries are carried over unchanged, so they stay
+        bit-identical by construction. values must be finite, one per
+        masked entry.
+        """
+        at = np.flatnonzero(self.mask)
+        if np.shape(values) != at.shape:
+            raise ValueError(f"expected {at.size} imputed values, got shape {np.shape(values)}")
+        if not np.isfinite(values).all():
+            raise ValueError("column y contains non-finite values")
+        out = self.y.copy()
+        out.reshape(-1)[at] = values
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
 class CompletedDataset:
-    """An imputed dataset: filled columns plus the record of what was filled.
+    """An imputed dataset, the input of downstream.estimate_params.
 
-    Invariant: y at unmasked positions is bit-identical to the observed
-    values.
+    data holds the completed columns and imputed_mask the filled rows of
+    y; method is the imputation method, or None for data that was never
+    masked.
     """
 
     data: Dataset
@@ -108,70 +115,6 @@ class CompletedDataset:
         object.__setattr__(self, "imputed_mask", mask)
         if mask.size != len(self.data):
             raise ValueError("imputed_mask length must match the dataset")
-
-    @classmethod
-    def from_imputation(
-        cls,
-        inc: IncompleteDataset,
-        imputed_values: np.ndarray,
-        method: "ImputationMethod | None",
-    ) -> "CompletedDataset":
-        """Fill inc's masked entries with imputed_values (in mask order).
-
-        Observed entries are carried over from inc.y unchanged, which
-        makes the bit-identity invariant true by construction.
-        """
-        values = np.asarray(imputed_values, dtype=np.float64)
-        if values.shape != (inc.n_missing,):
-            raise ValueError(
-                f"expected {inc.n_missing} imputed values, got shape {values.shape}"
-            )
-        # inc's x1, x2 and observed y are validated and read-only: only y changes
-        data = _trusted(Dataset, x1=inc.x1, x2=inc.x2, y=_filled(inc.y, inc.mask, values))
-        return _trusted(cls, data=data, imputed_mask=inc.mask, method=method)
-
-
-def _filled(y: np.ndarray, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A read-only copy of y with values, which must be finite, at mask (row-major)."""
-    if not np.isfinite(values).all():
-        raise ValueError("column y contains non-finite values")
-    out = y.copy()
-    out.reshape(-1)[np.flatnonzero(mask)] = values
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class IncompleteBlock:
-    """k incomplete datasets of n rows as read-only (k, n) blocks.
-
-    Row i of each column is dataset i, with IncompleteDataset's meaning
-    and invariants; the harness cuts the blocks from a validated
-    population, so they are not checked again.
-    """
-
-    x1: np.ndarray
-    x2: np.ndarray
-    y: np.ndarray
-    mask: np.ndarray
-    truth_y: np.ndarray
-
-    @classmethod
-    def of(cls, inc: IncompleteDataset) -> "IncompleteBlock":
-        """inc as the block of one dataset."""
-        return cls(*(col[None, :] for col in (inc.x1, inc.x2, inc.y, inc.mask, inc.truth_y)))
-
-    def datasets(self) -> list[IncompleteDataset]:
-        """One IncompleteDataset per row, whose columns are row views of the blocks."""
-        return [
-            _trusted(IncompleteDataset, x1=self.x1[r], x2=self.x2[r], y=self.y[r],
-                     mask=self.mask[r], truth_y=self.truth_y[r])
-            for r in range(self.y.shape[0])
-        ]
-
-    def filled(self, values: np.ndarray) -> np.ndarray:
-        """The completed y block: y with values (finite, row-major) at mask."""
-        return _filled(self.y, self.mask, values)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -249,13 +192,21 @@ def _shift_search(prop: float):
 
 
 def _solve_shifts(scores: np.ndarray, prop: float) -> np.ndarray:
-    """solve_shift of each row of a (k, n) block of scores, in rounds.
+    """Each row's shift b with mean(logistic(row + b)) = prop, for a (k, n) block.
+
+    The mean masking probability is strictly increasing in b, so plain
+    bisection on an expanding bracket converges; a row stops once its
+    calibration error is below 1e-8 (well inside the 1e-6 contract).
+    Scores so large that float spacing leaves no shift within 1e-8 of
+    prop raise ValueError. A certified bracket lets the bisection skip
+    every evaluation whose outcome is known (_shift_search).
 
     Every row runs its own _shift_search. A round evaluates the shift
     each unfinished row asks for in one _logistic pass over those rows,
     so a block takes as many passes as its slowest row; np.add.reduce
-    along axis 1 gives each row the bits of its own sum. A row whose
-    search fails fails the block with its own message.
+    along axis 1 gives each row the bits of its own sum, so a row's shift
+    is the one it gets as the block of one. A row whose search fails
+    fails the block with its own message.
     """
     if scores.shape[1] == 0 or not np.isfinite(scores).all():
         raise ValueError("scores must be non-empty and finite")
@@ -280,21 +231,6 @@ def _solve_shifts(scores: np.ndarray, prop: float) -> np.ndarray:
                 shifts[r] = done.value
                 del asks[r]
     return shifts
-
-
-def solve_shift(scores, prop: float) -> float:
-    """Shift b with mean(logistic(scores + b)) = prop, by bisection.
-
-    The mean masking probability is strictly increasing in b, so plain
-    bisection on an expanding bracket converges; iteration stops once the
-    calibration error is below 1e-8 (well inside the 1e-6 contract).
-    Scores so large that float spacing leaves no shift within 1e-8 of prop
-    raise ValueError. A certified bracket lets the bisection skip every
-    evaluation whose outcome is known (_shift_search). This is the
-    one-row block of _solve_shifts.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    return float(_solve_shifts(s.reshape(1, -1), prop)[0])
 
 
 def _mask_rows(x1: np.ndarray, mechanism: Mechanism, u: np.ndarray) -> np.ndarray:
@@ -338,19 +274,18 @@ def _incomplete_block(
     holes = y.copy()
     holes.reshape(-1)[np.flatnonzero(mask)] = np.nan
     holes.flags.writeable = False
-    return IncompleteBlock(x1=x1, x2=x2, y=holes, mask=mask, truth_y=y)
+    return _trusted(IncompleteBlock, x1=x1, x2=x2, y=holes, mask=mask, truth_y=y)
 
 
-def ampute(data: Dataset, spec: MissingnessSpec, stream: RngStream) -> IncompleteDataset:
-    """Mask y entries of data according to spec.
+def ampute(data: Dataset, mechanism: Mechanism, stream: RngStream) -> IncompleteBlock:
+    """Mask y entries of data by mechanism, as the block of one dataset.
 
     MCAR compares one uniform draw per row against PROP. MAR compares it
     against logistic(score + b): the score is standardized x1, and b is
-    calibrated by solve_shift so the expected proportion equals PROP.
+    calibrated by _solve_shifts so the expected proportion equals PROP.
     Rows with high x1 are censored more. This is the one-row block of
-    _mask_rows; solve_shift draws nothing, so drawing first moves no bit.
+    _mask_rows; _solve_shifts draws nothing, so drawing first moves no bit.
     """
     u = stream.generator.random(len(data))
     x1, x2, y = (col[None, :] for col in (data.x1, data.x2, data.y))
-    (inc,) = _incomplete_block(x1, x2, y, _mask_rows(x1, spec.mechanism, u[None, :])).datasets()
-    return inc
+    return _incomplete_block(x1, x2, y, _mask_rows(x1, mechanism, u[None, :]))

@@ -80,10 +80,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.x1.size
 
-    @property
-    def columns(self) -> Dict[str, np.ndarray]:
-        return {"x1": self.x1, "x2": self.x2, "y": self.y}
-
 
 @dataclass(frozen=True)
 class ParamSet:

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .ampute import CompletedDataset, IncompleteDataset
+from .ampute import CompletedDataset, IncompleteBlock
 from .datagen import (
     Dataset,
     ParamSet,
@@ -49,20 +49,16 @@ class DecompositionResult:
             raise ValueError("decomposition components must be non-negative")
 
 
-def quantile(values, q: float) -> float:
-    """Linear-interpolation sample quantile: h = (n-1)q between order stats.
-
-    Equal to np.quantile(values, q) under ==, from one partition. As
-    numpy does, it partitions on {0, lo, hi, n-1} with lo = floor(h) and
-    hi = lo + 1 (both capped at n-1), then takes a + (b-a)g with
-    g = h - lo, or b - (b-a)(1-g) when g >= 0.5. Non-finite values raise
-    ValueError; they sort to the ends, so the partition shows them.
-    """
-    return float(_quantile_rows(np.asarray(values, dtype=np.float64).reshape(1, -1), q)[0])
-
-
 def _quantile_rows(rows: np.ndarray, q: float) -> np.ndarray:
-    """quantile of each row of a (k, n) block, from one partition along axis 1."""
+    """Linear-interpolation quantile of each row of a (k, n) block: h = (n-1)q.
+
+    Equal under == to np.quantile(row, q) of each row, from one partition
+    along axis 1. As numpy does, it partitions on {0, lo, hi, n-1} with
+    lo = floor(h) and hi = lo + 1 (both capped at n-1), then takes
+    a + (b-a)g with g = h - lo, or b - (b-a)(1-g) when g >= 0.5.
+    Non-finite values raise ValueError; they sort to the ends, so the
+    partition shows them.
+    """
     if rows.shape[1] == 0:
         raise ValueError("quantile of an empty sequence")
     if not 0.0 <= q <= 1.0:
@@ -145,35 +141,37 @@ def _estimate_rows(
 
 
 def decompose_mse(
-    inc: IncompleteDataset,
+    inc: IncompleteBlock,
     truth: Dataset,
     method: ImputationMethod,
     repeats: int,
     stream: RngStream,
     population: PopulationSpec,
 ) -> DecompositionResult:
-    """Split the imputation MSE into bias^2 + variance + noise.
+    """Split the imputation MSE of one dataset into bias^2 + variance + noise.
 
-    The same incomplete dataset is imputed ``repeats`` times on child
-    streams 1..repeats. Per masked row, bias is measured against the
-    generator's noiseless surface beta1*x1 + beta2*x2 (the generator is
-    known, so no surface estimate is needed), variance is the
-    across-repeat variance of the imputed value, and noise is the
-    generator's irreducible sigma^2 = 1 - r_squared. total is the mean
-    across repeats of the per-missing-row MSE.
+    inc is the block of one incomplete dataset and truth its complete
+    sample. It is imputed ``repeats`` times on child streams
+    1..repeats. Per masked row, bias is measured against the generator's
+    noiseless surface beta1*x1 + beta2*x2 (the generator is known, so no
+    surface estimate is needed), variance is the across-repeat variance
+    of the imputed value, and noise is the generator's irreducible
+    sigma^2 = 1 - r_squared. total is the mean across repeats of the
+    per-missing-row MSE.
     """
     if repeats < 2:
         raise ValueError(f"repeats must be at least 2, got {repeats}")
-    if inc.n_missing == 0:
+    if inc.mask.shape[0] != 1:
+        raise ValueError(f"expected the block of one dataset, got {inc.mask.shape[0]} rows")
+    mask = inc.mask[0]
+    if not mask.any():
         raise ValueError("no rows are masked; the imputation MSE is undefined")
     beta1, beta2, noise_sd = coefficients(population)
-    surface = beta1 * inc.x1[inc.mask] + beta2 * inc.x2[inc.mask]
-    truth_mis = truth.y[inc.mask]
-
-    draws = np.empty((repeats, inc.n_missing))
-    for r in range(1, repeats + 1):
-        completed = method.impute(inc, stream.child(r))
-        draws[r - 1] = completed.data.y[inc.mask]
+    surface = beta1 * inc.x1[0, mask] + beta2 * inc.x2[0, mask]
+    truth_mis = truth.y[mask]
+    draws = np.array(
+        [method.impute_block(inc, [stream.child(r)])[0, mask] for r in range(1, repeats + 1)]
+    )
 
     center = draws.mean(axis=0)
     bias_sq = float(np.mean((center - surface) ** 2))

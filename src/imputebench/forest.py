@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ampute import CompletedDataset, IncompleteDataset
 from .stochastics import RngStream
 
 MIN_NODE_SIZE = 5
@@ -47,17 +46,6 @@ MIN_NODE_SIZE = 5
 # first steps build temporaries for all ~32,000 rows at once: a table2 run's
 # peak RSS was 1.9 MB (+3.7%) higher, against the benchmark's 5% bound.
 PASS_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    """Forest size; the split rules are the module's fixed settings."""
-
-    n_trees: int = 100
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
 
 
 @dataclass(frozen=True)
@@ -142,10 +130,8 @@ def _tree_orders(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return orders
 
 
-def fit_forest(
-    x: np.ndarray, y: np.ndarray, params: ForestParams, stream: RngStream
-) -> PackedForest:
-    """Fit params.n_trees trees, tree t on the child stream t.
+def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) -> PackedForest:
+    """Fit n_trees trees, tree t on the child stream t.
 
     Stream contract of tree t on ``stream.child(t)``: first the bootstrap
     draw ``integers(0, n, size=n)``, then N = 2 * (n // MIN_NODE_SIZE) + 1
@@ -175,7 +161,7 @@ def fit_forest(
     for name, values in (("x", x), ("y", y)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite value")
-    n, n_trees = x.shape[0], params.n_trees
+    n = x.shape[0]
     width = 2 * (n // MIN_NODE_SIZE) + 1
     rows = np.empty((n_trees, n), dtype=np.intp)
     split_on = np.empty((n_trees, width), dtype=np.int32)
@@ -338,21 +324,26 @@ def predict_forest(forest: PackedForest, rows: np.ndarray) -> np.ndarray:
     return forest.predict(rows)
 
 
-def impute_forest(inc: IncompleteDataset, method, stream: RngStream) -> CompletedDataset:
-    """Forest imputation of the masked y entries: one fit, one prediction.
+def impute_forest(
+    x1: np.ndarray,
+    x2: np.ndarray,
+    y: np.ndarray,
+    mask: np.ndarray,
+    stream: RngStream,
+    n_trees: int,
+) -> np.ndarray:
+    """Forest imputation of one dataset: its values at mask, from one fit.
 
-    ``method`` is the ``imputers.Forest`` method object. Its ``params``
-    grow a forest of y on (x1, x2) over the observed rows, with ``stream``
-    as the forest stream, and the forest predicts the missing rows.
+    A forest of n_trees trees of y on (x1, x2) grows on the observed rows,
+    with ``stream`` as the forest stream, and predicts the missing rows.
     """
-    if inc.n_observed < MIN_NODE_SIZE:
+    keep = ~mask
+    n_observed = int(np.count_nonzero(keep))
+    if n_observed < MIN_NODE_SIZE:
         raise ValueError(
-            f"need at least MIN_NODE_SIZE={MIN_NODE_SIZE} observed rows, got {inc.n_observed}"
+            f"need at least MIN_NODE_SIZE={MIN_NODE_SIZE} observed rows, got {n_observed}"
         )
-    if inc.n_missing == 0:
-        return CompletedDataset.from_imputation(inc, np.empty(0), method)
-
-    x = np.column_stack([inc.x1, inc.x2])
-    keep = ~inc.mask
-    values = predict_forest(fit_forest(x[keep], inc.y[keep], method.params, stream), x[inc.mask])
-    return CompletedDataset.from_imputation(inc, values, method)
+    if n_observed == mask.size:
+        return np.empty(0)
+    x = np.column_stack([x1, x2])
+    return predict_forest(fit_forest(x[keep], y[keep], n_trees, stream), x[mask])

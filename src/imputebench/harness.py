@@ -26,26 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ampute import (
-    CompletedDataset,
-    IncompleteDataset,
-    Mechanism,
-    MissingnessSpec,
-    _incomplete_block,
-    _mask_rows,
-)
+from .ampute import CompletedDataset, IncompleteBlock, Mechanism, _incomplete_block, _mask_rows
 from .datagen import Dataset, ParamSet, PopulationSpec, _sample_rows, _trusted, generate_population
 from .downstream import DecompositionResult, _estimate_rows, decompose_mse, estimate_params
-from .imputers import (
-    Draw,
-    Forest,
-    ImputationMethod,
-    Pmm,
-    Predict,
-    SoftImpute,
-    impute_draw,
-    impute_predict,
-)
+from .imputers import Draw, Forest, ImputationMethod, Pmm, Predict, SoftImpute
 from .stochastics import Purpose, SeedSpec, make_stream, substream_id
 
 TRUTH_LABEL = "truth"
@@ -68,10 +52,7 @@ SIGNALS: tuple[tuple[str, PopulationSpec], ...] = (
     ("high", PopulationSpec(r_squared=0.8)),
     ("low", PopulationSpec(r_squared=0.2)),
 )
-MECHANISMS: tuple[MissingnessSpec, ...] = (
-    MissingnessSpec(Mechanism.MCAR),
-    MissingnessSpec(Mechanism.MAR_RIGHT),
-)
+MECHANISMS: tuple[Mechanism, ...] = (Mechanism.MCAR, Mechanism.MAR_RIGHT)
 
 
 @dataclass(frozen=True)
@@ -155,7 +136,7 @@ def _frozen(block: np.ndarray) -> np.ndarray:
 
 
 def _masked_block(
-    cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: MissingnessSpec, first: int, last: int
+    cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: Mechanism, first: int, last: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Samples of pop for replications first..last and their amputations.
 
@@ -172,15 +153,15 @@ def _masked_block(
         idx[i] = _sample_rows(pop, cfg.n_sample, _rep_stream(cfg, cell_id, t, Purpose.SAMPLING))
         u[i] = _rep_stream(cfg, cell_id, t, Purpose.AMPUTATION).generator.random(cfg.n_sample)
     x1, x2, y = (_frozen(col[idx]) for col in (pop.x1, pop.x2, pop.y))
-    return x1, x2, y, _mask_rows(x1, mech.mechanism, u)
+    return x1, x2, y, _mask_rows(x1, mech, u)
 
 
 def _sample_and_mask(
-    cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: MissingnessSpec, t: int
-) -> tuple[Dataset, IncompleteDataset]:
-    """Replication t's sample of pop and its amputation: the block [t, t]."""
-    (inc,) = _incomplete_block(*_masked_block(cfg, pop, cell_id, mech, t, t)).datasets()
-    return _trusted(Dataset, x1=inc.x1, x2=inc.x2, y=inc.truth_y), inc
+    cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: Mechanism, t: int
+) -> tuple[Dataset, IncompleteBlock]:
+    """Replication t's sample of pop and its amputation, the block [t, t]."""
+    inc = _incomplete_block(*_masked_block(cfg, pop, cell_id, mech, t, t))
+    return _trusted(Dataset, x1=inc.x1[0], x2=inc.x2[0], y=inc.truth_y[0]), inc
 
 
 # =====================================================================
@@ -194,7 +175,7 @@ class _Cell:
     cell_id: int
     level: int
     method: ImputationMethod | None = None
-    mech: MissingnessSpec | None = None
+    mech: Mechanism | None = None
 
     @property
     def signal(self) -> str:
@@ -206,7 +187,7 @@ class _Cell:
             return f"truth row (signal={self.signal})"
         return (
             f"cell (signal={self.signal}, method={self.method.label}, "
-            f"mechanism={self.mech.mechanism.label})"
+            f"mechanism={self.mech.label})"
         )
 
 
@@ -227,8 +208,8 @@ def _block_params(
 
     The method imputes the block, each replication drawing only from its
     own imputation stream, and the completed (k, n) block of y is
-    estimated in one pass. A method's completion keeps the replication's
-    x1, x2 and mask, as CompletedDataset.from_imputation does.
+    estimated in one pass. A method's completion changes only y at the
+    mask, so the replication's x1, x2 and mask are estimated with it.
     """
     x1, x2, y, mask = _masked_block(cfg, pop, cell.cell_id, cell.mech, first, last)
     streams = [
@@ -284,7 +265,7 @@ def _assign_cells(methods: Sequence[ImputationMethod]) -> list[_Cell]:
         for mech in MECHANISMS
     ]
     keys = [
-        (SIGNALS[level][0], method.label, mech.mechanism.label)
+        (SIGNALS[level][0], method.label, mech.label)
         for level, method, mech in cells
     ]
     id_of = {key: i for i, key in enumerate(sorted(keys))}
@@ -300,7 +281,7 @@ def _table_row(cfg: ExperimentConfig, cell: _Cell) -> TableRow:
             params = estimate_params(truth, pop)
         return TableRow(cell.signal, TRUTH_LABEL, NO_MECHANISM_LABEL, params)
     mean, stderr = _cell_stats(pop, cell, cfg)
-    return TableRow(cell.signal, cell.method.label, cell.mech.mechanism.label, mean, stderr)
+    return TableRow(cell.signal, cell.method.label, cell.mech.label, mean, stderr)
 
 
 def _run_grid(
@@ -408,21 +389,18 @@ def export_figure_data(cfg: ExperimentConfig) -> str:
     """
     level, mech = 1, MECHANISMS[1]
     pop = _build_population(cfg, level)
-    with _failures_named(
-        f"figure (signal={SIGNALS[level][0]}, mechanism={mech.mechanism.label})", 1
-    ):
-        _, inc = _sample_and_mask(cfg, pop, _FIGURE_CELL, mech, 1)
-        completions = [
-            impute_predict(inc),
-            impute_draw(inc, _rep_stream(cfg, _FIGURE_CELL, 2, Purpose.IMPUTATION)),
-        ]
-
     lines = ["x1,y,status,method"]
-    for completed in completions:
-        label = completed.method.label
-        for x1, y, masked in zip(completed.data.x1, completed.data.y, completed.imputed_mask):
+    with _failures_named(f"figure (signal={SIGNALS[level][0]}, mechanism={mech.label})", 1):
+        _, inc = _sample_and_mask(cfg, pop, _FIGURE_CELL, mech, 1)
+        # predict draws nothing; draw takes replication 2's imputation stream
+        completions = []
+        for method, t in ((Predict(), 1), (Draw(), 2)):
+            stream = _rep_stream(cfg, _FIGURE_CELL, t, Purpose.IMPUTATION)
+            completions.append((method.label, method.impute_block(inc, [stream])[0]))
+    for label, y in completions:
+        for x1, value, masked in zip(inc.x1[0], y, inc.mask[0]):
             status = "imputed" if masked else "observed"
-            lines.append(f"{x1:.17g},{y:.17g},{status},{label}")
+            lines.append(f"{x1:.17g},{value:.17g},{status},{label}")
     return "\n".join(lines) + "\n"
 
 
@@ -448,5 +426,5 @@ def run_decomposition(
                 _rep_stream(cfg, cell.cell_id, 1, Purpose.IMPUTATION),
                 SIGNALS[cell.level][1],
             )
-        out.append((cell.signal, cell.mech.mechanism.label, result))
+        out.append((cell.signal, cell.mech.label, result))
     return out

@@ -1,26 +1,33 @@
-"""The five imputation methods; each method object imputes itself.
+"""The five imputation methods; each method object imputes a block.
 
-``predict`` and ``draw`` are the two regression imputers (conditional
-mean, and conditional mean plus residual noise). ``pmm`` is type-1
-predictive mean matching. All three fit ``linmodel.fit_ols``, y on
-(x1, x2), to the observed rows' columns. ``softimpute`` is rank-2
-matrix completion of (x1, x2, y); with holes only in y and no penalty,
-its fixed point is the uncentred total-least-squares plane of the
-observed rows, which it computes directly (the iterative ALS that
-reaches the same point is a test reference). The forest imputer lives
-in its own module; :class:`Forest` is its method object.
+A method's one entry is ``impute_block(block, streams)``: it takes an
+``ampute.IncompleteBlock`` of k datasets and one stream per dataset, and
+returns the completed y of every dataset as a (k, n) block, so a single
+dataset is imputed as the block of one. ``predict`` and ``draw`` are the
+two regression imputers (conditional mean, and conditional mean plus
+residual noise); they fit each dataset alone but fill the block at once.
+``pmm`` is type-1 predictive mean matching. All three fit
+``linmodel.fit_ols``, y on (x1, x2), to the observed rows' columns.
+``softimpute`` is rank-2 matrix completion of (x1, x2, y); with holes
+only in y and no penalty, its fixed point is the uncentred
+total-least-squares plane of the observed rows, which it computes
+directly (the iterative ALS that reaches the same point is a test
+reference). pmm, softimpute and the forest (``forest.impute_forest``)
+impute one dataset at a time: each has a public body that takes one
+dataset's 1-D x1, x2, y and mask plus its stream and returns the values
+at the mask, and ``_each_row`` fills the block from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .ampute import CompletedDataset, IncompleteBlock, IncompleteDataset
+from .ampute import IncompleteBlock
 from .datagen import _row_slices
-from .forest import ForestParams, impute_forest
+from .forest import impute_forest
 from .linmodel import bayes_param_draw, fit_ols, predict
 from .stochastics import RngStream
 
@@ -29,35 +36,22 @@ PMM_DONORS = 5
 
 
 class ImputationMethod:
-    """Base class; concrete methods are frozen dataclasses below.
-
-    The harness imputes through impute_block, whose default imputes each
-    dataset alone with impute, so a method need define only impute.
-    Predict and Draw also define impute_block, which then never calls
-    impute: a subclass that changes how they impute must override both.
-    """
+    """Base class; concrete methods are frozen dataclasses below."""
 
     label: ClassVar[str] = ""
 
-    def impute(self, inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
-        """Fill the masked y entries of ``inc``, drawing only from ``stream``."""
-        raise ValueError(f"unknown imputation method: {self!r}")
-
     def impute_block(self, block: IncompleteBlock, streams: Sequence[RngStream]) -> np.ndarray:
-        """The completed y of each dataset of ``block``, as a (k, n) block.
+        """The completed y of each dataset of ``block``, as a read-only (k, n) block.
 
-        Dataset i draws only from streams[i]. This imputes each dataset
-        alone; predict and draw impute the whole block at once.
+        Dataset i draws only from streams[i], so its completion does not
+        depend on the other rows of the block.
         """
-        return np.array([self.impute(inc, s).data.y for inc, s in zip(block.datasets(), streams)])
+        raise ValueError(f"unknown imputation method: {self!r}")
 
 
 @dataclass(frozen=True)
 class Predict(ImputationMethod):
     label: ClassVar[str] = "predict"
-
-    def impute(self, inc, stream):
-        return impute_predict(inc)
 
     def impute_block(self, block, streams):
         return block.filled(_predict_values(block)[0])
@@ -67,9 +61,6 @@ class Predict(ImputationMethod):
 class Draw(ImputationMethod):
     label: ClassVar[str] = "draw"
 
-    def impute(self, inc, stream):
-        return impute_draw(inc, stream)
-
     def impute_block(self, block, streams):
         return block.filled(_draw_values(block, streams))
 
@@ -78,38 +69,44 @@ class Draw(ImputationMethod):
 class Pmm(ImputationMethod):
     label: ClassVar[str] = "pmm"
 
-    def impute(self, inc, stream):
-        return impute_pmm(inc, stream)
+    def impute_block(self, block, streams):
+        return _each_row(block, streams, impute_pmm)
 
 
 @dataclass(frozen=True)
 class SoftImpute(ImputationMethod):
     label: ClassVar[str] = "softimpute"
 
-    def impute(self, inc, stream):
-        return impute_softimpute(inc)
+    def impute_block(self, block, streams):
+        return _each_row(block, streams, impute_softimpute)
 
 
 @dataclass(frozen=True)
 class Forest(ImputationMethod):
-    params: ForestParams = field(default_factory=ForestParams)
+    """Forest imputation with n_trees trees; the split rules are forest's fixed settings."""
+
+    n_trees: int = 100
 
     label: ClassVar[str] = "forest"
 
-    def impute(self, inc, stream):
-        return impute_forest(inc, self, stream)
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
+
+    def impute_block(self, block, streams):
+        return _each_row(block, streams, impute_forest, n_trees=self.n_trees)
 
 
-def impute_predict(inc: IncompleteDataset) -> CompletedDataset:
-    """Fill masked y with fitted values from OLS on the observed rows."""
-    values, _ = _predict_values(IncompleteBlock.of(inc))
-    return CompletedDataset.from_imputation(inc, values, Predict())
+def _each_row(
+    block: IncompleteBlock, streams: Sequence[RngStream], impute, **options
+) -> np.ndarray:
+    """The completed y block from impute(x1, x2, y, mask, stream, **options) of each row.
 
-
-def impute_draw(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
-    """Fill masked y with fitted values plus N(0, sigma2) residual noise."""
-    values = _draw_values(IncompleteBlock.of(inc), [stream])
-    return CompletedDataset.from_imputation(inc, values, Draw())
+    impute returns one row's values at its mask; the block is filled
+    once with all of them.
+    """
+    rows = zip(block.x1, block.x2, block.y, block.mask, streams)
+    return block.filled(np.concatenate([impute(*row, **options) for row in rows]))
 
 
 def _predict_values(block: IncompleteBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -142,44 +139,47 @@ def _draw_values(block: IncompleteBlock, streams: Sequence[RngStream]) -> np.nda
     return fitted + np.repeat(np.sqrt(residual_variance), n_missing) * noise
 
 
-def impute_pmm(inc: IncompleteDataset, stream: RngStream) -> CompletedDataset:
-    """Type-1 predictive mean matching.
+def impute_pmm(
+    x1: np.ndarray, x2: np.ndarray, y: np.ndarray, mask: np.ndarray, stream: RngStream
+) -> np.ndarray:
+    """Type-1 predictive mean matching of one dataset: its values at mask.
 
     Observed rows are scored with the OLS coefficients, missing rows with
     a Bayesian parameter draw; each missing row copies the observed y of
     one of its PMM_DONORS nearest neighbours in predicted value, chosen
     uniformly. Stream order: posterior draw first, then donor picks.
     """
-    if PMM_DONORS > inc.n_observed:
-        raise ValueError(f"{PMM_DONORS} donors exceed the {inc.n_observed} observed rows")
-    keep = ~inc.mask
-    x1_obs, x2_obs, y_obs = inc.x1[keep], inc.x2[keep], inc.y[keep]
+    keep = ~mask
+    x1_obs, x2_obs, y_obs = x1[keep], x2[keep], y[keep]
+    if PMM_DONORS > y_obs.size:
+        raise ValueError(f"{PMM_DONORS} donors exceed the {y_obs.size} observed rows")
     fit = fit_ols(x1_obs, x2_obs, y_obs)
     yhat_obs = predict(fit.coefficients, x1_obs, x2_obs)
     beta_star, _ = bayes_param_draw(fit, stream)
-    yhat_mis = predict(beta_star, inc.x1[inc.mask], inc.x2[inc.mask])
+    yhat_mis = predict(beta_star, x1[mask], x2[mask])
 
-    n_mis = inc.n_missing
+    n_mis = yhat_mis.size
     dist = np.abs(yhat_obs[None, :] - yhat_mis[:, None])
     if PMM_DONORS < dist.shape[1]:
         pool = np.argpartition(dist, PMM_DONORS - 1, axis=1)[:, :PMM_DONORS]
     else:
         pool = np.broadcast_to(np.arange(dist.shape[1]), dist.shape).copy()
     pick = stream.generator.integers(0, pool.shape[1], size=n_mis)
-    donor_idx = pool[np.arange(n_mis), pick]
-    return CompletedDataset.from_imputation(inc, y_obs[donor_idx], Pmm())
+    return y_obs[pool[np.arange(n_mis), pick]]
 
 
-def impute_softimpute(inc: IncompleteDataset) -> CompletedDataset:
-    """Fill masked y on the uncentred total-least-squares plane of the observed rows.
+def impute_softimpute(
+    x1: np.ndarray, x2: np.ndarray, y: np.ndarray, mask: np.ndarray, stream: RngStream
+) -> np.ndarray:
+    """One dataset's values at mask on the uncentred total-least-squares plane.
 
     This is the fixed point of rank-2 ALS on raw (x1, x2, y) with no ridge
     and holes only in y: the plane orthogonal to the last right singular
-    vector v of the observed rows, so y = -(v1*x1 + v2*x2) / v3.
+    vector v of the observed rows, so y = -(v1*x1 + v2*x2) / v3. It draws
+    nothing; stream is unused.
     """
-    if inc.n_observed < 3:
-        raise ValueError(f"softimpute needs at least 3 observed rows, got {inc.n_observed}")
-    observed = np.column_stack([inc.x1, inc.x2, inc.y])[~inc.mask]
+    observed = np.column_stack([x1, x2, y])[~mask]
+    if observed.shape[0] < 3:
+        raise ValueError(f"softimpute needs at least 3 observed rows, got {observed.shape[0]}")
     v = np.linalg.svd(observed, full_matrices=False)[2][-1]
-    values = -(v[0] * inc.x1[inc.mask] + v[1] * inc.x2[inc.mask]) / v[2]
-    return CompletedDataset.from_imputation(inc, values, SoftImpute())
+    return -(v[0] * x1[mask] + v[1] * x2[mask]) / v[2]

@@ -1,16 +1,20 @@
 """Shared test plumbing.
 
 Holds the acceptance-summary hook (one PASS/FAIL line per criterion at
-the end of a run) and an independent reimplementation of the downstream
-estimates used as a dual-route oracle. The oracle shares no code with
-the library: quantile interpolation is hand-rolled and the regressions
-go through lstsq instead of the normal equations.
+the end of a run), an independent reimplementation of the downstream
+estimates used as a dual-route oracle, and two helpers that build the
+block of one dataset and its estimate_params input. The oracle shares no
+code with the library: quantile interpolation is hand-rolled and the
+regressions go through lstsq instead of the normal equations.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from imputebench.ampute import CompletedDataset, IncompleteBlock
+from imputebench.datagen import Dataset
 
 _ACCEPTANCE_RESULTS = []
 
@@ -92,3 +96,13 @@ def naive_reference_params(completed, truth):
 @pytest.fixture
 def naive_params():
     return naive_reference_params
+
+
+def block_of_one(x1, x2, y, mask, truth_y):
+    """The IncompleteBlock of one dataset, from its 1-D columns."""
+    return IncompleteBlock(*(np.asarray(col)[None, :] for col in (x1, x2, y, mask, truth_y)))
+
+
+def completed_of(inc, y_block, method=None):
+    """The CompletedDataset of the block of one ``inc`` and its completed y block."""
+    return CompletedDataset(Dataset(inc.x1[0], inc.x2[0], y_block[0]), inc.mask[0], method)

@@ -12,12 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from imputebench.ampute import (
-    IncompleteDataset,
-    Mechanism,
-    MissingnessSpec,
-    ampute,
-)
+from imputebench.ampute import Mechanism, ampute
 from imputebench.datagen import (
     Dataset,
     PopulationSpec,
@@ -26,7 +21,6 @@ from imputebench.datagen import (
     ground_truth,
 )
 from imputebench.downstream import ParamSet, decompose_mse, estimate_params
-from imputebench.forest import ForestParams
 from imputebench.harness import (
     ExperimentConfig,
     format_table,
@@ -39,13 +33,12 @@ from imputebench.imputers import (
     Pmm,
     Predict,
     SoftImpute,
-    impute_pmm,
-    impute_predict,
 )
 from imputebench.linmodel import fit_ols, predict
 from imputebench.stochastics import SeedSpec, make_stream
 
 from als_reference import als_matrix_complete
+from conftest import block_of_one, completed_of
 
 _SCALES = {"ci": (20, 100_000, 2.0), "desk": (200, 1_000_000, 1.0)}
 _scale_name = os.environ.get("IMPUTEBENCH_ACCEPTANCE_SCALE", "ci")
@@ -85,8 +78,8 @@ EXPECTED_PMM = {
 }
 PMM_FIELDS = ("sigma", "rho", "gamma", "r2_y", "delta", "r2_x")
 
-MCAR = MissingnessSpec(Mechanism.MCAR)
-MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
+MCAR = Mechanism.MCAR
+MAR = Mechanism.MAR_RIGHT
 
 
 @pytest.fixture(scope="module")
@@ -232,14 +225,14 @@ def test_invariant_suite(naive_params):
     inc = ampute(sample, MAR, make_stream(SeedSpec(990, 2)))
 
     # every pmm-imputed value is a donor's observed value
-    completed = impute_pmm(inc, make_stream(SeedSpec(990, 3)))
+    completed = Pmm().impute_block(inc, [make_stream(SeedSpec(990, 3))])
     observed = set(inc.y[~inc.mask].tolist())
-    assert all(v in observed for v in completed.data.y[inc.mask])
+    assert all(v in observed for v in completed[inc.mask])
 
     # predict-imputed values sit on the fitted hyperplane
     keep = ~inc.mask
     fit = fit_ols(inc.x1[keep], inc.x2[keep], inc.y[keep])
-    resid = impute_predict(inc).data.y[inc.mask] - predict(
+    resid = Predict().impute_block(inc, [make_stream(SeedSpec(990, 3))])[inc.mask] - predict(
         fit.coefficients, inc.x1[inc.mask], inc.x2[inc.mask]
     )
     assert np.max(np.abs(resid)) < 1e-10
@@ -257,24 +250,20 @@ def test_invariant_suite(naive_params):
     # no method touches an observed value
     methods = (
         Predict(), Draw(), Pmm(), SoftImpute(),
-        Forest(params=ForestParams(n_trees=10)),
+        Forest(n_trees=10),
     )
     for method in methods:
-        out = method.impute(inc, make_stream(SeedSpec(990, 5)))
-        np.testing.assert_array_equal(out.data.y[~inc.mask], inc.y[~inc.mask])
+        out = method.impute_block(inc, [make_stream(SeedSpec(990, 5))])
+        np.testing.assert_array_equal(out[~inc.mask], inc.y[~inc.mask])
 
     # parameter estimation agrees with a naively coded reference
-    from imputebench.ampute import CompletedDataset
-
     for trial in range(10):
         n = int(gen.integers(40, 150))
         x1, x2 = gen.normal(size=n), gen.normal(size=n)
         truth_y = 0.4 * x1 + gen.normal(size=n)
         mask = gen.random(size=n) < 0.4
-        inc_t = IncompleteDataset(
-            x1=x1, x2=x2, y=np.where(mask, np.nan, truth_y), mask=mask, truth_y=truth_y
-        )
-        comp = CompletedDataset.from_imputation(inc_t, gen.normal(size=int(mask.sum())), None)
+        inc_t = block_of_one(x1, x2, np.where(mask, np.nan, truth_y), mask, truth_y)
+        comp = completed_of(inc_t, inc_t.filled(gen.normal(size=int(mask.sum()))))
         truth_data = Dataset(x1, x2, truth_y)
         got = estimate_params(comp, truth_data)
         want = naive_params(comp, truth_data)
@@ -289,8 +278,8 @@ def test_invariant_suite(naive_params):
         masked = ampute(big, mech, make_stream(SeedSpec(991, 1)))
         assert masked.mask.mean() == pytest.approx(0.5, abs=0.01)
     mar = ampute(big, MAR, make_stream(SeedSpec(991, 2)))
-    upper = mar.mask[big.x1 > 0].mean()
-    lower = mar.mask[big.x1 <= 0].mean()
+    upper = mar.mask[0][big.x1 > 0].mean()
+    lower = mar.mask[0][big.x1 <= 0].mean()
     assert upper > lower + 0.2
     mcar = ampute(big, MCAR, make_stream(SeedSpec(991, 3)))
     assert abs(np.corrcoef(mcar.mask.astype(float), big.x1)[0, 1]) < 0.02

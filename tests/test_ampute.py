@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -12,16 +11,15 @@ import imputebench.ampute as ampute_module
 from imputebench.ampute import (
     PROP,
     CompletedDataset,
-    IncompleteDataset,
+    IncompleteBlock,
     Mechanism,
-    MissingnessSpec,
     _logistic,
     _solve_shifts,
     ampute,
-    solve_shift,
 )
 from imputebench.datagen import Dataset, PopulationSpec, generate_population
 from imputebench.harness import (
+    MECHANISMS,
     ExperimentConfig,
     _assign_cells,
     _build_population,
@@ -30,8 +28,8 @@ from imputebench.harness import (
 from imputebench.imputers import Draw, Predict
 from imputebench.stochastics import SeedSpec, make_stream
 
-MCAR = MissingnessSpec(Mechanism.MCAR)
-MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
+MCAR = Mechanism.MCAR
+MAR = Mechanism.MAR_RIGHT
 
 
 def _data(n, seed=40, stream_id=0):
@@ -39,9 +37,15 @@ def _data(n, seed=40, stream_id=0):
     return generate_population(spec, make_stream(SeedSpec(seed, stream_id)))
 
 
+def solve_shift(scores, prop):
+    """The shift of one score vector, as the one-row block of _solve_shifts."""
+    return float(_solve_shifts(np.asarray(scores, dtype=np.float64).reshape(1, -1), prop)[0])
+
+
 class TestMissingnessSpec:
+    # a cell's missingness is its Mechanism; the masked share is the constant PROP
     def test_defaults(self):
-        assert tuple(f.name for f in dataclasses.fields(MissingnessSpec)) == ("mechanism",)
+        assert MECHANISMS == (Mechanism.MCAR, Mechanism.MAR_RIGHT)
         assert PROP == 0.5
 
     def test_labels(self):
@@ -50,59 +54,78 @@ class TestMissingnessSpec:
 
 
 class TestIncompleteDataset:
+    # a single dataset is the IncompleteBlock of one
     def test_counts_and_accessors(self):
         inc = ampute(_data(1000), MCAR, make_stream(SeedSpec(41, 0)))
-        assert inc.n_observed + inc.n_missing == 1000
-        assert inc.y[~inc.mask].size == inc.n_observed
+        n_missing = np.count_nonzero(inc.mask)
+        assert inc.mask.shape == (1, 1000)
+        assert inc.y[~inc.mask].size == 1000 - n_missing
         assert np.all(np.isfinite(inc.y[~inc.mask]))
-        assert inc.x1[inc.mask].size == inc.n_missing
+        assert inc.x1[inc.mask].size == n_missing
 
     def test_requires_nan_at_mask(self):
         with pytest.raises(ValueError):
-            IncompleteDataset(
-                x1=np.zeros(2),
-                x2=np.zeros(2),
-                y=np.array([1.0, 2.0]),
-                mask=np.array([True, False]),
-                truth_y=np.array([1.0, 2.0]),
+            IncompleteBlock(
+                x1=np.zeros((1, 2)),
+                x2=np.zeros((1, 2)),
+                y=np.array([[1.0, 2.0]]),
+                mask=np.array([[True, False]]),
+                truth_y=np.array([[1.0, 2.0]]),
             )
 
     def test_requires_finite_off_mask(self):
         with pytest.raises(ValueError):
-            IncompleteDataset(
-                x1=np.zeros(2),
-                x2=np.zeros(2),
-                y=np.array([np.nan, np.nan]),
-                mask=np.array([True, False]),
-                truth_y=np.array([1.0, 2.0]),
+            IncompleteBlock(
+                x1=np.zeros((1, 2)),
+                x2=np.zeros((1, 2)),
+                y=np.array([[np.nan, np.nan]]),
+                mask=np.array([[True, False]]),
+                truth_y=np.array([[1.0, 2.0]]),
             )
 
     def test_requires_equal_lengths(self):
         with pytest.raises(ValueError):
-            IncompleteDataset(
-                x1=np.zeros(3),
-                x2=np.zeros(2),
-                y=np.array([np.nan, 2.0]),
-                mask=np.array([True, False]),
-                truth_y=np.array([1.0, 2.0]),
+            IncompleteBlock(
+                x1=np.zeros((1, 3)),
+                x2=np.zeros((1, 2)),
+                y=np.array([[np.nan, 2.0]]),
+                mask=np.array([[True, False]]),
+                truth_y=np.array([[1.0, 2.0]]),
             )
+
+    @pytest.mark.parametrize("column", ["x1", "x2", "y", "truth_y"])
+    def test_requires_the_mask_shape(self, column):
+        # ten values as (2, 5) against a one-row mask of 10: equal sizes used
+        # to pass, and imputing then failed on numpy's boolean index
+        gen = np.random.default_rng(53)
+        truth = gen.normal(size=(1, 10))
+        mask = np.arange(10)[None, :] % 3 == 0
+        cols = dict(x1=gen.normal(size=(1, 10)), x2=gen.normal(size=(1, 10)),
+                    y=np.where(mask, np.nan, truth), mask=mask, truth_y=truth)
+        IncompleteBlock(**cols)
+        cols[column] = cols[column].reshape(2, 5)
+        with pytest.raises(ValueError, match=f"column {column} has shape \\(2, 5\\)"):
+            IncompleteBlock(**cols)
+
+    def test_requires_a_two_dimensional_mask(self):
+        cols = {name: np.zeros(4) for name in ("x1", "x2", "y", "truth_y")}
+        with pytest.raises(ValueError, match="mask must be a \\(k, n\\) block"):
+            IncompleteBlock(mask=np.zeros(4, dtype=bool), **cols)
 
 
 class TestCompletedDataset:
+    # a method's completion is the filled y block
     def test_from_imputation_fills_only_mask(self):
         inc = ampute(_data(100), MCAR, make_stream(SeedSpec(42, 0)))
-        completed = CompletedDataset.from_imputation(
-            inc, np.zeros(inc.n_missing), method=None
-        )
-        np.testing.assert_array_equal(completed.data.y[~inc.mask], inc.y[~inc.mask])
-        assert np.all(completed.data.y[inc.mask] == 0.0)
+        y = inc.filled(np.zeros(np.count_nonzero(inc.mask)))
+        np.testing.assert_array_equal(y[~inc.mask], inc.y[~inc.mask])
+        assert np.all(y[inc.mask] == 0.0)
+        assert not y.flags.writeable
 
     def test_wrong_value_count_rejected(self):
         inc = ampute(_data(100), MCAR, make_stream(SeedSpec(42, 1)))
         with pytest.raises(ValueError):
-            CompletedDataset.from_imputation(
-                inc, np.zeros(inc.n_missing + 1), method=None
-            )
+            inc.filled(np.zeros(np.count_nonzero(inc.mask) + 1))
 
     def test_mask_length_checked(self):
         data = Dataset(np.zeros(3), np.zeros(3), np.zeros(3))
@@ -298,7 +321,7 @@ class TestAmpute:
         violations = 0
         for rep in range(200):
             inc = ampute(data, MCAR, make_stream(SeedSpec(43, rep)))
-            if not 453 <= inc.n_missing <= 547:
+            if not 453 <= np.count_nonzero(inc.mask) <= 547:
                 violations += 1
         assert violations <= 4  # 3-sigma band holds in >= 99% of runs
 
@@ -306,19 +329,19 @@ class TestAmpute:
     def test_proportion_converges(self, spec):
         data = _data(100_000)
         inc = ampute(data, spec, make_stream(SeedSpec(44, 0)))
-        assert abs(inc.n_missing / len(data) - 0.5) < 0.01
+        assert abs(np.count_nonzero(inc.mask) / len(data) - 0.5) < 0.01
 
     def test_mar_censors_right_tail(self):
         data = _data(100_000)
         inc = ampute(data, MAR, make_stream(SeedSpec(45, 0)))
-        p_high = inc.mask[data.x1 > 0].mean()
-        p_low = inc.mask[data.x1 <= 0].mean()
+        p_high = inc.mask[0][data.x1 > 0].mean()
+        p_low = inc.mask[0][data.x1 <= 0].mean()
         assert p_high > p_low
 
     def test_mask_correlation_with_x1(self):
         data = _data(100_000)
-        mcar_mask = ampute(data, MCAR, make_stream(SeedSpec(46, 0))).mask
-        mar_mask = ampute(data, MAR, make_stream(SeedSpec(46, 1))).mask
+        mcar_mask = ampute(data, MCAR, make_stream(SeedSpec(46, 0))).mask[0]
+        mar_mask = ampute(data, MAR, make_stream(SeedSpec(46, 1))).mask[0]
         assert abs(np.corrcoef(mcar_mask, data.x1)[0, 1]) < 0.02
         assert np.corrcoef(mar_mask, data.x1)[0, 1] > 0.3
 
@@ -330,7 +353,7 @@ class TestAmpute:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             inc = ampute(data, MAR, make_stream(SeedSpec(47, 0)))
-        assert not inc.mask[0]
+        assert not inc.mask[0, 0]
 
     @pytest.mark.parametrize("scale", [1e160, 1e200])
     def test_large_magnitude_x1_standardizes(self, scale):
@@ -359,10 +382,10 @@ class TestAmpute:
     def test_predictors_and_truth_preserved(self):
         data = _data(5000)
         inc = ampute(data, MAR, make_stream(SeedSpec(49, 0)))
-        np.testing.assert_array_equal(inc.x1, data.x1)
-        np.testing.assert_array_equal(inc.x2, data.x2)
-        np.testing.assert_array_equal(inc.truth_y, data.y)
-        np.testing.assert_array_equal(inc.y[~inc.mask], data.y[~inc.mask])
+        np.testing.assert_array_equal(inc.x1[0], data.x1)
+        np.testing.assert_array_equal(inc.x2[0], data.x2)
+        np.testing.assert_array_equal(inc.truth_y[0], data.y)
+        np.testing.assert_array_equal(inc.y[~inc.mask], data.y[~inc.mask[0]])
 
     def test_deterministic(self):
         data = _data(2000)

@@ -114,8 +114,7 @@ class TestDataset:
     def test_len_and_columns(self):
         data = Dataset([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
         assert len(data) == 2
-        assert set(data.columns) == {"x1", "x2", "y"}
-        np.testing.assert_array_equal(data.columns["x2"], [3.0, 4.0])
+        np.testing.assert_array_equal(data.x2, [3.0, 4.0])
 
 
 class TestGeneratePopulation:

@@ -11,14 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import imputebench
-from conftest import naive_quantile
-from imputebench.ampute import (
-    CompletedDataset,
-    IncompleteDataset,
-    Mechanism,
-    MissingnessSpec,
-    ampute,
-)
+from conftest import block_of_one, completed_of, naive_quantile
+from imputebench.ampute import CompletedDataset, IncompleteBlock, Mechanism, ampute
 from imputebench.datagen import (
     Dataset,
     PopulationSpec,
@@ -29,14 +23,14 @@ from imputebench.datagen import (
 from imputebench.downstream import (
     DecompositionResult,
     ParamSet,
+    _quantile_rows,
     decompose_mse,
     estimate_params,
-    quantile,
 )
-from imputebench.imputers import Draw, Predict, SoftImpute, impute_predict
+from imputebench.imputers import Draw, Predict, SoftImpute
 from imputebench.stochastics import SeedSpec, make_stream
 
-MCAR = MissingnessSpec(Mechanism.MCAR)
+MCAR = Mechanism.MCAR
 
 FIELD_ORDER = (
     "mu", "sigma", "p90", "rho", "gamma", "r2_y", "delta", "r2_x",
@@ -51,8 +45,8 @@ def _identity_completed(n=1000, seed=20, r_squared=0.8):
     mask[::3] = True
     y = data.y.copy()
     y[mask] = np.nan
-    inc = IncompleteDataset(x1=data.x1, x2=data.x2, y=y, mask=mask, truth_y=data.y)
-    return CompletedDataset.from_imputation(inc, data.y[mask], None), data
+    inc = block_of_one(data.x1, data.x2, y, mask, data.y)
+    return completed_of(inc, inc.filled(data.y[mask])), data
 
 
 def _complete(x1, x2, y):
@@ -63,6 +57,11 @@ def _complete(x1, x2, y):
 def _wide_values(n, seed):
     gen = np.random.default_rng(seed)
     return gen.normal(size=n) * 10.0 ** gen.integers(-5, 5, size=n)
+
+
+def quantile(values, q):
+    """The quantile of one vector, as the one-row block of _quantile_rows."""
+    return float(_quantile_rows(np.asarray(values, dtype=np.float64).reshape(1, -1), q)[0])
 
 
 class TestQuantile:
@@ -158,11 +157,8 @@ class TestEstimateParams:
     def test_population_matches_analytic(self, r_squared):
         spec = PopulationSpec(r_squared=r_squared, size=100_000)
         pop = generate_population(spec, make_stream(SeedSpec(21, 0)))
-        inc = IncompleteDataset(
-            x1=pop.x1, x2=pop.x2, y=pop.y,
-            mask=np.zeros(len(pop), dtype=bool), truth_y=pop.y,
-        )
-        params = estimate_params(CompletedDataset.from_imputation(inc, np.empty(0), None), pop)
+        inc = block_of_one(pop.x1, pop.x2, pop.y, np.zeros(len(pop), dtype=bool), pop.y)
+        params = estimate_params(completed_of(inc, inc.filled(np.empty(0))), pop)
         gt = ground_truth(spec)
         assert params.p90 == 10.0
         for name in ("mu", "sigma", "rho", "gamma", "r2_y", "delta", "r2_x"):
@@ -175,7 +171,10 @@ class TestEstimateParams:
         for rep in range(200):
             sample = draw_sample(pop, 1000, make_stream(SeedSpec(23, 2 * rep)))
             inc = ampute(sample, MCAR, make_stream(SeedSpec(23, 2 * rep + 1)))
-            params = estimate_params(impute_predict(inc), sample)
+            # predict draws nothing from its stream
+            y = Predict().impute_block(inc, [make_stream(SeedSpec(23, 0))])
+            completed = completed_of(inc, y)
+            params = estimate_params(completed, sample)
             fulls.append(params.mse_full)
             missings.append(params.mse_missing)
         assert np.mean(fulls) == pytest.approx(0.10, abs=0.02)
@@ -185,14 +184,8 @@ class TestEstimateParams:
         completed, data = _identity_completed(seed=24)
         gen = np.random.default_rng(25)
         mask = completed.imputed_mask
-        noisy = CompletedDataset.from_imputation(
-            IncompleteDataset(
-                x1=data.x1, x2=data.x2,
-                y=np.where(mask, np.nan, data.y), mask=mask, truth_y=data.y,
-            ),
-            data.y[mask] + gen.normal(size=mask.sum()),
-            None,
-        )
+        inc = block_of_one(data.x1, data.x2, np.where(mask, np.nan, data.y), mask, data.y)
+        noisy = completed_of(inc, inc.filled(data.y[mask] + gen.normal(size=mask.sum())))
         params = estimate_params(noisy, data)
         frac = mask.sum() / len(data)
         assert params.mse_full == pytest.approx(frac * params.mse_missing, abs=1e-12)
@@ -205,10 +198,8 @@ class TestEstimateParams:
             truth_y = 0.5 * x1 + gen.normal(size=n)
             mask = gen.random(size=n) < 0.4
             y = np.where(mask, np.nan, truth_y)
-            inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth_y)
-            completed = CompletedDataset.from_imputation(
-                inc, gen.normal(size=int(mask.sum())), None
-            )
+            inc = block_of_one(x1, x2, y, mask, truth_y)
+            completed = completed_of(inc, inc.filled(gen.normal(size=int(mask.sum()))))
             truth = Dataset(x1, x2, truth_y)
             params = estimate_params(completed, truth)
             expected = naive_params(completed, truth)
@@ -278,10 +269,8 @@ class TestEstimateParams:
         x1, x2 = gen.normal(size=50), gen.normal(size=50)
         truth_y = x1 + gen.normal(size=50)
         mask = np.ones(50, dtype=bool)
-        inc = IncompleteDataset(
-            x1=x1, x2=x2, y=np.full(50, np.nan), mask=mask, truth_y=truth_y
-        )
-        completed = CompletedDataset.from_imputation(inc, np.zeros(50), None)
+        inc = block_of_one(x1, x2, np.full(50, np.nan), mask, truth_y)
+        completed = completed_of(inc, inc.filled(np.zeros(50)))
         with pytest.raises(ValueError):
             estimate_params(completed, Dataset(x1, x2, truth_y))
 
@@ -325,12 +314,18 @@ class TestDecomposeMse:
 
     def test_empty_mask_rejected(self, low_setup):
         spec, sample, _ = low_setup
-        inc = IncompleteDataset(
-            x1=sample.x1, x2=sample.x2, y=sample.y,
-            mask=np.zeros(len(sample), dtype=bool), truth_y=sample.y,
+        inc = block_of_one(
+            sample.x1, sample.x2, sample.y, np.zeros(len(sample), dtype=bool), sample.y
         )
         with pytest.raises(ValueError, match="no rows are masked"):
             decompose_mse(inc, sample, Predict(), 10, make_stream(SeedSpec(30, 5)), spec)
+
+    def test_block_of_one_required(self, low_setup):
+        spec, sample, inc = low_setup
+        two = IncompleteBlock(*(np.repeat(col, 2, axis=0) for col in (
+            inc.x1, inc.x2, inc.y, inc.mask, inc.truth_y)))
+        with pytest.raises(ValueError, match="the block of one dataset, got 2 rows"):
+            decompose_mse(two, sample, Predict(), 10, make_stream(SeedSpec(30, 6)), spec)
 
     @pytest.mark.parametrize("method", [Predict(), SoftImpute()], ids=lambda m: m.label)
     def test_predict_has_no_variance(self, low_setup, method):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from imputebench.ampute import IncompleteDataset, Mechanism, MissingnessSpec, ampute
+from conftest import block_of_one
+from imputebench.ampute import Mechanism, ampute
 from imputebench.datagen import PopulationSpec, draw_sample, generate_population
 from imputebench.forest import (
     MIN_NODE_SIZE,
     PASS_ROWS,
-    ForestParams,
     PackedForest,
     _tree_orders,
     fit_forest,
@@ -108,7 +108,7 @@ def fit_tree(x: np.ndarray, y: np.ndarray, stream) -> dict[str, np.ndarray]:
 
 def _assert_matches_reference(x, y, n_trees, spec, reference=fit_tree):
     """Every tree of fit_forest equals the reference tree on its child stream."""
-    forest = fit_forest(x, y, ForestParams(n_trees=n_trees), make_stream(spec))
+    forest = fit_forest(x, y, n_trees, make_stream(spec))
     assert forest.feature.shape == (n_trees, 2 * (len(y) // MIN_NODE_SIZE) + 1)
     for t in range(n_trees):
         ref = reference(x, y, make_stream(spec).child(t))
@@ -140,7 +140,7 @@ def _ci_forest_sample():
     """Observed rows of one ci-scale forest-cell sample: 10^5 population, 1,000 rows, MAR."""
     pop = generate_population(PopulationSpec(r_squared=0.2, size=100_000), make_stream(SeedSpec(98, 0)))
     sample = draw_sample(pop, 1000, make_stream(SeedSpec(98, 1)))
-    inc = ampute(sample, MissingnessSpec(Mechanism.MAR_RIGHT), make_stream(SeedSpec(98, 2)))
+    inc = ampute(sample, Mechanism.MAR_RIGHT, make_stream(SeedSpec(98, 2)))
     keep = ~inc.mask
     return np.column_stack([inc.x1[keep], inc.x2[keep]]), inc.y[keep]
 
@@ -177,17 +177,18 @@ def _adjacent_floats():
 
 
 class TestForestParams:
+    # a forest's one setting is Forest.n_trees
     def test_defaults(self):
-        assert tuple(f.name for f in fields(ForestParams)) == ("n_trees",)
-        assert ForestParams().n_trees == 100
+        assert tuple(f.name for f in fields(Forest)) == ("n_trees",)
+        assert Forest().n_trees == 100
         assert MIN_NODE_SIZE == 5
 
     @pytest.mark.parametrize("kwargs", [
         {"n_trees": 0},
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            ForestParams(**kwargs)
+        with pytest.raises(ValueError, match="n_trees must be at least 1, got 0"):
+            Forest(**kwargs)
 
 
 class TestFitTree:
@@ -196,7 +197,7 @@ class TestFitTree:
     def test_constant_response_single_leaf(self):
         x, _ = _xy(50)
         y = np.full(50, 3.25)
-        forest = fit_forest(x, y, ForestParams(n_trees=3), make_stream(SeedSpec(90, 0)))
+        forest = fit_forest(x, y, 3, make_stream(SeedSpec(90, 0)))
         np.testing.assert_array_equal(forest.n_nodes, [1, 1, 1])
         np.testing.assert_array_equal(forest.predict(x), np.full(50, 3.25))
 
@@ -214,21 +215,21 @@ class TestFitTree:
 
     def test_predictions_within_training_range(self):
         x, y = _xy(300, seed=2, noise=1.0)
-        forest = fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 2)))
+        forest = fit_forest(x, y, 1, make_stream(SeedSpec(90, 2)))
         query = np.random.default_rng(3).normal(size=(500, 2)) * 3
         pred = forest.predict(query)
         assert pred.min() >= y.min() and pred.max() <= y.max()
 
     def test_deterministic_given_stream(self):
         x, y = _xy(150, seed=4, noise=0.5)
-        a = fit_forest(x, y, ForestParams(n_trees=5), make_stream(SeedSpec(90, 3)))
-        b = fit_forest(x, y, ForestParams(n_trees=5), make_stream(SeedSpec(90, 3)))
+        a = fit_forest(x, y, 5, make_stream(SeedSpec(90, 3)))
+        b = fit_forest(x, y, 5, make_stream(SeedSpec(90, 3)))
         for name in ("feature", "threshold", "left", "right", "value"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_min_node_size_respected(self):
         x, y = _xy(60, seed=5, noise=0.5)
-        forest = fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 4)))
+        forest = fit_forest(x, y, 1, make_stream(SeedSpec(90, 4)))
         feature, threshold = forest.feature[0], forest.threshold[0]
         left, right = forest.left[0], forest.right[0]
         # the leaves partition the tree's bootstrap rows, replayed from the
@@ -255,14 +256,14 @@ class TestFitTree:
         x, y = _xy(30)
         bx, by = bad(x, y)
         with pytest.raises(ValueError):
-            fit_forest(bx, by, ForestParams(n_trees=1), make_stream(SeedSpec(90, 5)))
+            fit_forest(bx, by, 1, make_stream(SeedSpec(90, 5)))
 
     @pytest.mark.parametrize("n_columns", [1, 3])
     def test_two_columns_required(self, n_columns):
         # one feature bit per split picks one of exactly two columns
         x = np.random.default_rng(26).normal(size=(30, n_columns))
         with pytest.raises(ValueError, match=f"two columns .*got {n_columns}"):
-            fit_forest(x, x[:, 0], ForestParams(n_trees=1), make_stream(SeedSpec(90, 5)))
+            fit_forest(x, x[:, 0], 1, make_stream(SeedSpec(90, 5)))
 
     @pytest.mark.parametrize("name", ["x", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -271,7 +272,7 @@ class TestFitTree:
         x, y = _xy(30)
         (x if name == "x" else y).flat[7] = bad
         with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
-            fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(90, 5)))
+            fit_forest(x, y, 1, make_stream(SeedSpec(90, 5)))
 
     @pytest.mark.parametrize("n", [1, 7, 256, 65_536])
     def test_tree_orders_sort_distinct_rows_by_x(self, n):
@@ -334,14 +335,14 @@ class TestMatchesReference:
         x, y = _adjacent_floats()
         lo, hi = np.unique(x)
         assert 0.5 * (lo + hi) == hi
-        forest = fit_forest(x, y, ForestParams(n_trees=20), make_stream(SeedSpec(96, 20)))
+        forest = fit_forest(x, y, 20, make_stream(SeedSpec(96, 20)))
         thr = forest.threshold[forest.feature >= 0]
         assert thr.size > 0 and (thr == lo).all()
 
     def test_predictions_bit_identical(self):
         x, y = _xy(200, seed=24, noise=0.5)
         spec = SeedSpec(96, 99)
-        forest = fit_forest(x, y, ForestParams(n_trees=30), make_stream(spec))
+        forest = fit_forest(x, y, 30, make_stream(spec))
         # 300 rows: predict adds PASS_ROWS // 300 = 13 trees per chunk, in three chunks
         query = np.random.default_rng(25).normal(size=(300, 2))
         # rows sitting on each root's threshold must go left: the rule is x <= thr
@@ -354,7 +355,7 @@ class TestMatchesReference:
         # more query rows than PASS_ROWS: every chunk holds a single tree
         x, y = _xy(200, seed=28, noise=0.5)
         spec = SeedSpec(96, 98)
-        forest = fit_forest(x, y, ForestParams(n_trees=7), make_stream(spec))
+        forest = fit_forest(x, y, 7, make_stream(spec))
         query = np.random.default_rng(29).normal(size=(5000, 2))
         assert len(query) > PASS_ROWS
         np.testing.assert_array_equal(
@@ -363,7 +364,7 @@ class TestMatchesReference:
 
     def test_predict_no_rows(self):
         x, y = _xy(100, seed=30, noise=0.5)
-        forest = fit_forest(x, y, ForestParams(n_trees=3), make_stream(SeedSpec(96, 97)))
+        forest = fit_forest(x, y, 3, make_stream(SeedSpec(96, 97)))
         pred = predict_forest(forest, np.empty((0, 2)))
         assert pred.shape == (0,) and pred.dtype == np.float64
 
@@ -409,8 +410,8 @@ class TestStreamContract:
 class TestForest:
     def test_single_tree_forest_matches_fit_tree(self):
         x, y = _xy(120, seed=6, noise=0.5)
-        lone = fit_forest(x, y, ForestParams(n_trees=1), make_stream(SeedSpec(91, 0)))
-        seven = fit_forest(x, y, ForestParams(n_trees=7), make_stream(SeedSpec(91, 0)))
+        lone = fit_forest(x, y, 1, make_stream(SeedSpec(91, 0)))
+        seven = fit_forest(x, y, 7, make_stream(SeedSpec(91, 0)))
         assert lone.n_trees == 1 and seven.n_trees == 7
         for name in ("feature", "threshold", "left", "right", "value"):
             np.testing.assert_array_equal(getattr(lone, name)[0], getattr(seven, name)[0])
@@ -421,7 +422,7 @@ class TestForest:
         spec = PopulationSpec(r_squared=0.8, size=2000)
         pop = generate_population(spec, make_stream(SeedSpec(91, 1)))
         x = np.column_stack([pop.x1, pop.x2])
-        forest = fit_forest(x[:1000], pop.y[:1000], ForestParams(), make_stream(SeedSpec(91, 2)))
+        forest = fit_forest(x[:1000], pop.y[:1000], 100, make_stream(SeedSpec(91, 2)))
         pred = predict_forest(forest, x[1000:])
         resid = pop.y[1000:] - pred
         r2 = 1.0 - resid @ resid / np.sum((pop.y[1000:] - pop.y[1000:].mean()) ** 2)
@@ -429,7 +430,7 @@ class TestForest:
 
     def test_forest_average_within_range(self):
         x, y = _xy(100, seed=7, noise=2.0)
-        forest = fit_forest(x, y, ForestParams(n_trees=20), make_stream(SeedSpec(91, 3)))
+        forest = fit_forest(x, y, 20, make_stream(SeedSpec(91, 3)))
         pred = predict_forest(forest, np.random.default_rng(8).normal(size=(200, 2)) * 4)
         assert pred.min() >= y.min() and pred.max() <= y.max()
 
@@ -440,7 +441,7 @@ class TestForest:
             xt, yt = _xy(200, seed=300 + seed, noise=0.5)
             for n_trees, sink in ((10, small_mses), (100, big_mses)):
                 forest = fit_forest(
-                    x, y, ForestParams(n_trees=n_trees), make_stream(SeedSpec(92, seed))
+                    x, y, n_trees, make_stream(SeedSpec(92, seed))
                 )
                 sink.append(np.mean((predict_forest(forest, xt) - yt) ** 2))
         assert np.mean(big_mses) <= 1.05 * np.mean(small_mses)
@@ -456,13 +457,9 @@ class TestImputeForest:
         gen = np.random.default_rng(9)
         x1, x2 = gen.normal(size=40), gen.normal(size=40)
         y = x1 + gen.normal(size=40)
-        inc = IncompleteDataset(
-            x1=x1, x2=x2, y=y, mask=np.zeros(40, dtype=bool), truth_y=y
-        )
-        completed = impute_forest(
-            inc, Forest(ForestParams(n_trees=3)), make_stream(SeedSpec(93, 0))
-        )
-        np.testing.assert_array_equal(completed.data.y, y)
+        inc = block_of_one(x1, x2, y, np.zeros(40, dtype=bool), y)
+        completed = Forest(n_trees=3).impute_block(inc, [make_stream(SeedSpec(93, 0))])
+        np.testing.assert_array_equal(completed[0], y)
 
     def test_noiseless_signal_recovered(self):
         gen = np.random.default_rng(10)
@@ -472,22 +469,22 @@ class TestImputeForest:
         mask[::10] = True
         y = truth.copy()
         y[mask] = np.nan
-        inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
-        completed = impute_forest(inc, Forest(), make_stream(SeedSpec(93, 1)))
-        np.testing.assert_array_equal(completed.data.y[~mask], truth[~mask])
-        assert np.mean((completed.data.y[mask] - truth[mask]) ** 2) < 0.05
+        inc = block_of_one(x1, x2, y, mask, truth)
+        completed = Forest().impute_block(inc, [make_stream(SeedSpec(93, 1))])[0]
+        np.testing.assert_array_equal(completed[~mask], truth[~mask])
+        assert np.mean((completed[mask] - truth[mask]) ** 2) < 0.05
 
     def test_low_signal_mcar_bias_direction(self):
         spec = PopulationSpec(r_squared=0.2, size=50_000)
         pop = generate_population(spec, make_stream(SeedSpec(93, 2)))
-        method = Forest(ForestParams(n_trees=30))
+        method = Forest(n_trees=30)
         sigmas, rhos = [], []
         for rep in range(15):
             sample = draw_sample(pop, 1000, make_stream(SeedSpec(94, 2 * rep)))
-            inc = ampute(sample, MissingnessSpec(Mechanism.MCAR), make_stream(SeedSpec(94, 2 * rep + 1)))
-            completed = impute_forest(inc, method, make_stream(SeedSpec(95, rep)))
-            sigmas.append(np.std(completed.data.y, ddof=1))
-            rhos.append(np.corrcoef(completed.data.y, completed.data.x1)[0, 1])
+            inc = ampute(sample, Mechanism.MCAR, make_stream(SeedSpec(94, 2 * rep + 1)))
+            completed = method.impute_block(inc, [make_stream(SeedSpec(95, rep))])[0]
+            sigmas.append(np.std(completed, ddof=1))
+            rhos.append(np.corrcoef(completed, inc.x1[0])[0, 1])
         # regression to the leaf mean shrinks spread and inflates the x1 link
         assert np.mean(sigmas) < 1.0
         assert np.mean(rhos) > 0.50
@@ -499,9 +496,8 @@ class TestImputeForest:
         mask = np.array([True, True, True, False, False, True])
         y = truth.copy()
         y[mask] = np.nan
-        inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
         with pytest.raises(ValueError):
-            impute_forest(inc, Forest(), make_stream(SeedSpec(93, 3)))
+            impute_forest(x1, x2, y, mask, make_stream(SeedSpec(93, 3)), n_trees=100)
 
     def test_one_fit_on_the_imputation_stream(self):
         gen = np.random.default_rng(12)
@@ -511,12 +507,10 @@ class TestImputeForest:
         mask[::4] = True
         y = truth.copy()
         y[mask] = np.nan
-        inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
-        params = ForestParams(n_trees=4)
-        completed = impute_forest(inc, Forest(params), make_stream(SeedSpec(93, 4)))
+        values = impute_forest(x1, x2, y, mask, make_stream(SeedSpec(93, 4)), n_trees=4)
         forest = fit_forest(
-            np.column_stack([x1[~mask], x2[~mask]]), truth[~mask], params,
+            np.column_stack([x1[~mask], x2[~mask]]), truth[~mask], 4,
             make_stream(SeedSpec(93, 4)),
         )
         expected = predict_forest(forest, np.column_stack([x1[mask], x2[mask]]))
-        np.testing.assert_array_equal(completed.data.y[mask], expected)
+        np.testing.assert_array_equal(values, expected)

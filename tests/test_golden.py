@@ -17,7 +17,6 @@ from dataclasses import replace
 import pytest
 
 from imputebench.cli import parse_and_dispatch
-from imputebench.forest import ForestParams
 from imputebench.harness import (
     ExperimentConfig,
     export_figure_data,
@@ -29,7 +28,7 @@ from imputebench.imputers import Forest, Pmm, SoftImpute
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CFG = ExperimentConfig(t_rep=3, pop_size=50_000)
-CFG2 = replace(CFG, methods=(Forest(params=ForestParams(n_trees=15)), SoftImpute(), Pmm()))
+CFG2 = replace(CFG, methods=(Forest(n_trees=15), SoftImpute(), Pmm()))
 # 37 replications of 1,000 rows are two full blocks of 16 and a short one of 5
 CFG_BLOCKS = replace(CFG, t_rep=37)
 DECOMPOSE_ARGV = ["--pop-size", str(CFG.pop_size), "--repeats", "5"]

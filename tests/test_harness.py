@@ -3,7 +3,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 import pytest
 
-from imputebench.ampute import Mechanism, MissingnessSpec, ampute
+from conftest import completed_of
+from imputebench.ampute import Mechanism, ampute
 from imputebench.cli import parse_and_dispatch
 from imputebench.datagen import (
     PopulationSpec,
@@ -12,7 +13,6 @@ from imputebench.datagen import (
     ground_truth,
 )
 from imputebench.downstream import ParamSet, estimate_params
-from imputebench.forest import ForestParams
 from imputebench.harness import (
     CSV_HEADER,
     MECHANISMS,
@@ -81,7 +81,7 @@ class TestExperimentConfig:
         assert [(label, spec.r_squared) for label, spec in SIGNALS] == [
             ("high", 0.8), ("low", 0.2),
         ]
-        assert [m.mechanism for m in MECHANISMS] == [Mechanism.MCAR, Mechanism.MAR_RIGHT]
+        assert MECHANISMS == (Mechanism.MCAR, Mechanism.MAR_RIGHT)
 
 
 # The full table1 grid: cell keys sort as (high, draw, MAR), (high, draw,
@@ -102,8 +102,8 @@ def _replay(cfg, mech, method, cell_id, t):
     )
     sample = draw_sample(pop, cfg.n_sample, rep_stream(Purpose.SAMPLING))
     inc = ampute(sample, mech, rep_stream(Purpose.AMPUTATION))
-    completed = method.impute(inc, rep_stream(Purpose.IMPUTATION))
-    return estimate_params(completed, sample).as_array()
+    completed = method.impute_block(inc, [rep_stream(Purpose.IMPUTATION)])
+    return estimate_params(completed_of(inc, completed), sample).as_array()
 
 
 def _row_params(table, mechanism):
@@ -116,7 +116,7 @@ def _row_params(table, mechanism):
 
 class TestRunCell:
     def test_matches_manual_replication(self):
-        mech = MissingnessSpec(Mechanism.MAR_RIGHT)
+        mech = Mechanism.MAR_RIGHT
         cfg = _tiny_cfg(t_rep=1)
         got = _row_params(run_table1(cfg), "MAR")
         np.testing.assert_array_equal(got, _replay(cfg, mech, Draw(), LOW_DRAW_MAR, 1))
@@ -124,7 +124,7 @@ class TestRunCell:
     def test_rep_streams_stable_under_longer_runs(self):
         # the t-th replication must not depend on t_rep, so the two-rep
         # mean recombines exactly from the one-rep mean and rep two
-        mech = MissingnessSpec(Mechanism.MCAR)
+        mech = Mechanism.MCAR
         cfg1 = _tiny_cfg(t_rep=1)
         cfg2 = _tiny_cfg(t_rep=2)
         mean1 = _row_params(run_table1(cfg1), "MCAR")
@@ -185,10 +185,9 @@ class TestBlocks:
     ], ids=["predict-MCAR", "predict-MAR", "draw-MCAR", "draw-MAR"])
     def test_every_replication_equals_its_replay(self, method, mech, cell_id):
         cfg = _tiny_cfg(t_rep=BLOCK_REPS)
-        spec = MissingnessSpec(mech)
-        reps = _cell_reps(_build_population(cfg, 1), _Cell(cell_id, 1, method, spec), cfg)
+        reps = _cell_reps(_build_population(cfg, 1), _Cell(cell_id, 1, method, mech), cfg)
         for t in range(1, cfg.t_rep + 1):
-            want = _replay(cfg, spec, method, cell_id, t)
+            want = _replay(cfg, mech, method, cell_id, t)
             assert reps[t - 1].tobytes() == want.tobytes(), t
 
     def test_imputer_failure_names_its_replication(self):
@@ -288,7 +287,7 @@ class TestMarkdownFlags:
 class TestRunTable2:
     def test_row_layout_cheap_config(self):
         cfg = ExperimentConfig(
-            methods=(Forest(params=ForestParams(n_trees=15)), SoftImpute(), Pmm()),
+            methods=(Forest(n_trees=15), SoftImpute(), Pmm()),
             t_rep=2,
             pop_size=50_000,
             base_seed=77,

@@ -22,30 +22,28 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import imputebench.ampute as ampute_module
+from conftest import block_of_one
 from imputebench.ampute import (
     CompletedDataset,
-    IncompleteDataset,
     Mechanism,
-    MissingnessSpec,
     _incomplete_block,
     _mask_rows,
     _solve_shifts,
     ampute,
-    solve_shift,
 )
 from imputebench.datagen import _COLLINEAR_FLOOR, Dataset, ParamSet, draw_sample, moment_params
-from imputebench.downstream import _estimate_rows, estimate_params, quantile
+from imputebench.downstream import _estimate_rows, _quantile_rows, estimate_params
 from imputebench.harness import (
     ExperimentConfig,
     _assign_cells,
     _block_params,
     _build_population,
 )
-from imputebench.imputers import Draw, Predict, impute_pmm
+from imputebench.imputers import Draw, Pmm, Predict
 from imputebench.linmodel import fit_ols, predict
 from imputebench.stochastics import SeedSpec, make_stream
 
-MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
+MAR = Mechanism.MAR_RIGHT
 
 # magnitudes 1e-150 to 1e150 of either sign, and both zeros; the array
 # strategy fills most of a long array with one value, which makes ties
@@ -113,7 +111,7 @@ def _wrapper_estimate_params(completed, truth) -> ParamSet:
         raise ValueError("completed and truth datasets must be row-aligned")
     if n <= 3:
         raise ValueError(f"need more than 3 rows, got {n}")
-    for name, col in data.columns.items():
+    for name, col in zip(("x1", "x2", "y"), (data.x1, data.x2, data.y)):
         if col.min() == col.max():
             raise ValueError(f"column {name} is constant; downstream parameters undefined")
     ydot = data.y
@@ -122,7 +120,7 @@ def _wrapper_estimate_params(completed, truth) -> ParamSet:
     cov = np.empty((3, 3))
     for i, j in combinations_with_replacement(range(3), 2):
         cov[i, j] = cov[j, i] = np.add.reduce(centred[i] * centred[j]) / (n - 1)
-    p90 = 100.0 * float(np.mean(ydot > quantile(truth.y, 0.9)))
+    p90 = 100.0 * float(np.mean(ydot > _quantile_rows(truth.y[None, :], 0.9)[0]))
     sq_err = (truth.y - ydot) ** 2
     mse_full = float(np.mean(sq_err))
     n_missing = int(np.count_nonzero(completed.imputed_mask))
@@ -220,7 +218,7 @@ def test_block_masks_equal_ampute_per_row(mechanism, x1, seed):
     streams = [make_stream(SeedSpec(seed, r)) for r in range(x1.shape[0])]
     u = np.array([make_stream(SeedSpec(seed, r)).generator.random(x1.shape[1]) for r in range(x1.shape[0])])
     rows = [
-        _outcome(lambda: ampute(Dataset(row, row, row), MissingnessSpec(mechanism), stream).mask)
+        _outcome(lambda: ampute(Dataset(row, row, row), mechanism, stream).mask)
         for row, stream in zip(x1, streams)
     ]
     got = _outcome(lambda: _mask_rows(x1, mechanism, u))
@@ -264,9 +262,7 @@ def _parent_imputation(method, x1, x2, y, mask, stream):
     if isinstance(method, Draw):
         values = values + math.sqrt(fit.residual_variance) * stream.generator.standard_normal(
             int(mask.sum()))
-    holes = np.where(mask, np.nan, y)
-    inc = IncompleteDataset(x1=x1, x2=x2, y=holes, mask=mask, truth_y=y)
-    return CompletedDataset.from_imputation(inc, values, method).data.y
+    return block_of_one(x1, x2, np.where(mask, np.nan, y), mask, y).filled(values)[0]
 
 
 @settings(deadline=None)
@@ -309,7 +305,7 @@ def _score_rows(draw):
 @settings(deadline=None, max_examples=150)
 @given(scores=_score_rows(), prop=st.floats(0.01, 0.99))
 def test_block_shifts_equal_solve_shift_per_row(scores, prop):
-    rows = [_outcome(lambda: solve_shift(row, prop)) for row in scores]
+    rows = [_outcome(lambda: _solve_shifts(row[None, :], prop)) for row in scores]
     _same_rows_or_a_rows_error(_outcome(lambda: _solve_shifts(scores, prop)), rows)
 
 
@@ -387,7 +383,7 @@ _TABLE1_CELLS = [c for c in _assign_cells((Predict(), Draw())) if c.level == 0]
 
 
 def _cell_id(cell):
-    return f"{cell.method.label}-{cell.mech.mechanism.label}"
+    return f"{cell.method.label}-{cell.mech.label}"
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -448,4 +444,4 @@ def test_table1_cells_and_pmm_call_no_numpy_linalg(monkeypatch):
         np.linalg.solve(np.eye(2), np.ones(2))
     for cell in _TABLE1_CELLS:
         _block_params(pop, cell, _CFG, 1, 1)
-    impute_pmm(inc, make_stream(SeedSpec(5, 2)))
+    Pmm().impute_block(inc, [make_stream(SeedSpec(5, 2))])

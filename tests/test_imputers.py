@@ -3,15 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from imputebench.ampute import (
-    IncompleteDataset,
-    Mechanism,
-    MissingnessSpec,
-    ampute,
-)
+from conftest import block_of_one, completed_of
+from imputebench.ampute import Mechanism, ampute
 from imputebench.datagen import Dataset, PopulationSpec, draw_sample, generate_population
 from imputebench.downstream import estimate_params
-from imputebench.forest import ForestParams
 from imputebench.imputers import (
     PMM_DONORS,
     Draw,
@@ -20,9 +15,7 @@ from imputebench.imputers import (
     Pmm,
     Predict,
     SoftImpute,
-    impute_draw,
     impute_pmm,
-    impute_predict,
     impute_softimpute,
 )
 from imputebench.linmodel import fit_ols, predict
@@ -30,8 +23,10 @@ from imputebench.stochastics import SeedSpec, make_stream
 
 from als_reference import als_matrix_complete
 
-MCAR = MissingnessSpec(Mechanism.MCAR)
-MAR = MissingnessSpec(Mechanism.MAR_RIGHT)
+MCAR = Mechanism.MCAR
+MAR = Mechanism.MAR_RIGHT
+# predict and softimpute draw nothing from their stream
+UNUSED = make_stream(SeedSpec(0, 0))
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +50,7 @@ def _no_missing(n=50, seed=0):
     gen = np.random.default_rng(seed)
     x1, x2 = gen.normal(size=n), gen.normal(size=n)
     y = 1.0 + 0.5 * x1 + gen.normal(size=n)
-    return IncompleteDataset(
-        x1=x1, x2=x2, y=y, mask=np.zeros(n, dtype=bool), truth_y=y
-    )
+    return block_of_one(x1, x2, y, np.zeros(n, dtype=bool), y)
 
 
 def _observed_fit(inc):
@@ -77,7 +70,12 @@ def _noiseless(n=200, seed=1, mask_every=4):
     mask[::mask_every] = True
     y = truth.copy()
     y[mask] = np.nan
-    return IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
+    return block_of_one(x1, x2, y, mask, truth)
+
+
+def _row(method, inc, stream=UNUSED):
+    """The completed y of the block of one inc, as a 1-D row."""
+    return method.impute_block(inc, [stream])[0]
 
 
 class TestMethodParams:
@@ -91,32 +89,33 @@ class TestMethodParams:
     def test_defaults(self):
         for method in (Predict, Draw, Pmm, SoftImpute):
             assert dataclasses.fields(method) == ()
-        assert tuple(f.name for f in dataclasses.fields(Forest)) == ("params",)
+        assert tuple(f.name for f in dataclasses.fields(Forest)) == ("n_trees",)
+        assert Forest().n_trees == 100
         assert PMM_DONORS == 5
 
 
 class TestPredictMethod:
     def test_zero_missing_is_identity(self):
         inc = _no_missing()
-        completed = impute_predict(inc)
-        np.testing.assert_array_equal(completed.data.y, inc.y)
+        completed = _row(Predict(), inc)
+        np.testing.assert_array_equal(completed, inc.y[0])
 
     def test_noiseless_exact_recovery(self):
         inc = _noiseless()
-        completed = impute_predict(inc)
-        err = completed.data.y[inc.mask] - inc.truth_y[inc.mask]
+        completed = _row(Predict(), inc)
+        err = completed[inc.mask[0]] - inc.truth_y[inc.mask]
         assert np.mean(err**2) < 1e-20
 
     def test_imputed_subset_sd_matches_signal_sd(self, low_pop):
         # predict reproduces only the signal part: sd = sqrt(var(y) - sigma_eps^2)
         inc = _amputed(low_pop, MCAR, rep=0, n=10_000)
-        completed = impute_predict(inc)
-        assert np.std(completed.data.y[inc.mask]) == pytest.approx(np.sqrt(0.28), abs=0.02)
+        completed = _row(Predict(), inc)
+        assert np.std(completed[inc.mask[0]]) == pytest.approx(np.sqrt(0.28), abs=0.02)
 
     def test_lands_on_fitted_hyperplane(self, low_pop):
         inc = _amputed(low_pop, MAR, rep=1)
-        completed = impute_predict(inc)
-        resid = completed.data.y[inc.mask] - _fitted_at_missing(_observed_fit(inc), inc)
+        completed = _row(Predict(), inc)
+        resid = completed[inc.mask[0]] - _fitted_at_missing(_observed_fit(inc), inc)
         assert np.max(np.abs(resid)) < 1e-10
 
 
@@ -124,44 +123,44 @@ class TestDrawMethod:
     def test_noise_variance_matches_residual_variance(self, low_pop):
         inc = _amputed(low_pop, MCAR, rep=2)
         fit = _observed_fit(inc)
-        completed = impute_draw(inc, make_stream(SeedSpec(62, 0)))
-        noise = completed.data.y[inc.mask] - _fitted_at_missing(fit, inc)
+        completed = _row(Draw(), inc, make_stream(SeedSpec(62, 0)))
+        noise = completed[inc.mask[0]] - _fitted_at_missing(fit, inc)
         assert np.var(noise) == pytest.approx(fit.residual_variance, rel=0.15)
 
     def test_low_signal_mar_sigma(self, low_pop):
         sds = []
         for rep in range(40):
             inc = _amputed(low_pop, MAR, rep=rep, seed=63)
-            completed = impute_draw(inc, make_stream(SeedSpec(64, rep)))
-            sds.append(np.std(completed.data.y, ddof=1))
+            completed = _row(Draw(), inc, make_stream(SeedSpec(64, rep)))
+            sds.append(np.std(completed, ddof=1))
         assert np.mean(sds) == pytest.approx(1.04, abs=0.03)
 
     def test_restores_variance_under_mcar(self, low_pop):
         inc = _amputed(low_pop, MCAR, rep=3, n=10_000)
-        completed = impute_draw(inc, make_stream(SeedSpec(65, 0)))
+        completed = _row(Draw(), inc, make_stream(SeedSpec(65, 0)))
         observed_var = np.var(inc.y[~inc.mask])
-        assert np.var(completed.data.y) == pytest.approx(observed_var, rel=0.05)
+        assert np.var(completed) == pytest.approx(observed_var, rel=0.05)
 
     def test_deterministic_given_stream(self, low_pop):
         inc = _amputed(low_pop, MCAR, rep=4)
-        a = impute_draw(inc, make_stream(SeedSpec(66, 0)))
-        b = impute_draw(inc, make_stream(SeedSpec(66, 0)))
-        np.testing.assert_array_equal(a.data.y, b.data.y)
+        a = _row(Draw(), inc, make_stream(SeedSpec(66, 0)))
+        b = _row(Draw(), inc, make_stream(SeedSpec(66, 0)))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestPmmMethod:
     def test_imputed_values_are_observed_values(self, low_pop):
         inc = _amputed(low_pop, MCAR, rep=6)
-        completed = impute_pmm(inc, make_stream(SeedSpec(68, 0)))
+        completed = _row(Pmm(), inc, make_stream(SeedSpec(68, 0)))
         observed = set(inc.y[~inc.mask].tolist())
-        assert all(v in observed for v in completed.data.y[inc.mask])
+        assert all(v in observed for v in completed[inc.mask[0]])
 
     def test_range_preservation(self, low_pop):
         inc = _amputed(low_pop, MAR, rep=7)
-        completed = impute_pmm(inc, make_stream(SeedSpec(68, 1)))
+        completed = _row(Pmm(), inc, make_stream(SeedSpec(68, 1)))
         y_obs = inc.y[~inc.mask]
-        assert completed.data.y.min() >= y_obs.min()
-        assert completed.data.y.max() <= y_obs.max()
+        assert completed.min() >= y_obs.min()
+        assert completed.max() <= y_obs.max()
 
     def test_single_donor_forced_match(self):
         # noiseless data; the first five base rows get PMM_DONORS more copies
@@ -178,34 +177,34 @@ class TestPmmMethod:
         mask[-5:] = True
         y = truth.copy()
         y[mask] = np.nan
-        inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
+        inc = block_of_one(x1, x2, y, mask, truth)
         for k in range(20):
-            completed = impute_pmm(inc, make_stream(SeedSpec(69, k)))
-            np.testing.assert_allclose(completed.data.y[mask], truth[mask], atol=1e-10)
+            completed = _row(Pmm(), inc, make_stream(SeedSpec(69, k)))
+            np.testing.assert_allclose(completed[mask], truth[mask], atol=1e-10)
 
     def test_low_signal_mcar_table_values(self, low_pop):
         sigmas, rhos = [], []
         for rep in range(200):
             inc = _amputed(low_pop, MCAR, rep=rep, seed=70)
-            completed = impute_pmm(inc, make_stream(SeedSpec(71, rep)))
-            sigmas.append(np.std(completed.data.y, ddof=1))
-            rhos.append(np.corrcoef(completed.data.y, completed.data.x1)[0, 1])
+            completed = _row(Pmm(), inc, make_stream(SeedSpec(71, rep)))
+            sigmas.append(np.std(completed, ddof=1))
+            rhos.append(np.corrcoef(completed, inc.x1[0])[0, 1])
         assert np.mean(sigmas) == pytest.approx(1.04, abs=0.03)
         assert np.mean(rhos) == pytest.approx(0.48, abs=0.03)
 
     def test_donor_count_validation(self):
         inc = _noiseless(n=5, mask_every=5)
-        assert inc.n_observed == PMM_DONORS - 1
+        assert np.count_nonzero(~inc.mask) == PMM_DONORS - 1
         with pytest.raises(ValueError):
-            impute_pmm(inc, make_stream(SeedSpec(72, 1)))
+            _row(Pmm(), inc, make_stream(SeedSpec(72, 1)))
 
     def test_donor_pool_equal_to_observed_rows(self):
         # PMM_DONORS == n_obs means every observed value is a legal donor
         inc = _noiseless(n=10, mask_every=2)
-        assert inc.n_observed == PMM_DONORS
-        completed = impute_pmm(inc, make_stream(SeedSpec(72, 2)))
+        assert np.count_nonzero(~inc.mask) == PMM_DONORS
+        completed = _row(Pmm(), inc, make_stream(SeedSpec(72, 2)))
         observed = set(inc.y[~inc.mask].tolist())
-        assert all(v in observed for v in completed.data.y[inc.mask])
+        assert all(v in observed for v in completed[inc.mask[0]])
 
 
 class TestAlsMatrixComplete:
@@ -250,14 +249,14 @@ class TestAlsMatrixComplete:
         # right singular vector of the observed rows, which softimpute
         # computes directly
         inc = _amputed(high_pop, MCAR, rep=16)
-        matrix = np.column_stack([inc.x1, inc.x2, inc.y])
+        matrix = np.column_stack([inc.x1[0], inc.x2[0], inc.y[0]])
         recon, _, converged = als_matrix_complete(
             matrix, rank_max=2, ridge=0.0, max_iter=2000, tol=1e-14,
             stream=make_stream(SeedSpec(73, 3)),
         )
         assert converged
-        direct = impute_softimpute(inc).data.y[inc.mask]
-        np.testing.assert_allclose(recon[inc.mask, 2], direct, rtol=0, atol=1e-5)
+        direct = _row(SoftImpute(), inc)[inc.mask[0]]
+        np.testing.assert_allclose(recon[inc.mask[0], 2], direct, rtol=0, atol=1e-5)
 
 
 class TestSoftImputeMethod:
@@ -265,52 +264,51 @@ class TestSoftImputeMethod:
         rhos, r2s = [], []
         for rep in range(20):
             inc = _amputed(high_pop, MCAR, rep=rep, seed=74)
-            completed = impute_softimpute(inc)
-            rhos.append(np.corrcoef(completed.data.y, completed.data.x1)[0, 1])
-            truth = Dataset(inc.x1, inc.x2, inc.truth_y)
-            r2s.append(estimate_params(completed, truth).r2_y)
+            completed = SoftImpute().impute_block(inc, [UNUSED])
+            rhos.append(np.corrcoef(completed[0], inc.x1[0])[0, 1])
+            truth = Dataset(inc.x1[0], inc.x2[0], inc.truth_y[0])
+            r2s.append(estimate_params(completed_of(inc, completed), truth).r2_y)
         assert np.mean(rhos) > 0.87
         assert np.mean(r2s) > 0.85
 
     def test_same_values_on_any_stream(self, low_pop):
         # the plane is a function of the observed rows alone
         inc = _amputed(low_pop, MCAR, rep=9)
-        first = SoftImpute().impute(inc, make_stream(SeedSpec(76, 1)))
-        second = SoftImpute().impute(inc, make_stream(SeedSpec(76, 2)))
-        np.testing.assert_array_equal(first.data.y, second.data.y)
+        first = _row(SoftImpute(), inc, make_stream(SeedSpec(76, 1)))
+        second = _row(SoftImpute(), inc, make_stream(SeedSpec(76, 2)))
+        np.testing.assert_array_equal(first, second)
 
     def test_too_few_observed_rows_rejected(self):
         # the thin SVD of two rows has no null vector to fix a plane
         x1, x2, truth = np.random.default_rng(2).normal(size=(3, 6))
         mask = np.arange(6) >= 2
         y = np.where(mask, np.nan, truth)
-        inc = IncompleteDataset(x1=x1, x2=x2, y=y, mask=mask, truth_y=truth)
+        inc = block_of_one(x1, x2, y, mask, truth)
         with pytest.raises(ValueError, match="at least 3 observed rows, got 2"):
-            impute_softimpute(inc)
+            _row(SoftImpute(), inc)
 
 
 class TestDispatch:
     def test_routes_match_direct_calls(self, low_pop):
+        # pmm and softimpute fill the block from their public 1-D bodies
         inc = _amputed(low_pop, MCAR, rep=11)
-        pairs = [
-            (Predict(), impute_predict(inc)),
-            (Draw(), impute_draw(inc, make_stream(SeedSpec(77, 0)))),
-            (Pmm(), impute_pmm(inc, make_stream(SeedSpec(77, 0)))),
-            (SoftImpute(), impute_softimpute(inc)),
-        ]
-        for method, direct in pairs:
-            routed = method.impute(inc, make_stream(SeedSpec(77, 0)))
-            np.testing.assert_array_equal(routed.data.y, direct.data.y)
+        columns = (inc.x1[0], inc.x2[0], inc.y[0], inc.mask[0])
+        for method, body in ((Pmm(), impute_pmm), (SoftImpute(), impute_softimpute)):
+            routed = _row(method, inc, make_stream(SeedSpec(77, 0)))
+            direct = body(*columns, make_stream(SeedSpec(77, 0)))
+            np.testing.assert_array_equal(routed[inc.mask[0]], direct)
+            np.testing.assert_array_equal(routed[~inc.mask[0]], inc.y[~inc.mask])
 
     def test_routes_forest(self, low_pop):
         from imputebench.forest import impute_forest
 
         inc = _amputed(low_pop, MCAR, rep=12)
-        params = ForestParams(n_trees=5)
-        method = Forest(params=params)
-        routed = method.impute(inc, make_stream(SeedSpec(77, 1)))
-        direct = impute_forest(inc, method, make_stream(SeedSpec(77, 1)))
-        np.testing.assert_array_equal(routed.data.y, direct.data.y)
+        method = Forest(n_trees=5)
+        routed = _row(method, inc, make_stream(SeedSpec(77, 1)))
+        direct = impute_forest(
+            inc.x1[0], inc.x2[0], inc.y[0], inc.mask[0], make_stream(SeedSpec(77, 1)), n_trees=5
+        )
+        np.testing.assert_array_equal(routed[inc.mask[0]], direct)
 
     def test_unknown_method_rejected(self, low_pop):
         class Bogus(ImputationMethod):
@@ -318,12 +316,7 @@ class TestDispatch:
 
         inc = _amputed(low_pop, MCAR, rep=13)
         with pytest.raises(ValueError):
-            Bogus().impute(inc, make_stream(SeedSpec(77, 2)))
-
-    def test_method_recorded_on_output(self, low_pop):
-        inc = _amputed(low_pop, MCAR, rep=14)
-        completed = Pmm().impute(inc, make_stream(SeedSpec(77, 3)))
-        assert completed.method == Pmm()
+            Bogus().impute_block(inc, [make_stream(SeedSpec(77, 2))])
 
 
 class TestFarFromOrigin:
@@ -336,25 +329,23 @@ class TestFarFromOrigin:
         x2 = 1e4 + 0.5 * (x1 - 1e4) + gen.normal(size=n)
         truth = 1.0 + 0.8 * (x1 - 1e4) + 0.4 * (x2 - 1e4) + gen.normal(size=n)
         mask = gen.random(n) < 0.5
-        return IncompleteDataset(
-            x1=x1, x2=x2, y=np.where(mask, np.nan, truth), mask=mask, truth_y=truth
-        )
+        return block_of_one(x1, x2, np.where(mask, np.nan, truth), mask, truth)
 
     def test_predict_matches_lstsq(self):
         inc = self._far()
         keep = ~inc.mask
-        design = np.column_stack([np.ones(inc.n_observed), inc.x1[keep], inc.x2[keep]])
+        design = np.column_stack([np.ones(np.count_nonzero(keep)), inc.x1[keep], inc.x2[keep]])
         beta = np.linalg.lstsq(design, inc.y[keep], rcond=None)[0]
         want = beta[0] + beta[1] * inc.x1[inc.mask] + beta[2] * inc.x2[inc.mask]
-        got = impute_predict(inc).data.y[inc.mask]
+        got = _row(Predict(), inc)[inc.mask[0]]
         # relative to the largest imputed value: single values pass near 0
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
     @pytest.mark.parametrize("method", [Draw(), Pmm()], ids=lambda m: m.label)
     def test_stochastic_methods_accept(self, method):
         inc = self._far()
-        completed = method.impute(inc, make_stream(SeedSpec(82, 0)))
-        imputed = completed.data.y[inc.mask]
+        completed = _row(method, inc, make_stream(SeedSpec(82, 0)))
+        imputed = completed[inc.mask[0]]
         assert np.all(np.isfinite(imputed))
         # the imputations keep the observed rows' spread about x
         assert np.std(imputed) == pytest.approx(np.std(inc.y[~inc.mask]), rel=0.2)
@@ -366,21 +357,22 @@ class TestCrossMethodInvariants:
         Draw(),
         Pmm(),
         SoftImpute(),
-        Forest(params=ForestParams(n_trees=5)),
+        Forest(n_trees=5),
     ], ids=lambda m: m.label)
     def test_observed_values_bit_exact(self, low_pop, method):
         inc = _amputed(low_pop, MAR, rep=15)
-        completed = method.impute(inc, make_stream(SeedSpec(78, 0)))
-        np.testing.assert_array_equal(completed.data.y[~inc.mask], inc.y[~inc.mask])
-        np.testing.assert_array_equal(completed.imputed_mask, inc.mask)
-        assert np.all(np.isfinite(completed.data.y))
+        completed = method.impute_block(inc, [make_stream(SeedSpec(78, 0))])
+        np.testing.assert_array_equal(completed[~inc.mask], inc.y[~inc.mask])
+        assert completed.shape == inc.mask.shape
+        assert not completed.flags.writeable
+        assert np.all(np.isfinite(completed))
 
     def test_draw_mse_at_least_predict_mse(self, low_pop):
         predict_mses, draw_mses = [], []
         for rep in range(100):
             inc = _amputed(low_pop, MCAR, rep=rep, seed=79)
-            p = impute_predict(inc)
-            d = impute_draw(inc, make_stream(SeedSpec(80, rep)))
-            predict_mses.append(np.mean((p.data.y - inc.truth_y) ** 2))
-            draw_mses.append(np.mean((d.data.y - inc.truth_y) ** 2))
+            p = _row(Predict(), inc)
+            d = _row(Draw(), inc, make_stream(SeedSpec(80, rep)))
+            predict_mses.append(np.mean((p - inc.truth_y[0]) ** 2))
+            draw_mses.append(np.mean((d - inc.truth_y[0]) ** 2))
         assert np.mean(draw_mses) >= np.mean(predict_mses)
