@@ -147,7 +147,8 @@ def _trusted(cls, **values):
 
     No copy and no check: every value must already be what __post_init__
     would make of it (arrays read-only, float64 or bool, finite where the
-    class requires it), because it was cut from data that passed it.
+    class requires it), because it was cut from data that passed it or
+    is so by construction.
     """
     obj = object.__new__(cls)
     for name, value in values.items():
@@ -195,18 +196,34 @@ def generate_population(spec: PopulationSpec, stream: RngStream) -> Dataset:
     (x1, x2) are bivariate standard normal with correlation
     PREDICTOR_CORR (via the 2x2 Cholesky factor); y is the linear
     signal plus Gaussian noise. Draw order is fixed: z1, z2, noise.
+
+    x1 is z1's own array and z2's array is the one scratch buffer: it
+    holds z2, then beta2 * x2, then the noise, so at most four columns
+    are alive at once. The columns are x2 = rho z1 + c z2 and
+    y = (b1 x1 + b2 x2) + s eps with their sums in this order; some
+    products only swap their operands, which IEEE multiplication allows,
+    so every bit is that of building each term in a fresh array.
+    Standard normals times finite constants are finite, so the columns
+    skip Dataset's copy and check.
     """
     beta1, beta2, noise_sd = coefficients(spec)
     rho = PREDICTOR_CORR
     n = spec.size
     gen = stream.generator
-    z1 = gen.standard_normal(n)
-    z2 = gen.standard_normal(n)
-    eps = gen.standard_normal(n)
-    x1 = z1
-    x2 = rho * z1 + math.sqrt(1.0 - rho * rho) * z2
-    y = beta1 * x1 + beta2 * x2 + noise_sd * eps
-    return Dataset(x1, x2, y)
+    x1 = gen.standard_normal(n)
+    buf = gen.standard_normal(n)
+    buf *= math.sqrt(1.0 - rho * rho)
+    x2 = rho * x1
+    x2 += buf
+    np.multiply(x2, beta2, out=buf)
+    y = beta1 * x1
+    y += buf
+    gen.standard_normal(out=buf)
+    buf *= noise_sd
+    y += buf
+    for col in (x1, x2, y):
+        col.flags.writeable = False
+    return _trusted(Dataset, x1=x1, x2=x2, y=y)
 
 
 def moment_params(cov) -> Dict[str, np.ndarray]:

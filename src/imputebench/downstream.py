@@ -104,6 +104,11 @@ def _estimate_rows(
     its thread count), which sums each row of the block exactly as it
     sums the row alone, so no row's estimate depends on the others. A
     row that fails a check fails the block with its own message.
+
+    One scratch block holds each centred product in turn, then the
+    squared errors, so at most four (k, n) blocks are alive above the
+    inputs. Each sum still reduces the same full array of the same
+    values, so its bits are those of summing a fresh product.
     """
     k, n = y.shape
     if n <= 3:
@@ -113,17 +118,20 @@ def _estimate_rows(
         if (col.min(axis=1) == col.max(axis=1)).any():
             raise ValueError(f"column {name} is constant; downstream parameters undefined")
 
+    product = np.empty((k, n))
     with np.errstate(over="ignore", invalid="ignore"):
         means = [np.add.reduce(col, axis=1, keepdims=True) / n for col in (x1, x2, y)]
         centred = [col - m for col, m in zip((x1, x2, y), means)]
         cov = np.empty((k, 3, 3))
         for i, j in combinations_with_replacement(range(3), 2):
-            cov[:, i, j] = cov[:, j, i] = np.add.reduce(centred[i] * centred[j], axis=1) / (n - 1)
+            np.multiply(centred[i], centred[j], out=product)
+            cov[:, i, j] = cov[:, j, i] = np.add.reduce(product, axis=1) / (n - 1)
+    del centred
     for i, name in enumerate(names):  # the off-diagonal sums are bounded by these
         if not np.isfinite(cov[:, i, i]).all():
             raise ValueError(f"column {name} is too large: its centred squares overflow")
 
-    sq_err = (truth_y - y) ** 2
+    sq_err = np.square(np.subtract(truth_y, y, out=product), out=product)
     n_missing = np.count_nonzero(mask, axis=1)
     mse_missing = np.zeros(k)
     sq_mis = sq_err.take(np.flatnonzero(mask))

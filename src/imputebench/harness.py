@@ -296,8 +296,13 @@ def _run_grid(
     if threads > 1 and len(rows) > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
 
-        with ProcessPoolExecutor(max_workers=min(threads, len(rows))) as pool:
-            return SummaryTable(rows=tuple(pool.map(row, rows)))
+        workers = min(threads, len(rows))
+        # rows run level by level, so with no more workers than levels one
+        # task per level builds each population in one worker only; more
+        # workers take a row each, so the cells of a level spread out
+        chunk = len(rows) // len(SIGNALS) if workers <= len(SIGNALS) else 1
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return SummaryTable(rows=tuple(pool.map(row, rows, chunksize=chunk)))
     return SummaryTable(rows=tuple(map(row, rows)))
 
 

@@ -2,21 +2,27 @@
 
 Holds the acceptance-summary hook (one PASS/FAIL line per criterion at
 the end of a run), an independent reimplementation of the downstream
-estimates used as a dual-route oracle, and two helpers that build the
-block of one dataset and its estimate_params input. The oracle shares no
+estimates used as a dual-route oracle, two helpers that build the
+block of one dataset and its estimate_params input, and a tracemalloc
+helper that measures a call's peak allocation. The oracle shares no
 code with the library: quantile interpolation is hand-rolled and the
 regressions go through lstsq instead of the normal equations.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from imputebench.ampute import CompletedDataset, IncompleteBlock
 from imputebench.datagen import Dataset
+from imputebench.stochastics import SeedSpec, make_stream
 
 _ACCEPTANCE_RESULTS = []
+# bytes a traced call may allocate beyond its whole columns (numpy and
+# generator objects); a column of 10^5 rows is 800,000 bytes
+PEAK_SLACK = 64 * 1024
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -106,3 +112,19 @@ def block_of_one(x1, x2, y, mask, truth_y):
 def completed_of(inc, y_block, method=None):
     """The CompletedDataset of the block of one ``inc`` and its completed y block."""
     return CompletedDataset(Dataset(inc.x1[0], inc.x2[0], y_block[0]), inc.mask[0], method)
+
+
+def traced_peak(call):
+    """Bytes that call() allocates at its peak above what was allocated before it.
+
+    One generator draws first, so the allocations of numpy.random's
+    lazy import are not counted.
+    """
+    make_stream(SeedSpec(0, 0)).generator.standard_normal(1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from conftest import PEAK_SLACK, traced_peak
 from imputebench.ampute import CompletedDataset
 from imputebench.datagen import (
     PREDICTOR_CORR,
@@ -42,6 +44,18 @@ LOW_TRUTH = {
     "mse_full": 0.0,
     "mse_missing": 0.0,
 }
+
+
+def _three_expression_population(spec, stream):
+    """The columns built with one fresh array per term; the in-place build equals them."""
+    beta1, beta2, noise_sd = coefficients(spec)
+    rho = PREDICTOR_CORR
+    gen = stream.generator
+    z1 = gen.standard_normal(spec.size)
+    z2 = gen.standard_normal(spec.size)
+    eps = gen.standard_normal(spec.size)
+    x2 = rho * z1 + math.sqrt(1.0 - rho * rho) * z2
+    return z1, x2, beta1 * z1 + beta2 * x2 + noise_sd * eps
 
 
 def _population(r_squared, size, seed=11, stream_id=0):
@@ -150,6 +164,32 @@ class TestGeneratePopulation:
         b = generate_population(spec, make_stream(SeedSpec(3, 1)))
         assert len(a) == 1000
         np.testing.assert_array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("size", [1, 2, 1000, 100_000])
+    @pytest.mark.parametrize("r_squared", [0.2, 0.8])
+    def test_equals_three_expression_build(self, size, r_squared):
+        spec = PopulationSpec(r_squared=r_squared, size=size)
+        pop = generate_population(spec, make_stream(SeedSpec(5, 2)))
+        oracle = _three_expression_population(spec, make_stream(SeedSpec(5, 2)))
+        for col, expected in zip((pop.x1, pop.x2, pop.y), oracle):
+            assert np.array_equal(col, expected)
+
+    def test_columns_are_separate_frozen_float64(self):
+        _, pop = _population(0.8, 1000)
+        cols = (pop.x1, pop.x2, pop.y)
+        for col in cols:
+            assert col.dtype == np.float64
+            assert not col.flags.writeable
+            assert col.flags.c_contiguous
+        for i, a in enumerate(cols):
+            for b in cols[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_peak_memory_is_four_columns(self):
+        n = 100_000
+        spec = PopulationSpec(r_squared=0.8, size=n)
+        peak = traced_peak(lambda: generate_population(spec, make_stream(SeedSpec(5, 2))))
+        assert peak <= 4 * 8 * n + PEAK_SLACK
 
 
 class TestGroundTruth:

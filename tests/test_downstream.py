@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import imputebench
-from conftest import block_of_one, completed_of, naive_quantile
+from conftest import PEAK_SLACK, block_of_one, completed_of, naive_quantile, traced_peak
 from imputebench.ampute import CompletedDataset, IncompleteBlock, Mechanism, ampute
 from imputebench.datagen import (
     Dataset,
@@ -273,6 +273,13 @@ class TestEstimateParams:
         completed = completed_of(inc, inc.filled(np.zeros(50)))
         with pytest.raises(ValueError):
             estimate_params(completed, Dataset(x1, x2, truth_y))
+
+    def test_truth_row_peak_memory_is_four_columns(self):
+        n = 100_000
+        pop = generate_population(PopulationSpec(size=n), make_stream(SeedSpec(5, 2)))
+        truth = CompletedDataset(data=pop, imputed_mask=np.zeros(n, dtype=bool), method=None)
+        # above its inputs: three centred columns and one scratch column
+        assert traced_peak(lambda: estimate_params(truth, pop)) <= 4 * 8 * n + PEAK_SLACK
 
     def test_truth_rows_ignore_blas_thread_count(self):
         # OpenBLAS splits a 10^5-long dot over its threads, and the split moves bits

@@ -1,8 +1,12 @@
+import multiprocessing
+import os
+import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
+import imputebench.harness as harness
 from conftest import completed_of
 from imputebench.ampute import Mechanism, ampute
 from imputebench.cli import parse_and_dispatch
@@ -319,6 +323,32 @@ class TestDeterminism:
         serial = format_table(run_table1(cfg, threads=1), style="csv")
         pooled = format_table(run_table1(cfg, threads=2), style="csv")
         assert serial == pooled
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers see the patched generator only when forked",
+    )
+    def test_two_workers_build_one_level_each(self, monkeypatch, tmp_path):
+        log = tmp_path / "builds.txt"
+
+        def logged(spec, stream):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {spec.r_squared}\n")
+            # a real build outlasts the other worker's first pick; at this
+            # scale the pause stands in for it
+            time.sleep(0.1)
+            return generate_population(spec, stream)
+
+        monkeypatch.setattr(harness, "generate_population", logged)
+        _build_population.cache_clear()  # forked workers would inherit its entries
+        cfg = _tiny_cfg()
+        pooled = format_table(run_table1(cfg, threads=2), style="csv")
+        builds = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
+        assert len({pid for pid, _ in builds}) == 2
+        assert os.getpid() not in {int(pid) for pid, _ in builds}
+        assert sorted(r2 for _, r2 in builds) == ["0.2", "0.8"]
+        serial = format_table(run_table1(cfg, threads=1), style="csv")
+        assert pooled == serial == format_table(run_table1(cfg, threads=3), style="csv")
 
     def test_config_order_does_not_change_cells(self):
         fwd = _tiny_cfg(methods=(Predict(), Draw()))
