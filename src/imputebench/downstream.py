@@ -105,28 +105,36 @@ def _estimate_rows(
     sums the row alone, so no row's estimate depends on the others. A
     row that fails a check fails the block with its own message.
 
-    One scratch block holds each centred product in turn, then the
-    squared errors, so at most four (k, n) blocks are alive above the
-    inputs. Each sum still reduces the same full array of the same
-    values, so its bits are those of summing a fresh product.
+    Two scratch blocks carry the covariance: for each column i, left
+    holds its centred values, and product holds left times centred
+    column j >= i, centred in place first. Each centred value and each
+    product is the same operation on the same operands as with all three
+    centred columns kept, and every sum reduces the same full array in
+    the same (i, j) order, so no bit depends on the scratch layout.
+    product then holds the squared errors, so at most two (k, n) blocks
+    are alive above the inputs.
     """
     k, n = y.shape
     if n <= 3:
         raise ValueError(f"need more than 3 rows, got {n}")
-    names = ("x1", "x2", "y")
-    for name, col in zip(names, (x1, x2, y)):
+    names, cols = ("x1", "x2", "y"), (x1, x2, y)
+    for name, col in zip(names, cols):
         if (col.min(axis=1) == col.max(axis=1)).any():
             raise ValueError(f"column {name} is constant; downstream parameters undefined")
 
-    product = np.empty((k, n))
+    left, product = np.empty((k, n)), np.empty((k, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        means = [np.add.reduce(col, axis=1, keepdims=True) / n for col in (x1, x2, y)]
-        centred = [col - m for col, m in zip((x1, x2, y), means)]
+        means = [np.add.reduce(col, axis=1, keepdims=True) / n for col in cols]
         cov = np.empty((k, 3, 3))
         for i, j in combinations_with_replacement(range(3), 2):
-            np.multiply(centred[i], centred[j], out=product)
+            if i == j:
+                np.subtract(cols[i], means[i], out=left)
+                np.multiply(left, left, out=product)
+            else:
+                np.subtract(cols[j], means[j], out=product)
+                np.multiply(left, product, out=product)
             cov[:, i, j] = cov[:, j, i] = np.add.reduce(product, axis=1) / (n - 1)
-    del centred
+    del left
     for i, name in enumerate(names):  # the off-diagonal sums are bounded by these
         if not np.isfinite(cov[:, i, i]).all():
             raise ValueError(f"column {name} is too large: its centred squares overflow")

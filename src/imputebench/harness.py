@@ -14,6 +14,10 @@ from its own streams, in order, and the arithmetic between the draws
 (k, n) arrays whose row sums are each row's own sum; only the OLS fits
 of predict and draw run row by row. No byte depends on how replications
 are grouped into blocks; replication t alone is the block [t, t].
+
+A process keeps one population resident at a time, the one of the
+level it is running; rows run level by level, so each is built once per
+table, and the next level's build never finds the last one alive.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -115,15 +119,28 @@ class SummaryTable:
 # stream allocation
 # =====================================================================
 
-@lru_cache(maxsize=2)
-def _build_population(cfg: ExperimentConfig, level: int) -> Dataset:
-    """The population of SIGNALS[level], memoized per process.
+_resident: dict[tuple[ExperimentConfig, int], Dataset] = {}
 
-    Two entries hold both signal levels, so a process (the parent, or a
-    pool worker) builds each population once per config.
+
+def _build_population(cfg: ExperimentConfig, level: int) -> Dataset:
+    """The population of SIGNALS[level], the one a process keeps resident.
+
+    One entry is kept, keyed by (cfg, level); a miss drops it before the
+    build, so no two populations are alive at once. Rows run level by
+    level, and a pool worker pulls its rows in that order, so a process
+    (the parent, or a pool worker) still builds each level at most once
+    per table. A failed build raises one error naming its level.
     """
-    stream = make_stream(SeedSpec(cfg.base_seed, substream_id(level, 0, Purpose.POPULATION)))
-    return generate_population(replace(SIGNALS[level][1], size=cfg.pop_size), stream)
+    key = (cfg, level)
+    if key not in _resident:
+        _resident.clear()
+        stream = make_stream(SeedSpec(cfg.base_seed, substream_id(level, 0, Purpose.POPULATION)))
+        with _failures_named(f"population (signal={SIGNALS[level][0]})"):
+            _resident[key] = generate_population(replace(SIGNALS[level][1], size=cfg.pop_size), stream)
+    return _resident[key]
+
+
+_build_population.cache_clear = _resident.clear
 
 
 def _rep_stream(cfg: ExperimentConfig, cell_id: int, t: int, purpose: Purpose):
@@ -423,6 +440,7 @@ def run_decomposition(
         pop = _build_population(cfg, cell.level)
         with _failures_named(cell.name, 1):
             sample, inc = _sample_and_mask(cfg, pop, cell.cell_id, cell.mech, 1)
+            del pop  # the next level's build must not find this one alive
             result = decompose_mse(
                 inc,
                 sample,

@@ -142,11 +142,19 @@ class TestArgumentErrors:
 
     def test_population_too_large_for_memory(self, capsys):
         # 3 x 10^15 floats are 24 PB, past any address space: numpy's
-        # allocation fails at once, and the error is one line
+        # allocation fails at once, and the error is one line naming the level
         rc, out, err = _run(capsys, ["table1", "--pop-size", str(10**15), "--reps", "1"])
         assert rc == 1
         assert out == ""
-        assert err.startswith("imputebench: Unable to allocate ")
+        assert err.startswith("imputebench: population (signal=high) failed: Unable to allocate ")
+        assert err.count("\n") == 1
+
+    def test_population_too_large_for_memory_pooled(self, capsys):
+        argv = ["table1", "--pop-size", str(10**15), "--reps", "1", "--threads", "2"]
+        rc, out, err = _run(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("imputebench: population (signal=high) failed: Unable to allocate ")
         assert err.count("\n") == 1
 
     def test_unknown_subcommand(self):

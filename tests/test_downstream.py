@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,17 @@ from imputebench.ampute import CompletedDataset, IncompleteBlock, Mechanism, amp
 from imputebench.datagen import (
     Dataset,
     PopulationSpec,
+    _check_params,
+    _row_sums,
     draw_sample,
     generate_population,
     ground_truth,
+    moment_params,
 )
 from imputebench.downstream import (
     DecompositionResult,
     ParamSet,
+    _estimate_rows,
     _quantile_rows,
     decompose_mse,
     estimate_params,
@@ -281,6 +286,13 @@ class TestEstimateParams:
         # above its inputs: three centred columns and one scratch column
         assert traced_peak(lambda: estimate_params(truth, pop)) <= 4 * 8 * n + PEAK_SLACK
 
+    def test_truth_row_peak_memory_is_two_columns(self):
+        n = 100_000
+        pop = generate_population(PopulationSpec(size=n), make_stream(SeedSpec(5, 2)))
+        truth = CompletedDataset(data=pop, imputed_mask=np.zeros(n, dtype=bool), method=None)
+        # above its inputs: one centred column and one product column
+        assert traced_peak(lambda: estimate_params(truth, pop)) <= 2 * 8 * n + PEAK_SLACK
+
     def test_truth_rows_ignore_blas_thread_count(self):
         # OpenBLAS splits a 10^5-long dot over its threads, and the split moves bits
         probe = (
@@ -302,6 +314,85 @@ class TestEstimateParams:
             outputs.append(done.stdout)
         assert len(outputs[0].split()) == 2
         assert outputs[0] == outputs[1]
+
+
+def _three_centred_blocks_estimate(x1, x2, y, truth_y, mask):
+    """_estimate_rows computed with all three centred blocks kept: the bit oracle."""
+    k, n = y.shape
+    if n <= 3:
+        raise ValueError(f"need more than 3 rows, got {n}")
+    names = ("x1", "x2", "y")
+    for name, col in zip(names, (x1, x2, y)):
+        if (col.min(axis=1) == col.max(axis=1)).any():
+            raise ValueError(f"column {name} is constant; downstream parameters undefined")
+    product = np.empty((k, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [np.add.reduce(col, axis=1, keepdims=True) / n for col in (x1, x2, y)]
+        centred = [col - m for col, m in zip((x1, x2, y), means)]
+        cov = np.empty((k, 3, 3))
+        for i, j in combinations_with_replacement(range(3), 2):
+            np.multiply(centred[i], centred[j], out=product)
+            cov[:, i, j] = cov[:, j, i] = np.add.reduce(product, axis=1) / (n - 1)
+    for i, name in enumerate(names):
+        if not np.isfinite(cov[:, i, i]).all():
+            raise ValueError(f"column {name} is too large: its centred squares overflow")
+    sq_err = np.square(np.subtract(truth_y, y, out=product), out=product)
+    n_missing = np.count_nonzero(mask, axis=1)
+    mse_missing = np.zeros(k)
+    sq_mis = sq_err.take(np.flatnonzero(mask))
+    np.divide(_row_sums(sq_mis, n_missing), n_missing, out=mse_missing, where=n_missing > 0)
+    fields = {
+        "mu": means[2][:, 0],
+        "p90": 100.0 * (np.count_nonzero(y > _quantile_rows(truth_y, 0.9)[:, None], axis=1) / n),
+        "mse_full": np.add.reduce(sq_err, axis=1) / n,
+        "mse_missing": mse_missing,
+        **moment_params(cov),
+    }
+    out = np.column_stack([fields[name] for name in ParamSet.field_names()])
+    _check_params(out)
+    return out
+
+
+def _masked_rows(k, n, seed):
+    """k completed rows of (x1, x2, y), their truth and masks, off the origin and on it."""
+    gen = np.random.default_rng(seed)
+    x1 = gen.normal(size=(k, n)) * gen.uniform(0.1, 10.0, size=(k, 1)) + gen.normal(size=(k, 1))
+    x2 = 0.6 * x1 + gen.normal(size=(k, n))
+    truth_y = x1 - 0.4 * x2 + gen.normal(size=(k, n))
+    mask = gen.random((k, n)) < gen.uniform(0.0, 0.8, size=(k, 1))
+    y = np.where(mask, x1 + gen.normal(size=(k, n)), truth_y)
+    return x1, x2, y, truth_y, mask
+
+
+class TestTwoScratchBlocks:
+    """_estimate_rows keeps the bits of the three-centred-block estimate."""
+
+    def test_truth_row(self):
+        n = 100_000
+        pop = generate_population(PopulationSpec(size=n), make_stream(SeedSpec(5, 2)))
+        cols = (pop.x1, pop.x2, pop.y, pop.y, np.zeros(n, dtype=bool))
+        block = [col[None, :] for col in cols]
+        got = _estimate_rows(*block)
+        assert got.shape == (1, 10)
+        assert np.array_equal(got, _three_centred_blocks_estimate(*block))
+
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_masked_blocks(self, seed):
+        block = _masked_rows(16, 1000, seed)
+        got = _estimate_rows(*block)
+        assert got.shape == (16, 10)
+        assert np.array_equal(got, _three_centred_blocks_estimate(*block))
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_overflow_fails_with_the_same_message(self, column):
+        block = list(_masked_rows(16, 1000, 43))
+        block[column] = block[column] * np.where(np.arange(16) == 5, 1e160, 1.0)[:, None]
+        with pytest.raises(ValueError) as oracle:
+            _three_centred_blocks_estimate(*block)
+        assert "centred squares overflow" in str(oracle.value)
+        with pytest.raises(ValueError) as got:
+            _estimate_rows(*block)
+        assert str(got.value) == str(oracle.value)
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,15 @@
 import multiprocessing
 import os
 import time
+import weakref
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import imputebench.harness as harness
-from conftest import completed_of
+from conftest import completed_of, traced_peak
 from imputebench.ampute import Mechanism, ampute
 from imputebench.cli import parse_and_dispatch
 from imputebench.datagen import (
@@ -422,3 +424,42 @@ class TestRunDecomposition:
         for _, _, result in results:
             assert result.total > 0
             assert result.variance > 0
+
+
+class TestResidentPopulation:
+    """A process keeps one population: the held one is dropped before the next build."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []  # a weak reference to each population, with its r²
+
+        def tracked(spec, stream):
+            alive = [r2 for ref, r2 in built if ref() is not None]
+            assert alive == [], f"populations {alive} alive across the build of {spec.r_squared}"
+            pop = generate_population(spec, stream)
+            built.append((weakref.ref(pop), spec.r_squared))
+            return pop
+
+        monkeypatch.setattr(harness, "generate_population", tracked)
+        _build_population.cache_clear()
+        yield built
+        _build_population.cache_clear()
+
+    @pytest.mark.parametrize(
+        "run",
+        [run_table1, run_table2, partial(run_decomposition, method=Draw(), repeats=3)],
+        ids=["table1", "table2", "decompose"],
+    )
+    def test_each_level_built_once_with_no_other_alive(self, builds, run):
+        run(_tiny_cfg())
+        assert [r2 for _, r2 in builds] == [0.8, 0.2]
+
+    def test_serial_table1_peak_memory_is_six_columns(self):
+        n = 100_000
+        _build_population.cache_clear()
+        try:
+            # a population (three columns) with its build's scratch column,
+            # or with a truth row's two scratch columns, never two populations
+            assert traced_peak(lambda: run_table1(ExperimentConfig(t_rep=2, pop_size=n))) <= 6 * 8 * n
+        finally:
+            _build_population.cache_clear()
