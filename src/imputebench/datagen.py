@@ -30,6 +30,10 @@ PREDICTOR_CORR = 0.5
 _COLLINEAR_FLOOR = 1e-12
 
 
+class SingularDesignError(ValueError):
+    """The predictors are collinear (or numerically indistinguishable)."""
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Parameters of the data-generating process.
@@ -239,8 +243,8 @@ def moment_params(cov) -> Dict[str, np.ndarray]:
     clips a Python float, so NaN and -0.0 pass unchanged. ground_truth
     passes the population covariance, estimate_params the sample ones.
 
-    Raises ValueError naming the regression when 1 - r^2 of its two
-    predictors is below _COLLINEAR_FLOOR in any matrix of the stack.
+    Raises what _slopes raises for any matrix of the stack: ValueError on
+    a non-finite determinant, SingularDesignError on collinear predictors.
     """
     c = np.asarray(cov, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats overflow
@@ -258,17 +262,29 @@ def moment_params(cov) -> Dict[str, np.ndarray]:
 
 
 def _moment_regression(c, response: int, first: int, second: int, name: str):
-    """Slope on ``first`` and R^2 of response ~ first + second, by Cramer's rule."""
+    """Slope on ``first`` and R^2 of response ~ first + second, solved by _slopes."""
     s11, s12, s22 = c[..., first, first], c[..., first, second], c[..., second, second]
     c1, c2 = c[..., first, response], c[..., second, response]
-    det = s11 * s22 - s12 * s12
-    if (det <= _COLLINEAR_FLOOR * s11 * s22).any():
-        raise ValueError(f"regression {name}: the predictors are collinear")
-    b1 = (s22 * c1 - s12 * c2) / det
-    b2 = (s11 * c2 - s12 * c1) / det
+    b1, b2, _ = _slopes(s11, s12, s22, c1, c2, name)
     r2 = (b1 * c1 + b2 * c2) / c[..., response, response]
     r2 = np.where(r2 < 0.0, 0.0, r2)  # max(r2, 0.0) keeps NaN and -0.0
     return b1, np.where(r2 > 1.0, 1.0, r2)[()]
+
+
+def _slopes(s11, s12, s22, c1, c2, name: str):
+    """(b1, b2, det) of [[s11, s12], [s12, s22]] (b1, b2) = (c1, c2) by Cramer's rule.
+
+    The one two-predictor solve, on floats (fit_ols) or stacks (moment_params).
+    Raises ValueError when det = s11 s22 - s12^2 is not finite, then
+    SingularDesignError when det <= _COLLINEAR_FLOOR s11 s22; both name the regression.
+    """
+    det = s11 * s22 - s12 * s12
+    above = (det > _COLLINEAR_FLOOR * s11 * s22) & (det < math.inf)  # det = inf passes the floor
+    if not (above if isinstance(above, bool) else above.all()):  # .all() costs fit_ols ~15%
+        if not np.isfinite(det).all():
+            raise ValueError(f"regression {name}: the predictors' determinant is NaN or an overflow")
+        raise SingularDesignError(f"regression {name}: the predictors are collinear")
+    return (s22 * c1 - s12 * c2) / det, (s11 * c2 - s12 * c1) / det, det
 
 
 def ground_truth(spec: PopulationSpec) -> ParamSet:

@@ -140,9 +140,6 @@ def _build_population(cfg: ExperimentConfig, level: int) -> Dataset:
     return _resident[key]
 
 
-_build_population.cache_clear = _resident.clear
-
-
 def _rep_stream(cfg: ExperimentConfig, cell_id: int, t: int, purpose: Purpose):
     return make_stream(SeedSpec(cfg.base_seed, substream_id(cell_id, t, purpose)))
 

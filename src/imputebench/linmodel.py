@@ -1,12 +1,12 @@
 """The imputation model: OLS of y on (x1, x2) with an intercept.
 
-It is fitted from centred moments with the 2x2 Cramer's-rule solve of
-``datagen._moment_regression``. Centring keeps data far from the origin
-well conditioned, and ``np.add.reduce`` keeps the bits off the BLAS
-thread count: nothing here calls BLAS or LAPACK. The posterior draw uses
-the lower Cholesky factor of the uncentred X'X in closed form,
-L = [[sqrt(n), 0], [sqrt(n) x-bar, chol(S)]], with x-bar the predictor
-means and chol(S) the factor of their centred scatter.
+It is fitted from centred moments with ``datagen._slopes``, the 2x2
+Cramer's-rule solve of every regression field. Centring keeps data far
+from the origin well conditioned, and ``np.add.reduce`` keeps the bits
+off the BLAS thread count: nothing here calls BLAS or LAPACK. The
+posterior draw uses the lower Cholesky factor of the uncentred X'X in
+closed form, L = [[sqrt(n), 0], [sqrt(n) x-bar, chol(S)]], with x-bar
+the predictor means and chol(S) the factor of their centred scatter.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import _COLLINEAR_FLOOR
+from .datagen import SingularDesignError, _slopes  # the error is re-exported
 from .stochastics import RngStream
-
-
-class SingularDesignError(ValueError):
-    """The predictors are collinear (or numerically indistinguishable)."""
 
 
 class InsufficientDataError(ValueError):
@@ -53,9 +49,9 @@ def fit_ols(x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> OlsFit:
     """Fit y ~ x1 + x2 with an intercept.
 
     Raises InsufficientDataError on 3 rows or fewer, ValueError when a
-    centred sum of squares or products overflows, and SingularDesignError
-    when the centred determinant s11 s22 - s12^2 is not above
-    _COLLINEAR_FLOOR * s11 * s22.
+    centred sum of squares or products overflows, and what datagen._slopes
+    raises for "y ~ x1 + x2": ValueError when the centred determinant
+    s11 s22 - s12^2 overflows, SingularDesignError when x1 and x2 are collinear.
     """
     n = y.size
     if x1.size != n or x2.size != n:
@@ -72,11 +68,7 @@ def fit_ols(x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> OlsFit:
         s2y = float(np.add.reduce(c2 * cy))
     if not all(map(math.isfinite, (s11, s12, s22, s1y, s2y))):
         raise ValueError("the centred sums of x1, x2 and y overflow: values too large to fit")
-    det = s11 * s22 - s12 * s12
-    if not det > _COLLINEAR_FLOOR * s11 * s22:
-        raise SingularDesignError("the predictors x1 and x2 are collinear")
-    b1 = (s22 * s1y - s12 * s2y) / det
-    b2 = (s11 * s2y - s12 * s1y) / det
+    b1, b2, det = _slopes(s11, s12, s22, s1y, s2y, "y ~ x1 + x2")
     resid = cy - b1 * c1 - b2 * c2
     coefficients = np.array((my - b1 * m1 - b2 * m2, b1, b2))
     coefficients.flags.writeable = False

@@ -257,6 +257,27 @@ class TestEstimateParams:
         with pytest.raises(ValueError, match=f"column {column} is too large: its centred squares overflow"):
             estimate_params(_complete(data.x1, data.x2, data.y), data)
 
+    def test_overflowing_determinant_named(self):
+        # 1e80-scale predictors have finite centred squares, but s11 s22
+        # overflows; this used to fail the ParamSet check with r2 fields of NaN
+        x1, x2, y = np.random.default_rng(16).normal(size=(3, 50))
+        data = Dataset(1e80 * x1, 1e80 * x2, y)
+        with pytest.raises(ValueError, match=r"regression y ~ x1 \+ x2: .*overflow"):
+            estimate_params(_complete(data.x1, data.x2, data.y), data)
+
+    def test_infinite_determinant_named(self):
+        # predictor variances near 1.5e154 at correlation about 0.5: s11 s22
+        # overflows to inf, above the collinear floor, while s12^2 stays finite;
+        # this used to return gamma = 0 without an error
+        gen = np.random.default_rng(18)
+        x1, z, y = gen.normal(size=(3, 500))
+        x2 = 0.5 * x1 + np.sqrt(0.75) * z
+        x1 *= np.sqrt(1.5e154 / x1.var())
+        x2 *= np.sqrt(1.5e154 / x2.var())
+        data = Dataset(x1, x2, y)
+        with pytest.raises(ValueError, match=r"regression y ~ x1 \+ x2: .*overflow"):
+            estimate_params(_complete(data.x1, data.x2, data.y), data)
+
     @pytest.mark.parametrize("regression", ["y ~ x1 + x2", "x1 ~ y + x2"])
     def test_collinear_regression_named(self, regression):
         x1, x2 = np.random.default_rng(12).normal(size=(2, 20))

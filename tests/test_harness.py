@@ -342,7 +342,7 @@ class TestDeterminism:
             return generate_population(spec, stream)
 
         monkeypatch.setattr(harness, "generate_population", logged)
-        _build_population.cache_clear()  # forked workers would inherit its entries
+        harness._resident.clear()  # forked workers would inherit its entries
         cfg = _tiny_cfg()
         pooled = format_table(run_table1(cfg, threads=2), style="csv")
         builds = [line.split() for line in log.read_text(encoding="ascii").splitlines()]
@@ -441,9 +441,9 @@ class TestResidentPopulation:
             return pop
 
         monkeypatch.setattr(harness, "generate_population", tracked)
-        _build_population.cache_clear()
+        harness._resident.clear()
         yield built
-        _build_population.cache_clear()
+        harness._resident.clear()
 
     @pytest.mark.parametrize(
         "run",
@@ -456,10 +456,10 @@ class TestResidentPopulation:
 
     def test_serial_table1_peak_memory_is_six_columns(self):
         n = 100_000
-        _build_population.cache_clear()
+        harness._resident.clear()
         try:
             # a population (three columns) with its build's scratch column,
             # or with a truth row's two scratch columns, never two populations
             assert traced_peak(lambda: run_table1(ExperimentConfig(t_rep=2, pop_size=n))) <= 6 * 8 * n
         finally:
-            _build_population.cache_clear()
+            harness._resident.clear()

@@ -317,6 +317,8 @@ def _scalar_moment_params(cov):
         s11, s12, s22 = c[first][first], c[first][second], c[second][second]
         c1, c2 = c[first][response], c[second][response]
         det = s11 * s22 - s12 * s12
+        if not math.isfinite(det):
+            raise ValueError(f"regression {name}: the predictors' determinant is NaN or an overflow")
         if det <= _COLLINEAR_FLOOR * s11 * s22:
             raise ValueError(f"regression {name}: the predictors are collinear")
         b1 = (s22 * c1 - s12 * c2) / det
@@ -370,8 +372,11 @@ def test_stacked_moment_params_equal_scalar_per_matrix(covs):
 def test_clipped_r2_keeps_negative_zero_and_nan():
     r2_y = moment_params(np.array([[1.0, 0.0, -0.0], [0.0, 1.0, -0.0], [-0.0, -0.0, 1.0]]))["r2_y"]
     assert r2_y == 0.0 and math.copysign(1.0, r2_y) == -1.0
-    with np.errstate(invalid="ignore"):
-        assert math.isnan(moment_params(np.full((3, 3), math.nan))["r2_x"])
+    # both determinants are finite, so the NaN reaches the clip and passes it
+    fields = moment_params(np.array([[1.0, 0.0, math.nan], [0.0, 1.0, 0.5], [math.nan, 0.5, 1.0]]))
+    assert math.isnan(fields["r2_y"]) and math.isnan(fields["r2_x"])
+    with pytest.raises(ValueError, match=r"regression y ~ x1 \+ x2: .*NaN or an overflow"):
+        moment_params(np.full((3, 3), math.nan))
 
 
 # ---------------------------------------------------------------------

@@ -1,0 +1,101 @@
+"""The package's module graph and the one regression solve, read from the source.
+
+Each module of src/imputebench is parsed, not imported, so these tests
+see the import statements and names as written. The import graph is the
+runtime one: an ``if TYPE_CHECKING:`` block is never executed, so the
+annotation-only import of ampute -> imputers is not an edge.
+"""
+
+import ast
+from pathlib import Path
+
+import imputebench
+
+SRC = Path(imputebench.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
+def _runtime_nodes(node: ast.AST):
+    """The descendants of node outside ``if TYPE_CHECKING:`` blocks."""
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING"):
+            yield child
+            yield from _runtime_nodes(child)
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports at run time, relatively or by absolute name."""
+    found = set()
+    for node in _runtime_nodes(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "imputebench":
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("imputebench."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("imputebench."))
+    return found & MODULES.keys()
+
+
+GRAPH = {name: _imported_modules(tree) for name, tree in MODULES.items()}
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One import cycle of graph as a path that ends where it starts, or []."""
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return []
+        path.append(name)
+        for dep in sorted(graph[name]):
+            cycle = visit(dep)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(name)
+        return []
+
+    for name in sorted(graph):
+        cycle = visit(name)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_the_guard_sees_the_known_imports():
+    assert "datagen" in GRAPH["linmodel"]
+    assert {"linmodel", "stochastics"} <= GRAPH["imputers"]
+    assert "imputers" not in GRAPH["ampute"]  # annotation only
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+
+
+def test_module_graph_has_no_cycle():
+    assert _cycle(GRAPH) == []
+
+
+def _readers(name: str) -> set[str]:
+    """module.function (or module for top level) of every load of a name in the package."""
+    readers = set()
+    for module, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                loads = (n for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == name)
+                if any(isinstance(n.ctx, ast.Load) for n in loads):
+                    readers.add(f"{module}.{func.name}")
+    return readers
+
+
+def test_one_function_solves_every_regression():
+    # the collinearity floor and Cramer's determinant live in datagen._slopes alone
+    assert _readers("_COLLINEAR_FLOOR") == {"datagen._slopes"}
+    assert _readers("_slopes") == {"datagen._moment_regression", "linmodel.fit_ols"}
+    defined = [
+        module for module, tree in MODULES.items() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "SingularDesignError"
+    ]
+    assert defined == ["datagen"]

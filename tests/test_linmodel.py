@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,17 @@ def _random_columns(seed, n):
     x1 = gen.normal(size=n)
     x2 = gen.normal(size=n)
     y = 1.0 + 0.5 * x1 - 0.25 * x2 + gen.normal(size=n)
+    return x1, x2, y
+
+
+def _determinant_overflow_columns(seed, n, scatter):
+    """Centred x1, x2 with sum of squares ``scatter`` each and correlation near 0.5."""
+    x1, z, y = _random_columns(seed, n)
+    x2 = 0.5 * x1 + math.sqrt(0.75) * z
+    x1, x2 = x1 - x1.mean(), x2 - x2.mean()
+    x1 *= math.sqrt(scatter / (x1 @ x1))
+    x2 *= math.sqrt(scatter / (x2 @ x2))
+    assert float(x1 @ x1) * float(x2 @ x2) == math.inf and math.isfinite(float(x1 @ x2) ** 2)
     return x1, x2, y
 
 
@@ -67,13 +80,23 @@ class TestFitOls:
         with pytest.raises(SingularDesignError):
             fit_ols(x1, x2, y)
 
-    def test_overflowing_sums_are_not_collinearity(self):
-        # the squares of 1e160-scale deviations overflow float64; the suite's
-        # filter turns numpy's overflow warning into an error, and without it
-        # the NaN determinant used to read as collinear predictors
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    def test_overflowing_sums_are_not_collinearity(self, scale):
+        # at 1e160 the centred squares overflow float64 (the suite's filter
+        # turns numpy's overflow warning into an error); at 1e80 they are
+        # finite but s11 s22 overflows. Either NaN determinant used to read
+        # as collinear predictors
         x1, x2, y = _random_columns(14, 50)
         with pytest.raises(ValueError, match="overflow") as info:
-            fit_ols(1e160 * x1, 1e160 * x2, y)
+            fit_ols(scale * x1, scale * x2, y)
+        assert not isinstance(info.value, SingularDesignError)
+
+    def test_infinite_determinant_is_overflow(self):
+        # s11 = s22 = 1.5e154 at correlation about 0.5: s11 s22 overflows to
+        # inf while s12^2 stays finite, so det = inf is above the floor
+        x1, x2, y = _determinant_overflow_columns(17, 500, 1.5e154)
+        with pytest.raises(ValueError, match="overflow") as info:
+            fit_ols(x1, x2, y)
         assert not isinstance(info.value, SingularDesignError)
 
     def test_too_few_rows(self):
