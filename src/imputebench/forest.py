@@ -41,10 +41,12 @@ from .stochastics import RngStream
 MIN_NODE_SIZE = 5
 
 # About the most rows one numpy pass of fit or predict touches; a step's
-# nodes, or predict's trees, are split into passes of this size. A ci-scale
-# fit grows 100 trees on ~320 distinct rows each, and without the cap the
-# first steps build temporaries for all ~32,000 rows at once: a table2 run's
-# peak RSS was 1.9 MB (+3.7%) higher, against the benchmark's 5% bound.
+# nodes, the fit's trees when it filters and sorts their orders, predict's
+# trees, and pmm's missing rows in its donor search (imputers.impute_pmm)
+# are split into passes of this size. A ci-scale fit grows 100 trees on ~320
+# distinct rows each, and without the cap the first steps build temporaries
+# for all ~32,000 rows at once: a table2 run's peak RSS was 1.9 MB (+3.7%)
+# higher, against the benchmark's 5% bound.
 PASS_ROWS = 4096
 
 
@@ -121,12 +123,18 @@ def _runs(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _tree_orders(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per feature and tree, the tree's distinct rows (w[t] > 0) sorted by
     (x, row): one stable argsort of each feature over the input rows,
-    filtered to each tree's rows by a stable (radix) sort of w == 0. Tree
-    t's rows fill the first count_nonzero(w[t]) slots of its order."""
+    filtered to each tree's rows by a stable (radix) sort of w == 0, a
+    block of trees at a time. Tree t's rows fill the first
+    count_nonzero(w[t]) slots of its order."""
     orders = np.empty((x.shape[1], *w.shape), dtype=np.int32)
+    unseen = w == 0
+    n_trees, n = w.shape
+    chunk = max(1, PASS_ROWS // n)
     for f, col in enumerate(x.T):
         by_x = np.argsort(col, kind="stable")
-        orders[f] = by_x[np.argsort(w[:, by_x] == 0, axis=1, kind="stable")]
+        for first in range(0, n_trees, chunk):
+            trees = slice(first, first + chunk)
+            orders[f, trees] = by_x[np.argsort(unseen[trees][:, by_x], axis=1, kind="stable")]
     return orders
 
 
@@ -163,18 +171,19 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) ->
             raise ValueError(f"{name} holds a non-finite value")
     n = x.shape[0]
     width = 2 * (n // MIN_NODE_SIZE) + 1
-    rows = np.empty((n_trees, n), dtype=np.intp)
+    # each tree's draws and its bootstrap count of each row, at flat index
+    # t * n + row; then per feature and tree the tree's distinct rows sorted
+    # by (x, row), at flat index (f * n_trees + t) * n + j. Row ids, counts
+    # and node bookkeeping are int32 to keep a fit's peak small.
+    rows = np.empty((n_trees, n), dtype=np.int32)
+    w = np.empty((n_trees, n), dtype=np.int32)
     split_on = np.empty((n_trees, width), dtype=np.int32)
     for t in range(n_trees):
         gen = stream.child(t).generator
-        rows[t] = gen.integers(0, n, size=n)
+        draw = gen.integers(0, n, size=n)
+        rows[t], w[t] = draw, np.bincount(draw, minlength=n)
         split_on[t] = 1 - (gen.integers(0, 2**32, size=width, dtype=np.uint32) & 1)
-    # each tree's bootstrap count of each row, at flat index t * n + row;
-    # then per feature and tree the tree's distinct rows sorted by (x, row),
-    # at flat index (f * n_trees + t) * n + j. Row ids and node bookkeeping
-    # are int32 to keep a fit's peak small.
-    w = np.bincount((rows + n * np.arange(n_trees)[:, None]).ravel(), minlength=n_trees * n)
-    order = _tree_orders(x, w.reshape(n_trees, n)).ravel()
+    order = _tree_orders(x, w).ravel()
     xt = x.T.ravel()
     go_left = np.zeros(n_trees * n, dtype=bool)
 
@@ -188,7 +197,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) ->
     start = np.zeros((n_trees, width), dtype=np.int32)
     size = np.zeros((n_trees, width), dtype=np.int32)
     count = np.zeros((n_trees, width), dtype=np.int32)
-    size[:, 0] = np.count_nonzero(w.reshape(n_trees, n), axis=1)
+    size[:, 0] = np.count_nonzero(w, axis=1)
     count[:, 0] = n
     n_used = np.ones(n_trees, dtype=np.intp)
     n_drawn = np.zeros(n_trees, dtype=np.intp)
@@ -213,7 +222,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) ->
             row, ys = row[keep], ys[keep]
             run, j, first = _runs(m)
         xs = xt[(f * n)[run] + row]
-        ws = w[(t * n)[run] + row]
+        ws = w.ravel()[(t * n)[run] + row]
         # bootstrap entries of each row and the rows before it in its node
         n_to = np.cumsum(ws)
         n_to -= (n_to[first] - ws[first])[run]
@@ -287,23 +296,26 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) ->
         ends = np.cumsum(size[t, node])
         for take in np.split(np.arange(t.size), np.flatnonzero(np.diff(ends // PASS_ROWS)) + 1):
             split(t[take], node[take])
+    del w, go_left, stack, split_on, xt
 
     # leaf means add each leaf's bootstrap entries in draw order; leaves of
     # one size share a pairwise sum along the rows of one matrix. Feature 0's
-    # order holds every leaf as one segment: label each row with its leaf,
-    # then sort each tree's draws by (their row's leaf, draw), a few trees at
-    # a time, into the space of feature 0's order.
+    # order holds every leaf as one segment. A few trees at a time, label
+    # each row with its leaf, then sort each tree's draws by (their row's
+    # leaf, draw) into the space of feature 0's order.
     is_leaf = (feature == -1) & (np.arange(width) < n_used[:, None])
     leaf_t, leaf = np.nonzero(is_leaf)
-    run, j, _ = _runs(size[leaf_t, leaf])
-    home = leaf_t[run] * n
-    leaf_of = np.zeros((n_trees, n), dtype=np.int32)
-    leaf_of.ravel()[home + order[home + start[leaf_t, leaf][run] + j]] = leaf[run]
     drawn = order[: n_trees * n].reshape(n_trees, n)
     chunk = max(1, PASS_ROWS // n)
     for first in range(0, n_trees, chunk):
         trees = slice(first, first + chunk)
-        key = np.take_along_axis(leaf_of[trees], rows[trees], axis=1).astype(np.intp)
+        in_block = slice(*np.searchsorted(leaf_t, (first, first + chunk)))
+        t, node = leaf_t[in_block], leaf[in_block]
+        run, j, _ = _runs(size[t, node])
+        home = t[run] * n
+        leaf_of = np.zeros_like(rows[trees])
+        leaf_of.ravel()[home - first * n + order[home + start[t, node][run] + j]] = node[run]
+        key = np.take_along_axis(leaf_of, rows[trees], axis=1).astype(np.intp)
         key = n * key + np.arange(n)
         key.sort(axis=1)
         drawn[trees] = np.take_along_axis(rows[trees], key % n, axis=1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .ampute import IncompleteBlock
 from .datagen import _row_slices
-from .forest import impute_forest
+from .forest import PASS_ROWS, impute_forest
 from .linmodel import bayes_param_draw, fit_ols, predict
 from .stochastics import RngStream
 
@@ -148,22 +148,32 @@ def impute_pmm(
     a Bayesian parameter draw; each missing row copies the observed y of
     one of its PMM_DONORS nearest neighbours in predicted value, chosen
     uniformly. Stream order: posterior draw first, then donor picks.
+
+    The donor search runs over blocks of missing rows, about
+    forest.PASS_ROWS distances a block. argpartition orders each row of
+    its distance matrix on that row alone, so every missing row's donors
+    come out in the order the full n_mis x n_obs search gives them.
     """
     keep = ~mask
     x1_obs, x2_obs, y_obs = x1[keep], x2[keep], y[keep]
-    if PMM_DONORS > y_obs.size:
-        raise ValueError(f"{PMM_DONORS} donors exceed the {y_obs.size} observed rows")
+    n_obs = y_obs.size
+    if PMM_DONORS > n_obs:
+        raise ValueError(f"{PMM_DONORS} donors exceed the {n_obs} observed rows")
     fit = fit_ols(x1_obs, x2_obs, y_obs)
     yhat_obs = predict(fit.coefficients, x1_obs, x2_obs)
     beta_star, _ = bayes_param_draw(fit, stream)
     yhat_mis = predict(beta_star, x1[mask], x2[mask])
 
     n_mis = yhat_mis.size
-    dist = np.abs(yhat_obs[None, :] - yhat_mis[:, None])
-    if PMM_DONORS < dist.shape[1]:
-        pool = np.argpartition(dist, PMM_DONORS - 1, axis=1)[:, :PMM_DONORS]
+    if PMM_DONORS < n_obs:
+        pool = np.empty((n_mis, PMM_DONORS), dtype=np.intp)
+        step = max(1, PASS_ROWS // n_obs)
+        for first in range(0, n_mis, step):
+            rows = slice(first, first + step)
+            dist = np.abs(yhat_obs[None, :] - yhat_mis[rows, None])
+            pool[rows] = np.argpartition(dist, PMM_DONORS - 1, axis=1)[:, :PMM_DONORS]
     else:
-        pool = np.broadcast_to(np.arange(dist.shape[1]), dist.shape).copy()
+        pool = np.broadcast_to(np.arange(n_obs), (n_mis, n_obs))
     pick = stream.generator.integers(0, pool.shape[1], size=n_mis)
     return y_obs[pool[np.arange(n_mis), pick]]
 

@@ -463,3 +463,15 @@ class TestResidentPopulation:
             assert traced_peak(lambda: run_table1(ExperimentConfig(t_rep=2, pop_size=n))) <= 6 * 8 * n
         finally:
             harness._resident.clear()
+
+    def test_serial_table2_peak_memory_is_under_seven_and_a_quarter_columns(self):
+        n = 100_000
+        harness._resident.clear()
+        try:
+            # a population (three columns) and one 1,000-row forest fit of
+            # about 3 MB; with whole-forest passes and the dense pmm search
+            # the peak was 8.9 columns
+            peak = traced_peak(lambda: run_table2(ExperimentConfig(t_rep=2, pop_size=n)))
+            assert peak <= 7.25 * 8 * n
+        finally:
+            harness._resident.clear()

@@ -1,12 +1,18 @@
-"""The package's module graph and the one regression solve, read from the source.
+"""The package's module graph and the one regression solve, read from the source,
+and what importing the CLI loads.
 
 Each module of src/imputebench is parsed, not imported, so these tests
 see the import statements and names as written. The import graph is the
 runtime one: an ``if TYPE_CHECKING:`` block is never executed, so the
-annotation-only import of ampute -> imputers is not an edge.
+annotation-only import of ampute -> imputers is not an edge. The last
+test imports the CLI in a fresh interpreter and reads its sys.modules.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import imputebench
@@ -99,3 +105,16 @@ def test_one_function_solves_every_regression():
         if isinstance(node, ast.ClassDef) and node.name == "SingularDesignError"
     ]
     assert defined == ["datagen"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # only --threads > 1 needs the pool, and harness._run_grid imports it
+    # there; at import it would cost every serial run about 22 ms and 1.3 MB
+    probe = "import imputebench.cli, json, sys; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    # any multiprocessing submodule loads the package itself
+    assert {"multiprocessing", "concurrent.futures.process"} & set(json.loads(done.stdout)) == set()

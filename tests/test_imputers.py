@@ -1,12 +1,16 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import block_of_one, completed_of
+from conftest import block_of_one, completed_of, traced_peak
 from imputebench.ampute import Mechanism, ampute
 from imputebench.datagen import Dataset, PopulationSpec, draw_sample, generate_population
 from imputebench.downstream import estimate_params
+from imputebench.forest import PASS_ROWS, impute_forest
 from imputebench.imputers import (
     PMM_DONORS,
     Draw,
@@ -22,6 +26,7 @@ from imputebench.linmodel import fit_ols, predict
 from imputebench.stochastics import SeedSpec, make_stream
 
 from als_reference import als_matrix_complete
+from pmm_reference import dense_pmm
 
 MCAR = Mechanism.MCAR
 MAR = Mechanism.MAR_RIGHT
@@ -205,6 +210,50 @@ class TestPmmMethod:
         completed = _row(Pmm(), inc, make_stream(SeedSpec(72, 2)))
         observed = set(inc.y[~inc.mask].tolist())
         assert all(v in observed for v in completed[inc.mask[0]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_obs=st.integers(PMM_DONORS, 1500),
+        n_mis=st.integers(0, 1500),
+        n_distinct=st.integers(3, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_obs=PMM_DONORS, n_mis=37, n_distinct=3000, seed=1)  # every row a donor
+    @example(n_obs=PASS_ROWS + 1, n_mis=3, n_distinct=3000, seed=2)  # one row a block
+    @example(n_obs=PASS_ROWS // 3, n_mis=10, n_distinct=3000, seed=3)  # a short last block
+    @example(n_obs=40, n_mis=0, n_distinct=3, seed=4)  # nothing to impute
+    def test_blocked_donor_search_equals_the_dense_one(self, n_obs, n_mis, n_distinct, seed):
+        # rows repeat n_distinct base rows, and repeated rows tie in predicted value
+        gen = np.random.default_rng(seed)
+        base_x1, base_x2 = gen.normal(size=(2, n_distinct))
+        # base rows 0-2 are observed, so the fit sees three distinct points
+        pick = np.concatenate([[0, 1, 2], gen.integers(0, n_distinct, size=n_obs + n_mis - 3)])
+        order = gen.permutation(pick.size)
+        x1, x2 = base_x1[pick][order], base_x2[pick][order]
+        y = 1.0 + 0.8 * x1 + 0.4 * x2 + gen.normal(size=pick.size)
+        mask = (np.arange(pick.size) >= n_obs)[order]
+        blocked, dense = make_stream(SeedSpec(74, seed)), make_stream(SeedSpec(74, seed))
+        got = impute_pmm(x1, x2, y, mask, blocked)
+        want = dense_pmm(x1, x2, y, mask, dense)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        state = [stream.generator.bit_generator.state for stream in (blocked, dense)]
+        np.testing.assert_equal(*state)
+
+
+@pytest.mark.parametrize(
+    "impute, limit",
+    [(impute_pmm, 0.5e6), (partial(impute_forest, n_trees=100), 3.25e6)],
+    ids=["pmm", "forest"],
+)
+def test_peak_memory_above_inputs(impute, limit):
+    # a ci-scale sample, half of it masked: the whole-matrix donor search
+    # peaked at 4.0 MB, and the forest at 4.5 MB before its passes were bounded
+    gen = np.random.default_rng(7)
+    x1, x2 = gen.normal(size=(2, 1000))
+    y = 1.0 + 0.8 * x1 + 0.4 * x2 + gen.normal(size=1000)
+    mask = np.arange(1000) % 2 == 0
+    stream = make_stream(SeedSpec(73, 0))
+    assert traced_peak(lambda: impute(x1, x2, y, mask, stream)) <= limit
 
 
 class TestAlsMatrixComplete:
