@@ -17,15 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .datagen import Dataset, _trusted
 from .stochastics import RngStream
-
-if TYPE_CHECKING:
-    from .imputers import ImputationMethod
 
 # expected share of masked y entries under either mechanism
 PROP = 0.5
@@ -101,13 +97,13 @@ class CompletedDataset:
     """An imputed dataset, the input of downstream.estimate_params.
 
     data holds the completed columns and imputed_mask the filled rows of
-    y; method is the imputation method, or None for data that was never
-    masked.
+    y; method is the imputation method (an imputers.ImputationMethod), or
+    None for data that was never masked.
     """
 
     data: Dataset
     imputed_mask: np.ndarray
-    method: "ImputationMethod | None"
+    method: object
 
     def __post_init__(self):
         mask = np.array(self.imputed_mask, dtype=bool)
@@ -233,13 +229,18 @@ def _solve_shifts(scores: np.ndarray, prop: float) -> np.ndarray:
     return shifts
 
 
-def _mask_rows(x1: np.ndarray, mechanism: Mechanism, u: np.ndarray) -> np.ndarray:
-    """Read-only masks of a (k, n) block of x1 rows from their (k, n) uniform draws.
+def _ampute_block(
+    x1: np.ndarray, x2: np.ndarray, y: np.ndarray, mechanism: Mechanism, u: np.ndarray
+) -> IncompleteBlock:
+    """The IncompleteBlock of (k, n) blocks cut from a validated Dataset, masked by mechanism.
 
-    Each row is masked on its own, as ampute describes; the arithmetic
-    runs once on the block. Row sums are np.add.reduce along axis 1,
-    which on a C-contiguous block sums each row exactly as it sums the
-    row alone, so no row's mask depends on the others.
+    Row i is masked from its own uniform draws u[i], as ampute
+    describes; the arithmetic runs once on the block. Row sums are
+    np.add.reduce along axis 1, which on a C-contiguous block sums each
+    row exactly as it sums the row alone, so no row's mask depends on
+    the others. y then gets its holes once for the whole block, and
+    nothing is checked again: x1, x2 and y are finite already and the
+    holes are exactly where the mask is true.
     """
     n = x1.shape[1]
     if mechanism is Mechanism.MCAR:
@@ -259,18 +260,6 @@ def _mask_rows(x1: np.ndarray, mechanism: Mechanism, u: np.ndarray) -> np.ndarra
         probs = _logistic(score + _solve_shifts(score, PROP)[:, None])
     mask = u < probs
     mask.flags.writeable = False
-    return mask
-
-
-def _incomplete_block(
-    x1: np.ndarray, x2: np.ndarray, y: np.ndarray, mask: np.ndarray
-) -> IncompleteBlock:
-    """The IncompleteBlock of read-only (k, n) blocks cut from a validated Dataset.
-
-    y gets its holes once for the whole block, and nothing is checked
-    again: x1, x2 and y are finite already and the holes are exactly
-    where mask is true.
-    """
     holes = y.copy()
     holes.reshape(-1)[np.flatnonzero(mask)] = np.nan
     holes.flags.writeable = False
@@ -284,8 +273,8 @@ def ampute(data: Dataset, mechanism: Mechanism, stream: RngStream) -> Incomplete
     against logistic(score + b): the score is standardized x1, and b is
     calibrated by _solve_shifts so the expected proportion equals PROP.
     Rows with high x1 are censored more. This is the one-row block of
-    _mask_rows; _solve_shifts draws nothing, so drawing first moves no bit.
+    _ampute_block; _solve_shifts draws nothing, so drawing first moves no bit.
     """
     u = stream.generator.random(len(data))
     x1, x2, y = (col[None, :] for col in (data.x1, data.x2, data.y))
-    return _incomplete_block(x1, x2, y, _mask_rows(x1, mechanism, u[None, :]))
+    return _ampute_block(x1, x2, y, mechanism, u[None, :])

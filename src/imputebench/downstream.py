@@ -6,7 +6,10 @@ imputation error itself, and from one sample covariance matrix of
 (x1, x2, y) its sd, its correlation with x1, the forward regression
 y ~ x1 + x2 and the reverse regression x1 ~ y + x2. The error is
 reported twice on purpose: averaged over all rows and averaged over only
-the masked rows, which differ exactly by the masked fraction.
+the masked rows, which differ exactly by the masked fraction. The MSE
+split imputes one incomplete block repeatedly and scores it against that
+block's own truth_y, so it cannot be handed a truth that disagrees with
+what it imputed.
 """
 
 from __future__ import annotations
@@ -158,7 +161,6 @@ def _estimate_rows(
 
 def decompose_mse(
     inc: IncompleteBlock,
-    truth: Dataset,
     method: ImputationMethod,
     repeats: int,
     stream: RngStream,
@@ -166,13 +168,14 @@ def decompose_mse(
 ) -> DecompositionResult:
     """Split the imputation MSE of one dataset into bias^2 + variance + noise.
 
-    inc is the block of one incomplete dataset and truth its complete
-    sample. It is imputed ``repeats`` times on child streams
-    1..repeats. Per masked row, bias is measured against the generator's
-    noiseless surface beta1*x1 + beta2*x2 (the generator is known, so no
-    surface estimate is needed), variance is the across-repeat variance
-    of the imputed value, and noise is the generator's irreducible
-    sigma^2 = 1 - r_squared. total is the mean across repeats of the
+    inc is the block of one incomplete dataset; its truth_y is the
+    complete sample's y, the truth every imputation is scored against. It
+    is imputed ``repeats`` times on child streams 1..repeats. Per masked
+    row, bias is measured against the generator's noiseless surface
+    beta1*x1 + beta2*x2 (the generator is known, so no surface estimate
+    is needed), variance is the across-repeat variance of the imputed
+    value, and noise is the generator's irreducible sigma^2 =
+    1 - r_squared. total is the mean across repeats of the
     per-missing-row MSE.
     """
     if repeats < 2:
@@ -184,7 +187,7 @@ def decompose_mse(
         raise ValueError("no rows are masked; the imputation MSE is undefined")
     beta1, beta2, noise_sd = coefficients(population)
     surface = beta1 * inc.x1[0, mask] + beta2 * inc.x2[0, mask]
-    truth_mis = truth.y[mask]
+    truth_mis = inc.truth_y[0, mask]
     draws = np.array(
         [method.impute_block(inc, [stream.child(r)])[0, mask] for r in range(1, repeats + 1)]
     )

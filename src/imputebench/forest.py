@@ -55,20 +55,20 @@ class PackedForest:
     """Node table of a forest; row t of every array is tree t.
 
     Node 0 is the root, and a split node's children take the next two free
-    ids in depth-first, left-first order. feature[t, i] == -1 marks a leaf
-    whose value is the mean of its bootstrap rows; a split node sends rows
-    with x[:, feature] <= threshold to left and the rest to right, and its
-    value is NaN. Slots past a tree's last node look like empty leaves.
+    ids in depth-first, left-first order, so its right child is left + 1.
+    feature[t, i] == -1 marks a leaf whose value is the mean of its
+    bootstrap rows; a split node sends rows with x[:, feature] <= threshold
+    to left and the rest to left + 1, and its value is NaN. Slots past a
+    tree's last node look like empty leaves. feature and left are int32.
     """
 
     feature: np.ndarray = field(repr=False)
     threshold: np.ndarray = field(repr=False)
     left: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
     value: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("feature", "threshold", "left", "right", "value"):
+        for name in ("feature", "threshold", "left", "value"):
             getattr(self, name).flags.writeable = False
 
     @property
@@ -89,9 +89,9 @@ class PackedForest:
             raise ValueError("the forest has no trees")
         (n_rows, n_cols), (n_trees, width) = np.shape(x), self.feature.shape
         feature, threshold = self.feature.ravel(), self.threshold.ravel()
-        # flat ids of a node's children, right then left: child[2 * node + (x <= thr)]
-        tree_at = width * np.arange(n_trees)[:, None]
-        child = np.stack([self.right + tree_at, self.left + tree_at], axis=-1).ravel()
+        # flat id of a node's left child; the right one is the next id, which
+        # rows take when x <= thr is false (a NaN x too)
+        left = (self.left + width * np.arange(n_trees)[:, None]).ravel()
         x = np.asarray(x, dtype=np.float64).ravel()
         total = np.zeros((1, n_rows))
         chunk = max(1, PASS_ROWS // max(1, n_rows))
@@ -105,7 +105,7 @@ class PackedForest:
                 cur = node[walking]
                 split = feature[cur] >= 0
                 walking, cur, x_at = walking[split], cur[split], x_at[split]
-                node[walking] = child[2 * cur + (x[x_at + feature[cur]] <= threshold[cur])]
+                node[walking] = left[cur] + ~(x[x_at + feature[cur]] <= threshold[cur])
             leaves = self.value.ravel()[node].reshape(n_chunk, n_rows)
             # one sum down the tree axis adds the trees one after another
             total = np.add.reduce(np.concatenate([total, leaves]), axis=0, keepdims=True)
@@ -187,10 +187,9 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) ->
     xt = x.T.ravel()
     go_left = np.zeros(n_trees * n, dtype=bool)
 
-    feature = np.full((n_trees, width), -1, dtype=np.intp)
+    feature = np.full((n_trees, width), -1, dtype=np.int32)
     threshold = np.full((n_trees, width), np.nan)
-    left = np.full((n_trees, width), -1, dtype=np.intp)
-    right = np.full((n_trees, width), -1, dtype=np.intp)
+    left = np.full((n_trees, width), -1, dtype=np.int32)
     value = np.full((n_trees, width), np.nan)
     # each node's segment [start, start + size) of both sorted orders, and
     # the bootstrap entries (total weight) of its rows
@@ -261,7 +260,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) ->
         kid = n_used[t]
         n_used[t] += 2
         feature[t, node], threshold[t, node] = f, thr
-        left[t, node], right[t, node] = kid, kid + 1
+        left[t, node] = kid
         start[t, kid], size[t, kid], count[t, kid] = lo, m_lo, c_lo
         start[t, kid + 1], size[t, kid + 1], count[t, kid + 1] = lo + m_lo, m - m_lo, c - c_lo
         # a child too small to split is a finished leaf and never enters a stack
@@ -328,7 +327,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) ->
     for s in sizes[np.flatnonzero(np.diff(sizes, prepend=-1))]:
         pick = np.flatnonzero(m == s)
         value[leaf_t[pick], leaf[pick]] = ys[at[pick, None] + np.arange(s)].mean(axis=1)
-    return PackedForest(feature, threshold, left, right, value)
+    return PackedForest(feature, threshold, left, value)
 
 
 def predict_forest(forest: PackedForest, rows: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ from its own streams, in order, and the arithmetic between the draws
 (gather, mask and its shift, fill, estimate) runs once per block on
 (k, n) arrays whose row sums are each row's own sum; only the OLS fits
 of predict and draw run row by row. No byte depends on how replications
-are grouped into blocks; replication t alone is the block [t, t].
+are grouped into blocks; replication t alone is the block [t, t]. The
+tables, the figure and the decomposition all sample and mask through
+one call, _masked_block, so they mask samples the same way.
 
 A process keeps one population resident at a time, the one of the
 level it is running; rows run level by level, so each is built once per
@@ -30,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ampute import CompletedDataset, IncompleteBlock, Mechanism, _incomplete_block, _mask_rows
-from .datagen import Dataset, ParamSet, PopulationSpec, _sample_rows, _trusted, generate_population
+from .ampute import CompletedDataset, IncompleteBlock, Mechanism, _ampute_block
+from .datagen import Dataset, ParamSet, PopulationSpec, _sample_rows, generate_population
 from .downstream import DecompositionResult, _estimate_rows, decompose_mse, estimate_params
 from .imputers import Draw, Forest, ImputationMethod, Pmm, Predict, SoftImpute
 from .stochastics import Purpose, SeedSpec, make_stream, substream_id
@@ -151,14 +153,14 @@ def _frozen(block: np.ndarray) -> np.ndarray:
 
 def _masked_block(
     cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: Mechanism, first: int, last: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Samples of pop for replications first..last and their amputations.
+) -> IncompleteBlock:
+    """Samples of pop for replications first..last, amputed as one block.
 
-    Returns the read-only (k, n) blocks x1, x2, y and mask, row i being
-    replication first + i. Each replication draws its rows from its
-    sampling stream and one uniform per row from its amputation stream,
-    in replication order; the gather and the masking arithmetic then run
-    once for the block.
+    Row i of the block is replication first + i, and its truth_y is the
+    sample's y. Each replication draws its rows from its sampling stream
+    and one uniform per row from its amputation stream, in replication
+    order; the gather and ampute._ampute_block then run once for the
+    block. Replication t alone is the block [t, t].
     """
     reps = range(first, last + 1)
     idx = np.empty((len(reps), cfg.n_sample), dtype=np.intp)
@@ -167,15 +169,7 @@ def _masked_block(
         idx[i] = _sample_rows(pop, cfg.n_sample, _rep_stream(cfg, cell_id, t, Purpose.SAMPLING))
         u[i] = _rep_stream(cfg, cell_id, t, Purpose.AMPUTATION).generator.random(cfg.n_sample)
     x1, x2, y = (_frozen(col[idx]) for col in (pop.x1, pop.x2, pop.y))
-    return x1, x2, y, _mask_rows(x1, mech, u)
-
-
-def _sample_and_mask(
-    cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: Mechanism, t: int
-) -> tuple[Dataset, IncompleteBlock]:
-    """Replication t's sample of pop and its amputation, the block [t, t]."""
-    inc = _incomplete_block(*_masked_block(cfg, pop, cell_id, mech, t, t))
-    return _trusted(Dataset, x1=inc.x1[0], x2=inc.x2[0], y=inc.truth_y[0]), inc
+    return _ampute_block(x1, x2, y, mech, u)
 
 
 # =====================================================================
@@ -225,12 +219,12 @@ def _block_params(
     estimated in one pass. A method's completion changes only y at the
     mask, so the replication's x1, x2 and mask are estimated with it.
     """
-    x1, x2, y, mask = _masked_block(cfg, pop, cell.cell_id, cell.mech, first, last)
+    inc = _masked_block(cfg, pop, cell.cell_id, cell.mech, first, last)
     streams = [
         _rep_stream(cfg, cell.cell_id, t, Purpose.IMPUTATION) for t in range(first, last + 1)
     ]
-    completed = cell.method.impute_block(_incomplete_block(x1, x2, y, mask), streams)
-    return _estimate_rows(x1, x2, completed, y, mask)
+    completed = cell.method.impute_block(inc, streams)
+    return _estimate_rows(inc.x1, inc.x2, completed, inc.truth_y, inc.mask)
 
 
 def _cell_reps(pop: Dataset, cell: _Cell, cfg: ExperimentConfig) -> np.ndarray:
@@ -410,7 +404,7 @@ def export_figure_data(cfg: ExperimentConfig) -> str:
     pop = _build_population(cfg, level)
     lines = ["x1,y,status,method"]
     with _failures_named(f"figure (signal={SIGNALS[level][0]}, mechanism={mech.label})", 1):
-        _, inc = _sample_and_mask(cfg, pop, _FIGURE_CELL, mech, 1)
+        inc = _masked_block(cfg, pop, _FIGURE_CELL, mech, 1, 1)
         # predict draws nothing; draw takes replication 2's imputation stream
         completions = []
         for method, t in ((Predict(), 1), (Draw(), 2)):
@@ -436,11 +430,10 @@ def run_decomposition(
     for cell in _assign_cells((method,)):
         pop = _build_population(cfg, cell.level)
         with _failures_named(cell.name, 1):
-            sample, inc = _sample_and_mask(cfg, pop, cell.cell_id, cell.mech, 1)
+            inc = _masked_block(cfg, pop, cell.cell_id, cell.mech, 1, 1)
             del pop  # the next level's build must not find this one alive
             result = decompose_mse(
                 inc,
-                sample,
                 method,
                 repeats,
                 _rep_stream(cfg, cell.cell_id, 1, Purpose.IMPUTATION),

@@ -189,9 +189,9 @@ def test_decomposition_properties():
             sample = draw_sample(pop, 1000, branch.child(0))
             inc = ampute(sample, MCAR, branch.child(1))
             if d == 0:
-                still = decompose_mse(inc, sample, Predict(), 10, branch.child(3), spec)
+                still = decompose_mse(inc, Predict(), 10, branch.child(3), spec)
                 assert still.variance < 1e-10, f"predict variance {still.variance}"
-            result = decompose_mse(inc, sample, Draw(), 100, branch.child(2), spec)
+            result = decompose_mse(inc, Draw(), 100, branch.child(2), spec)
             variances.append(result.variance)
             totals.append(result.total)
             gaps.append(abs(result.total - (result.bias_sq + result.variance + result.noise)))

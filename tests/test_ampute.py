@@ -23,7 +23,7 @@ from imputebench.harness import (
     ExperimentConfig,
     _assign_cells,
     _build_population,
-    _sample_and_mask,
+    _masked_block,
 )
 from imputebench.imputers import Draw, Predict
 from imputebench.stochastics import SeedSpec, make_stream
@@ -243,7 +243,7 @@ def ci_mar_scores():
             if cell.method.label == "predict" and cell.mech == MAR:
                 pop = _build_population(cfg, cell.level)
                 for t in range(1, 101):
-                    _sample_and_mask(cfg, pop, cell.cell_id, cell.mech, t)
+                    _masked_block(cfg, pop, cell.cell_id, cell.mech, t, t)
     assert len(captured) == 200
     return captured
 

@@ -427,9 +427,9 @@ def low_setup():
 
 class TestDecomposeMse:
     def test_repeats_validated(self, low_setup):
-        spec, sample, inc = low_setup
+        spec, _, inc = low_setup
         with pytest.raises(ValueError):
-            decompose_mse(inc, sample, Predict(), 1, make_stream(SeedSpec(30, 0)), spec)
+            decompose_mse(inc, Predict(), 1, make_stream(SeedSpec(30, 0)), spec)
 
     def test_empty_mask_rejected(self, low_setup):
         spec, sample, _ = low_setup
@@ -437,31 +437,31 @@ class TestDecomposeMse:
             sample.x1, sample.x2, sample.y, np.zeros(len(sample), dtype=bool), sample.y
         )
         with pytest.raises(ValueError, match="no rows are masked"):
-            decompose_mse(inc, sample, Predict(), 10, make_stream(SeedSpec(30, 5)), spec)
+            decompose_mse(inc, Predict(), 10, make_stream(SeedSpec(30, 5)), spec)
 
     def test_block_of_one_required(self, low_setup):
-        spec, sample, inc = low_setup
+        spec, _, inc = low_setup
         two = IncompleteBlock(*(np.repeat(col, 2, axis=0) for col in (
             inc.x1, inc.x2, inc.y, inc.mask, inc.truth_y)))
         with pytest.raises(ValueError, match="the block of one dataset, got 2 rows"):
-            decompose_mse(two, sample, Predict(), 10, make_stream(SeedSpec(30, 6)), spec)
+            decompose_mse(two, Predict(), 10, make_stream(SeedSpec(30, 6)), spec)
 
     @pytest.mark.parametrize("method", [Predict(), SoftImpute()], ids=lambda m: m.label)
     def test_predict_has_no_variance(self, low_setup, method):
-        spec, sample, inc = low_setup
-        result = decompose_mse(inc, sample, method, 10, make_stream(SeedSpec(30, 1)), spec)
+        spec, _, inc = low_setup
+        result = decompose_mse(inc, method, 10, make_stream(SeedSpec(30, 1)), spec)
         assert result.variance < 1e-10
         assert result.noise == pytest.approx(0.8, abs=1e-12)
 
     def test_draw_variance_matches_residual_noise(self, low_setup):
-        spec, sample, inc = low_setup
-        result = decompose_mse(inc, sample, Draw(), 100, make_stream(SeedSpec(30, 2)), spec)
+        spec, _, inc = low_setup
+        result = decompose_mse(inc, Draw(), 100, make_stream(SeedSpec(30, 2)), spec)
         assert result.variance == pytest.approx(0.8, rel=0.15)
 
     def test_draw_total_roughly_doubles_predict_total(self, low_setup):
-        spec, sample, inc = low_setup
-        predict = decompose_mse(inc, sample, Predict(), 10, make_stream(SeedSpec(30, 3)), spec)
-        draw = decompose_mse(inc, sample, Draw(), 200, make_stream(SeedSpec(30, 4)), spec)
+        spec, _, inc = low_setup
+        predict = decompose_mse(inc, Predict(), 10, make_stream(SeedSpec(30, 3)), spec)
+        draw = decompose_mse(inc, Draw(), 200, make_stream(SeedSpec(30, 4)), spec)
         assert 1.8 <= draw.total / predict.total <= 2.2
 
     def test_components_sum_to_total(self):
@@ -471,7 +471,7 @@ class TestDecomposeMse:
         for d in range(5):
             sample = draw_sample(pop, 1000, make_stream(SeedSpec(32, 2 * d)))
             inc = ampute(sample, MCAR, make_stream(SeedSpec(32, 2 * d + 1)))
-            result = decompose_mse(inc, sample, Draw(), 100, make_stream(SeedSpec(33, d)), spec)
+            result = decompose_mse(inc, Draw(), 100, make_stream(SeedSpec(33, d)), spec)
             gaps.append(result.total - (result.bias_sq + result.variance + result.noise))
             totals.append(result.total)
         assert abs(np.mean(gaps)) < 0.1 * np.mean(totals)

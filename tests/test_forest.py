@@ -110,13 +110,16 @@ def _assert_matches_reference(x, y, n_trees, spec, reference=fit_tree):
     """Every tree of fit_forest equals the reference tree on its child stream."""
     forest = fit_forest(x, y, n_trees, make_stream(spec))
     assert forest.feature.shape == (n_trees, 2 * (len(y) // MIN_NODE_SIZE) + 1)
+    assert forest.feature.dtype == forest.left.dtype == np.int32
     for t in range(n_trees):
         ref = reference(x, y, make_stream(spec).child(t))
         k = ref["feature"].size
         assert forest.n_nodes[t] == k
-        for name in ("feature", "threshold", "left", "right"):
+        for name in ("feature", "threshold", "left"):
             np.testing.assert_array_equal(getattr(forest, name)[t, :k], ref[name])
         leaf = ref["feature"] == -1
+        # the packed table keeps no right column: a split node's right child is left + 1
+        np.testing.assert_array_equal(ref["right"][~leaf], ref["left"][~leaf] + 1)
         np.testing.assert_array_equal(forest.value[t, :k][leaf], ref["value"][leaf])
         assert (forest.feature[t, k:] == -1).all()
 
@@ -224,14 +227,14 @@ class TestFitTree:
         x, y = _xy(150, seed=4, noise=0.5)
         a = fit_forest(x, y, 5, make_stream(SeedSpec(90, 3)))
         b = fit_forest(x, y, 5, make_stream(SeedSpec(90, 3)))
-        for name in ("feature", "threshold", "left", "right", "value"):
+        for name in ("feature", "threshold", "left", "value"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_min_node_size_respected(self):
         x, y = _xy(60, seed=5, noise=0.5)
         forest = fit_forest(x, y, 1, make_stream(SeedSpec(90, 4)))
         feature, threshold = forest.feature[0], forest.threshold[0]
-        left, right = forest.left[0], forest.right[0]
+        left = forest.left[0]
         # the leaves partition the tree's bootstrap rows, replayed from the
         # tree's child stream; none may hold fewer than MIN_NODE_SIZE
         rows = make_stream(SeedSpec(90, 4)).child(0).generator.integers(0, 60, size=60)
@@ -241,7 +244,7 @@ class TestFitTree:
         while live.any():
             cur = node[live]
             go_left = xb[live, feature[cur]] <= threshold[cur]
-            node[live] = np.where(go_left, left[cur], right[cur])
+            node[live] = np.where(go_left, left[cur], left[cur] + 1)
             live = feature[node] >= 0
         _, counts = np.unique(node, return_counts=True)
         assert counts.min() >= MIN_NODE_SIZE
@@ -413,7 +416,7 @@ class TestForest:
         lone = fit_forest(x, y, 1, make_stream(SeedSpec(91, 0)))
         seven = fit_forest(x, y, 7, make_stream(SeedSpec(91, 0)))
         assert lone.n_trees == 1 and seven.n_trees == 7
-        for name in ("feature", "threshold", "left", "right", "value"):
+        for name in ("feature", "threshold", "left", "value"):
             np.testing.assert_array_equal(getattr(lone, name)[0], getattr(seven, name)[0])
         ref = fit_tree(x, y, make_stream(SeedSpec(91, 0)).child(0))
         np.testing.assert_array_equal(lone.feature[0, : lone.n_nodes[0]], ref["feature"])
@@ -447,7 +450,7 @@ class TestForest:
         assert np.mean(big_mses) <= 1.05 * np.mean(small_mses)
 
     def test_predict_empty_forest(self):
-        none = PackedForest(*(np.empty((0, 3)) for _ in range(5)))
+        none = PackedForest(*(np.empty((0, 3)) for _ in range(4)))
         with pytest.raises(ValueError):
             predict_forest(none, np.zeros((3, 2)))
 

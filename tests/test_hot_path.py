@@ -25,9 +25,9 @@ import imputebench.ampute as ampute_module
 from conftest import block_of_one
 from imputebench.ampute import (
     CompletedDataset,
+    IncompleteBlock,
     Mechanism,
-    _incomplete_block,
-    _mask_rows,
+    _ampute_block,
     _solve_shifts,
     ampute,
 )
@@ -221,7 +221,7 @@ def test_block_masks_equal_ampute_per_row(mechanism, x1, seed):
         _outcome(lambda: ampute(Dataset(row, row, row), mechanism, stream).mask)
         for row, stream in zip(x1, streams)
     ]
-    got = _outcome(lambda: _mask_rows(x1, mechanism, u))
+    got = _outcome(lambda: _ampute_block(x1, x1, x1, mechanism, u).mask)
     _same_rows_or_a_rows_error(got, rows)
 
 
@@ -276,7 +276,8 @@ def test_block_imputers_equal_a_scalar_imputation_per_row(rows, method):
         for r in range(y.shape[0])
     ]
     streams = [make_stream(SeedSpec(11, r)) for r in range(y.shape[0])]
-    got = _outcome(lambda: method.impute_block(_incomplete_block(x1, x2, y, mask), streams))
+    holed = np.where(mask, np.nan, y)
+    got = _outcome(lambda: method.impute_block(IncompleteBlock(x1, x2, holed, mask, y), streams))
     _same_rows_or_a_rows_error(got, want)
 
 

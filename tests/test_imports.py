@@ -1,11 +1,11 @@
-"""The package's module graph and the one regression solve, read from the source,
-and what importing the CLI loads.
+"""The package's module graph, the one regression solve and the one
+amputation entry, read from the source, and what importing the CLI loads.
 
 Each module of src/imputebench is parsed, not imported, so these tests
-see the import statements and names as written. The import graph is the
-runtime one: an ``if TYPE_CHECKING:`` block is never executed, so the
-annotation-only import of ampute -> imputers is not an edge. The last
-test imports the CLI in a fresh interpreter and reads its sys.modules.
+see the import statements and names as written. No module has an
+``if TYPE_CHECKING:`` block, so every import statement is an edge of the
+runtime graph. The last test imports the CLI in a fresh interpreter and
+reads its sys.modules.
 """
 
 import ast
@@ -21,18 +21,10 @@ SRC = Path(imputebench.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 
 
-def _runtime_nodes(node: ast.AST):
-    """The descendants of node outside ``if TYPE_CHECKING:`` blocks."""
-    for child in ast.iter_child_nodes(node):
-        if not (isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING"):
-            yield child
-            yield from _runtime_nodes(child)
-
-
 def _imported_modules(tree: ast.Module) -> set[str]:
-    """The package modules a module imports at run time, relatively or by absolute name."""
+    """The package modules a module imports, relatively or by absolute name."""
     found = set()
-    for node in _runtime_nodes(tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 1 and node.module:
                 found.add(node.module.split(".")[0])
@@ -76,12 +68,21 @@ def _cycle(graph: dict[str, set[str]]) -> list[str]:
 def test_the_guard_sees_the_known_imports():
     assert "datagen" in GRAPH["linmodel"]
     assert {"linmodel", "stochastics"} <= GRAPH["imputers"]
-    assert "imputers" not in GRAPH["ampute"]  # annotation only
+    assert {"datagen", "stochastics"} == GRAPH["ampute"]
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
 
 
 def test_module_graph_has_no_cycle():
     assert _cycle(GRAPH) == []
+
+
+def test_no_annotation_only_imports():
+    # an import under ``if TYPE_CHECKING:`` would be an edge the graph above misses
+    guarded = [
+        module for module, tree in MODULES.items() for node in ast.walk(tree)
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(node.test)
+    ]
+    assert guarded == []
 
 
 def _readers(name: str) -> set[str]:
@@ -105,6 +106,23 @@ def test_one_function_solves_every_regression():
         if isinstance(node, ast.ClassDef) and node.name == "SingularDesignError"
     ]
     assert defined == ["datagen"]
+
+
+def test_one_function_amputes_a_block():
+    # validated columns skip the container's checks only where they are built
+    trusted = _readers("_trusted")
+    assert "ampute._ampute_block" in trusted
+    assert {reader.split(".")[0] for reader in trusted} == {"datagen", "ampute"}
+    # the one-replication API and the harness's one sample-and-mask call
+    assert _readers("_ampute_block") == {"ampute.ampute", "harness._masked_block"}
+    # decompose_mse scores against the truth_y of the block it imputes
+    (decompose,) = (
+        node for node in ast.walk(MODULES["downstream"])
+        if isinstance(node, ast.FunctionDef) and node.name == "decompose_mse"
+    )
+    assert [arg.arg for arg in decompose.args.args] == [
+        "inc", "method", "repeats", "stream", "population"
+    ]
 
 
 def test_cli_import_loads_no_process_pool():
