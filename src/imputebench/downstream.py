@@ -55,25 +55,26 @@ class DecompositionResult:
 def _quantile_rows(rows: np.ndarray, q: float) -> np.ndarray:
     """Linear-interpolation quantile of each row of a (k, n) block: h = (n-1)q.
 
-    Equal under == to np.quantile(row, q) of each row, from one partition
-    along axis 1. As numpy does, it partitions on {0, lo, hi, n-1} with
-    lo = floor(h) and hi = lo + 1 (both capped at n-1), then takes
-    a + (b-a)g with g = h - lo, or b - (b-a)(1-g) when g >= 0.5.
-    Non-finite values raise ValueError; they sort to the ends, so the
-    partition shows them.
+    Equal under == to np.quantile(row, q) of each row. With lo = floor(h)
+    and hi = lo + 1 (both capped at n-1), a is the lo-th order statistic,
+    from one partition along axis 1 on lo alone (numpy's multi-kth
+    partition costs several single ones), and b the hi-th, the least value
+    right of a; then a + (b-a)g with g = h - lo, or b - (b-a)(1-g) when
+    g >= 0.5. These are numpy's order statistics, up to the sign of a
+    zero, which compares equal. Non-finite values raise ValueError.
     """
     if rows.shape[1] == 0:
         raise ValueError("quantile of an empty sequence")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0,1], got {q}")
+    if not np.isfinite(rows).all():
+        raise ValueError("quantile of non-finite values")
     last = rows.shape[1] - 1
     h = last * q
     lo = min(math.floor(h), last)
-    hi = min(lo + 1, last)
-    part = np.partition(rows, sorted({0, lo, hi, last}), axis=1)
-    if not (np.isfinite(part[:, 0]).all() and np.isfinite(part[:, last]).all()):
-        raise ValueError("quantile of non-finite values")
-    a, b, g = part[:, lo], part[:, hi], h - lo
+    part = np.partition(rows, lo, axis=1)
+    a, g = part[:, lo], h - lo
+    b = part[:, lo + 1:].min(axis=1) if lo < last else a
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
 
 
@@ -188,9 +189,8 @@ def decompose_mse(
     beta1, beta2, noise_sd = coefficients(population)
     surface = beta1 * inc.x1[0, mask] + beta2 * inc.x2[0, mask]
     truth_mis = inc.truth_y[0, mask]
-    draws = np.array(
-        [method.impute_block(inc, [stream.child(r)])[0, mask] for r in range(1, repeats + 1)]
-    )
+    children = stream.children(range(1, repeats + 1))
+    draws = np.array([method.impute_block(inc, [child])[0, mask] for child in children])
 
     center = draws.mean(axis=0)
     bias_sq = float(np.mean((center - surface) ** 2))

@@ -178,8 +178,8 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int, stream: RngStream) ->
     rows = np.empty((n_trees, n), dtype=np.int32)
     w = np.empty((n_trees, n), dtype=np.int32)
     split_on = np.empty((n_trees, width), dtype=np.int32)
-    for t in range(n_trees):
-        gen = stream.child(t).generator
+    for t, tree_stream in enumerate(stream.children(range(n_trees))):
+        gen = tree_stream.generator
         draw = gen.integers(0, n, size=n)
         rows[t], w[t] = draw, np.bincount(draw, minlength=n)
         split_on[t] = 1 - (gen.integers(0, 2**32, size=width, dtype=np.uint32) & 1)

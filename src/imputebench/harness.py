@@ -6,7 +6,8 @@ parameters, then average field-wise. Every replication owns three
 private random streams (sampling, amputation, imputation) derived from
 the base seed, the cell's canonical index, and the replication number,
 so any cell or replication can be recomputed in isolation and results
-do not depend on execution order or worker count.
+do not depend on execution order or worker count. A block's streams of
+all three purposes are keyed in one stochastics.rep_streams pass.
 
 A cell walks its replications in blocks: each replication still draws
 from its own streams, in order, and the arithmetic between the draws
@@ -36,7 +37,7 @@ from .ampute import CompletedDataset, IncompleteBlock, Mechanism, _ampute_block
 from .datagen import Dataset, ParamSet, PopulationSpec, _sample_rows, generate_population
 from .downstream import DecompositionResult, _estimate_rows, decompose_mse, estimate_params
 from .imputers import Draw, Forest, ImputationMethod, Pmm, Predict, SoftImpute
-from .stochastics import Purpose, SeedSpec, make_stream, substream_id
+from .stochastics import Purpose, RngStream, SeedSpec, make_stream, rep_streams, substream_id
 
 TRUTH_LABEL = "truth"
 NO_MECHANISM_LABEL = "none"
@@ -142,32 +143,32 @@ def _build_population(cfg: ExperimentConfig, level: int) -> Dataset:
     return _resident[key]
 
 
-def _rep_stream(cfg: ExperimentConfig, cell_id: int, t: int, purpose: Purpose):
-    return make_stream(SeedSpec(cfg.base_seed, substream_id(cell_id, t, purpose)))
-
-
 def _frozen(block: np.ndarray) -> np.ndarray:
     block.flags.writeable = False
     return block
 
 
 def _masked_block(
-    cfg: ExperimentConfig, pop: Dataset, cell_id: int, mech: Mechanism, first: int, last: int
+    cfg: ExperimentConfig,
+    pop: Dataset,
+    mech: Mechanism,
+    sampling: Sequence[RngStream],
+    amputation: Sequence[RngStream],
 ) -> IncompleteBlock:
-    """Samples of pop for replications first..last, amputed as one block.
+    """Samples of pop for a block of replications, amputed as one block.
 
-    Row i of the block is replication first + i, and its truth_y is the
-    sample's y. Each replication draws its rows from its sampling stream
-    and one uniform per row from its amputation stream, in replication
-    order; the gather and ampute._ampute_block then run once for the
-    block. Replication t alone is the block [t, t].
+    Row i of the block is the replication of sampling[i] and
+    amputation[i], its two streams from stochastics.rep_streams, and its
+    truth_y is the sample's y. Each replication draws its rows from its
+    sampling stream and one uniform per row from its amputation stream, in
+    replication order; the gather and ampute._ampute_block then run once
+    for the block. Replication t alone is the block of its own two streams.
     """
-    reps = range(first, last + 1)
-    idx = np.empty((len(reps), cfg.n_sample), dtype=np.intp)
-    u = np.empty((len(reps), cfg.n_sample))
-    for i, t in enumerate(reps):
-        idx[i] = _sample_rows(pop, cfg.n_sample, _rep_stream(cfg, cell_id, t, Purpose.SAMPLING))
-        u[i] = _rep_stream(cfg, cell_id, t, Purpose.AMPUTATION).generator.random(cfg.n_sample)
+    idx = np.empty((len(sampling), cfg.n_sample), dtype=np.intp)
+    u = np.empty((len(sampling), cfg.n_sample))
+    for i, (sample_stream, mask_stream) in enumerate(zip(sampling, amputation)):
+        idx[i] = _sample_rows(pop, cfg.n_sample, sample_stream)
+        u[i] = mask_stream.generator.random(cfg.n_sample)
     x1, x2, y = (_frozen(col[idx]) for col in (pop.x1, pop.x2, pop.y))
     return _ampute_block(x1, x2, y, mech, u)
 
@@ -219,11 +220,9 @@ def _block_params(
     estimated in one pass. A method's completion changes only y at the
     mask, so the replication's x1, x2 and mask are estimated with it.
     """
-    inc = _masked_block(cfg, pop, cell.cell_id, cell.mech, first, last)
-    streams = [
-        _rep_stream(cfg, cell.cell_id, t, Purpose.IMPUTATION) for t in range(first, last + 1)
-    ]
-    completed = cell.method.impute_block(inc, streams)
+    sampling, amputation, imputation = rep_streams(cfg.base_seed, cell.cell_id, first, last)
+    inc = _masked_block(cfg, pop, cell.mech, sampling, amputation)
+    completed = cell.method.impute_block(inc, imputation)
     return _estimate_rows(inc.x1, inc.x2, completed, inc.truth_y, inc.mask)
 
 
@@ -404,12 +403,13 @@ def export_figure_data(cfg: ExperimentConfig) -> str:
     pop = _build_population(cfg, level)
     lines = ["x1,y,status,method"]
     with _failures_named(f"figure (signal={SIGNALS[level][0]}, mechanism={mech.label})", 1):
-        inc = _masked_block(cfg, pop, _FIGURE_CELL, mech, 1, 1)
+        sampling, amputation, imputation = rep_streams(cfg.base_seed, _FIGURE_CELL, 1, 2)
+        inc = _masked_block(cfg, pop, mech, sampling[:1], amputation[:1])
         # predict draws nothing; draw takes replication 2's imputation stream
-        completions = []
-        for method, t in ((Predict(), 1), (Draw(), 2)):
-            stream = _rep_stream(cfg, _FIGURE_CELL, t, Purpose.IMPUTATION)
-            completions.append((method.label, method.impute_block(inc, [stream])[0]))
+        completions = [
+            (method.label, method.impute_block(inc, [stream])[0])
+            for method, stream in ((Predict(), imputation[0]), (Draw(), imputation[1]))
+        ]
     for label, y in completions:
         for x1, value, masked in zip(inc.x1[0], y, inc.mask[0]):
             status = "imputed" if masked else "observed"
@@ -430,14 +430,9 @@ def run_decomposition(
     for cell in _assign_cells((method,)):
         pop = _build_population(cfg, cell.level)
         with _failures_named(cell.name, 1):
-            inc = _masked_block(cfg, pop, cell.cell_id, cell.mech, 1, 1)
+            sampling, amputation, (imputation,) = rep_streams(cfg.base_seed, cell.cell_id, 1, 1)
+            inc = _masked_block(cfg, pop, cell.mech, sampling, amputation)
             del pop  # the next level's build must not find this one alive
-            result = decompose_mse(
-                inc,
-                method,
-                repeats,
-                _rep_stream(cfg, cell.cell_id, 1, Purpose.IMPUTATION),
-                SIGNALS[cell.level][1],
-            )
+            result = decompose_mse(inc, method, repeats, imputation, SIGNALS[cell.level][1])
         out.append((cell.signal, cell.mech.label, result))
     return out

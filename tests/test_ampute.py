@@ -26,7 +26,7 @@ from imputebench.harness import (
     _masked_block,
 )
 from imputebench.imputers import Draw, Predict
-from imputebench.stochastics import SeedSpec, make_stream
+from imputebench.stochastics import SeedSpec, make_stream, rep_streams
 
 MCAR = Mechanism.MCAR
 MAR = Mechanism.MAR_RIGHT
@@ -243,7 +243,8 @@ def ci_mar_scores():
             if cell.method.label == "predict" and cell.mech == MAR:
                 pop = _build_population(cfg, cell.level)
                 for t in range(1, 101):
-                    _masked_block(cfg, pop, cell.cell_id, cell.mech, t, t)
+                    sampling, amputation, _ = rep_streams(cfg.base_seed, cell.cell_id, t, t)
+                    _masked_block(cfg, pop, cell.mech, sampling, amputation)
     assert len(captured) == 200
     return captured
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -111,17 +111,35 @@ class TestQuantile:
     @given(
         values=st.one_of(
             arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e6, 1e6)),
-            # few distinct values: ties and constant arrays
-            arrays(np.float64, st.integers(1, 300), elements=st.sampled_from([-1.5, 0.0, 2.0])),
+            # few distinct values: ties, both zeros and constant arrays
+            arrays(
+                np.float64, st.integers(1, 300), elements=st.sampled_from([-1.5, -0.0, 0.0, 2.0])
+            ),
+            # integer ties
+            arrays(np.float64, st.integers(1, 300), elements=st.integers(-3, 3).map(float)),
             # full-precision values over ten decades, where the two lerp
             # forms round differently
             st.builds(_wide_values, st.integers(1, 300), st.integers(0, 2**32 - 1)),
         ),
         q=st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)),
     )
+    @example(values=np.array([-0.0, 0.0, -0.0, 0.0]), q=0.9)
+    @example(values=np.array([0.0, 0.0, -0.0]), q=0.5)
+    @example(values=np.array([2.0, 1.0, 2.0, 2.0, 1.0]), q=0.9)
+    @example(values=np.array([-2.5]), q=0.0)
+    @example(values=np.array([-2.5]), q=1.0)
+    @example(values=np.array([3.0, -1.0, 3.0]), q=0.0)
+    @example(values=np.array([3.0, -1.0, 3.0]), q=1.0)
     def test_equals_numpy(self, values, q):
         assert quantile(values, q) == float(np.quantile(values, q))
         assert quantile(values, q) == pytest.approx(naive_quantile(values, q), rel=1e-12, abs=1e-6)
+
+    @pytest.mark.parametrize("q", [0.9, 0.5, 0.37])
+    def test_block_rows_equal_numpy(self, q):
+        # after the partition on lo, the slot right of it is the next order
+        # statistic in most rows of 1,000 values, but not in all
+        rows = np.random.default_rng(15).normal(size=(400, 1000))
+        np.testing.assert_array_equal(_quantile_rows(rows, q), np.quantile(rows, q, axis=1))
 
 
 class TestParamSet:

@@ -8,8 +8,10 @@ and shift, predict and draw, estimate, moment algebra) on k stacked rows gives
 each row's own bits or one row's own error, that the scalar code the
 kernels replaced gives the same bits, that the wrappers stay off the
 path, that a replication builds a generator only for the streams it
-draws from, and that the table1 cells and pmm call no numpy.linalg
-function, whose bits can depend on the BLAS thread count.
+draws from, that a table1 cell keys its streams without numpy's
+SeedSequence and gets the same bytes, and that the table1 cells and pmm
+call no numpy.linalg function, whose bits can depend on the BLAS thread
+count.
 """
 
 import math
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import imputebench.ampute as ampute_module
+import imputebench.harness as harness_module
 from conftest import block_of_one
 from imputebench.ampute import (
     CompletedDataset,
@@ -38,10 +41,11 @@ from imputebench.harness import (
     _assign_cells,
     _block_params,
     _build_population,
+    _cell_reps,
 )
 from imputebench.imputers import Draw, Pmm, Predict
 from imputebench.linmodel import fit_ols, predict
-from imputebench.stochastics import SeedSpec, make_stream
+from imputebench.stochastics import Purpose, SeedSpec, make_stream, substream_id
 
 MAR = Mechanism.MAR_RIGHT
 
@@ -420,6 +424,44 @@ def test_replication_builds_a_generator_per_drawn_stream(monkeypatch, cell):
     _counting(monkeypatch, np.random, "Generator", calls)
     _block_params(pop, cell, _CFG, 1, 1)
     assert calls == {"Generator": 3 if cell.method.label == "draw" else 2}
+
+
+class _SeedSequenceStream:
+    """A stream keyed by numpy's SeedSequence itself: the stream contract's oracle."""
+
+    def __init__(self, base_seed, stream_id):
+        seq = np.random.SeedSequence([base_seed, stream_id])
+        self.generator = np.random.Generator(np.random.Philox(seq))
+
+
+def _seed_sequence_rep_streams(base_seed, cell, first, last):
+    return tuple(
+        [_SeedSequenceStream(base_seed, substream_id(cell, t, p)) for t in range(first, last + 1)]
+        for p in (Purpose.SAMPLING, Purpose.AMPUTATION, Purpose.IMPUTATION)
+    )
+
+
+def test_table1_cell_builds_no_seed_sequence(monkeypatch):
+    # a ci-scale draw cell, population included, keyed by the key kernel
+    # alone gives the reps of the same cell keyed by SeedSequence
+    cfg = ExperimentConfig(pop_size=100_000, t_rep=20, base_seed=123)
+    (cell,) = [c for c in _assign_cells((Predict(), Draw())) if c.cell_id == 4]
+    assert (cell.level, cell.method.label, cell.mech) == (1, "draw", MAR)
+    with monkeypatch.context() as patch:
+        patch.setattr(harness_module, "_resident", {})
+        patch.setattr(harness_module, "rep_streams", _seed_sequence_rep_streams)
+        patch.setattr(
+            harness_module, "make_stream", lambda s: _SeedSequenceStream(s.base_seed, s.stream_id)
+        )
+        expected = _cell_reps(_build_population(cfg, cell.level), cell, cfg)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.random.SeedSequence called")
+
+    monkeypatch.setattr(harness_module, "_resident", {})
+    monkeypatch.setattr(np.random, "SeedSequence", refused)
+    got = _cell_reps(_build_population(cfg, cell.level), cell, cfg)
+    assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------

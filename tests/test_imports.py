@@ -1,11 +1,12 @@
-"""The package's module graph, the one regression solve and the one
-amputation entry, read from the source, and what importing the CLI loads.
+"""The package's module graph, the one regression solve, the one
+amputation entry and the one stream-key kernel, read from the source, and
+what importing the CLI loads.
 
 Each module of src/imputebench is parsed, not imported, so these tests
 see the import statements and names as written. No module has an
 ``if TYPE_CHECKING:`` block, so every import statement is an edge of the
-runtime graph. The last test imports the CLI in a fresh interpreter and
-reads its sys.modules.
+runtime graph. The last tests import the CLI in a fresh interpreter and
+read its sys.modules.
 """
 
 import ast
@@ -85,16 +86,35 @@ def test_no_annotation_only_imports():
     assert guarded == []
 
 
-def _readers(name: str) -> set[str]:
-    """module.function (or module for top level) of every load of a name in the package."""
+def _readers(name: str, modules: dict[str, ast.Module] = MODULES) -> set[str]:
+    """Where a name is loaded in the package: module.function for a load
+    in a function (its innermost def), module.Class for one in a class
+    body, and module for one at module level; a lambda reads for the
+    scope it sits in."""
     readers = set()
-    for module, tree in MODULES.items():
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef):
-                loads = (n for n in ast.walk(func) if isinstance(n, ast.Name) and n.id == name)
-                if any(isinstance(n.ctx, ast.Load) for n in loads):
-                    readers.add(f"{module}.{func.name}")
+
+    def visit(node, scope):
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            readers.add(scope)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope.split('.')[0]}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for module, tree in modules.items():
+        visit(tree, module)
     return readers
+
+
+def test_readers_sees_every_scope():
+    tree = ast.parse(
+        "x = SEEN\n"
+        "class C:\n    y = SEEN\n    def m(self):\n        return SEEN\n"
+        "f = lambda: SEEN\n"
+        "def g():\n    def inner():\n        return SEEN\n"
+        "SEEN = 1\n"
+    )
+    assert _readers("SEEN", {"mod": tree}) == {"mod", "mod.C", "mod.m", "mod.inner"}
 
 
 def test_one_function_solves_every_regression():
@@ -125,14 +145,31 @@ def test_one_function_amputes_a_block():
     ]
 
 
-def test_cli_import_loads_no_process_pool():
-    # only --threads > 1 needs the pool, and harness._run_grid imports it
-    # there; at import it would cost every serial run about 22 ms and 1.3 MB
+def test_one_kernel_keys_every_stream():
+    # the SeedSequence hash is computed in stochastics alone
+    assert _readers("_philox_keys") == {"stochastics._keys_of", "stochastics.rep_streams"}
+    assert {reader.split(".")[0] for reader in _readers("_keys_of")} == {"stochastics"}
+
+
+def _cli_import_modules() -> set[str]:
+    """The modules a fresh interpreter holds after ``import imputebench.cli``."""
     probe = "import imputebench.cli, json, sys; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+def test_cli_import_loads_no_process_pool():
+    # only --threads > 1 needs the pool, and harness._run_grid imports it
+    # there; at import it would cost every serial run about 22 ms and 1.3 MB
     # any multiprocessing submodule loads the package itself
-    assert {"multiprocessing", "concurrent.futures.process"} & set(json.loads(done.stdout)) == set()
+    assert {"multiprocessing", "concurrent.futures.process"} & _cli_import_modules() == set()
+
+
+def test_cli_import_loads_no_numpy_random():
+    # a stream loads numpy.random on its first draw; at import it would
+    # move its 8-11 ms into runs that never draw, and into every import
+    assert "numpy.random" not in _cli_import_modules()

@@ -1,7 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from imputebench.stochastics import Purpose, RngStream, SeedSpec, make_stream, substream_id
+from imputebench.stochastics import (
+    Purpose,
+    RngStream,
+    SeedSpec,
+    _entropy_words,
+    _keys_of,
+    _philox_keys,
+    make_stream,
+    rep_streams,
+    substream_id,
+)
+
+_U64 = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
+# spawn key entries may exceed 64 bits; SeedSequence takes any non-negative int
+_SPAWN_KEYS = st.lists(st.integers(0, 2**70) | st.sampled_from([0, 2**32 - 1, 2**32]), max_size=3)
+
+
+def _seed_sequence_key(entropy, spawn_key=()):
+    """The oracle: numpy's own SeedSequence key of a stream address."""
+    seq = np.random.SeedSequence(entropy=list(entropy), spawn_key=tuple(spawn_key))
+    return seq.generate_state(2, np.uint64)
+
+
+def _seed_sequence_draws(entropy, spawn_key=(), n=4):
+    seq = np.random.SeedSequence(entropy=list(entropy), spawn_key=tuple(spawn_key))
+    return np.random.Generator(np.random.Philox(seq)).random(n)
 
 
 class TestSeedSpec:
@@ -79,25 +106,26 @@ class TestChildStreams:
 
 
 class TestBuiltOnFirstDraw:
-    def _count_seed_sequences(self, monkeypatch):
-        calls = []
-        real = np.random.SeedSequence
+    def _count_philox(self, monkeypatch):
+        """The key of each Philox built from now on, in build order."""
+        keys = []
+        real = np.random.Philox
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("spawn_key"))
-            return real(*args, **kwargs)
+        def counted(seed, *args, **kwargs):
+            keys.append(seed.generate_state(2, np.uint64).tolist())
+            return real(seed, *args, **kwargs)
 
-        monkeypatch.setattr(np.random, "SeedSequence", counted)
-        return calls
+        monkeypatch.setattr(np.random, "Philox", counted)
+        return keys
 
     def test_make_stream_and_child_build_no_seed_sequence(self, monkeypatch):
-        calls = self._count_seed_sequences(monkeypatch)
+        keys = self._count_philox(monkeypatch)
         parent = make_stream(SeedSpec(5, 9))
         child = parent.child(3).child(1)
-        assert calls == []
+        assert keys == []
         child.generator.random(2)
         child.generator.random(2)
-        assert calls == [(3, 1)]
+        assert keys == [_seed_sequence_key((5, 9), (3, 1)).tolist()]
 
     def test_touching_the_parent_first_changes_no_draw(self):
         touched = make_stream(SeedSpec(5, 9))
@@ -112,6 +140,98 @@ class TestBuiltOnFirstDraw:
     def test_negative_entropy_rejected_before_any_draw(self, entropy, spawn_key):
         with pytest.raises(ValueError):
             RngStream(entropy, spawn_key)
+
+
+class TestPhiloxKeys:
+    """The key kernel against numpy's SeedSequence, the stream contract's oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(addresses=st.lists(st.tuples(_U64, _U64, _SPAWN_KEYS), min_size=1, max_size=12))
+    @example(addresses=[(0, 0, []), (2**64 - 1, 2**64 - 1, [2**32, 0]), (2**32, 5, [7])])
+    def test_keys_equal_seed_sequence(self, addresses):
+        # one batch holds rows of several word counts
+        rows = [_entropy_words((seed, sid), tuple(sk)) for seed, sid, sk in addresses]
+        expected = [_seed_sequence_key((seed, sid), sk) for seed, sid, sk in addresses]
+        np.testing.assert_array_equal(_keys_of(rows), np.array(expected, dtype=np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_U64, sid=_U64, prefix=_SPAWN_KEYS, keys=st.lists(_U64, min_size=1, max_size=5))
+    def test_children_equal_seed_sequence(self, seed, sid, prefix, keys):
+        parent = RngStream((seed, sid), tuple(prefix))
+        for key, child in zip(keys, parent.children(keys)):
+            spawn_key = tuple(prefix) + (key,)
+            np.testing.assert_array_equal(child._key, _seed_sequence_key((seed, sid), spawn_key))
+            np.testing.assert_array_equal(
+                child.generator.random(4), _seed_sequence_draws((seed, sid), spawn_key)
+            )
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=_U64, sid=_U64)
+    def test_lone_stream_equals_seed_sequence(self, seed, sid):
+        np.testing.assert_array_equal(
+            make_stream(SeedSpec(seed, sid)).generator.random(4), _seed_sequence_draws((seed, sid))
+        )
+
+    def test_one_width_batch(self):
+        words = np.array([_entropy_words((123, i), (i,)) for i in range(40)], dtype=np.uint32)
+        expected = [_seed_sequence_key((123, i), (i,)) for i in range(40)]
+        np.testing.assert_array_equal(_philox_keys(words), np.array(expected, dtype=np.uint64))
+
+    def test_child_is_the_one_key_case_of_children(self):
+        parent = make_stream(SeedSpec(5, 9))
+        np.testing.assert_array_equal(
+            parent.child(4).generator.random(3), parent.children([2, 4])[1].generator.random(3)
+        )
+
+    @pytest.mark.parametrize("key", [-1, 1.5, True, None])
+    def test_bad_children_key(self, key):
+        with pytest.raises(ValueError):
+            make_stream(SeedSpec(0, 0)).children([0, key])
+
+
+class TestRepStreams:
+    @pytest.mark.parametrize("seed,cell,first,last", [
+        (123, 7, 1, 16),
+        (0, 0, 1, 3),
+        # cell 0's ids cross 2**32 at replication 2**29: one word, then two
+        (4242, 0, 2**29 - 2, 2**29 + 2),
+        (2**64 - 1, 2**24 - 1, 2**37 - 3, 2**37 - 1),
+        (2**32, 3, 5, 5),
+    ])
+    def test_equal_make_stream(self, seed, cell, first, last):
+        purposes = (Purpose.SAMPLING, Purpose.AMPUTATION, Purpose.IMPUTATION)
+        for purpose, streams in zip(purposes, rep_streams(seed, cell, first, last)):
+            assert len(streams) == last - first + 1
+            for t, stream in zip(range(first, last + 1), streams):
+                spec = SeedSpec(seed, substream_id(cell, t, purpose))
+                np.testing.assert_array_equal(
+                    stream.generator.random(3), make_stream(spec).generator.random(3)
+                )
+                np.testing.assert_array_equal(
+                    stream._key, _seed_sequence_key((spec.base_seed, spec.stream_id))
+                )
+
+    @pytest.mark.parametrize("seed,cell,first,last", [
+        (0, 2**24, 1, 1),
+        (0, -1, 1, 1),
+        (0, 0, 0, 2**37),
+        (0, 0, -1, 1),
+        (-1, 0, 1, 1),
+        (2**64, 0, 1, 1),
+    ])
+    def test_range_errors(self, seed, cell, first, last):
+        with pytest.raises(ValueError):
+            rep_streams(seed, cell, first, last)
+
+    def test_streams_built_on_first_draw(self, monkeypatch):
+        built = []
+        real = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda seed: built.append(1) or real(seed))
+        sampling, _, imputation = rep_streams(1, 2, 1, 4)
+        assert built == []
+        sampling[2].generator.random(1)
+        imputation[0].generator.random(1)
+        assert len(built) == 2
 
 
 class TestSubstreamId:
