@@ -15,7 +15,7 @@ at once. CompletedDataset is the input of downstream.estimate_params.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 
 import numpy as np
@@ -97,15 +97,15 @@ class CompletedDataset:
     """An imputed dataset, the input of downstream.estimate_params.
 
     data holds the completed columns and imputed_mask the filled rows of
-    y; method is the imputation method (an imputers.ImputationMethod), or
-    None for data that was never masked.
+    y. method, the imputation method or None, is accepted for callers
+    that name it and is not stored: no estimate reads it.
     """
 
     data: Dataset
     imputed_mask: np.ndarray
-    method: object
+    method: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, method):
         mask = np.array(self.imputed_mask, dtype=bool)
         mask.flags.writeable = False
         object.__setattr__(self, "imputed_mask", mask)

@@ -2,9 +2,9 @@
 
 Subcommands map one-to-one onto harness runs: the two summary tables,
 the figure data export, the MSE decomposition, and a combined `run`
-that writes all artifacts into a directory. Flags override config-file
-values; both override the built-in defaults (population 10^6, sample
-1000, 200 replications, seed 123).
+that writes all artifacts into a directory. This module parses, checks
+and routes; every output layout is harness's. Flags override config-file
+values; both override the defaults of harness.ExperimentConfig.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from .harness import (
     ExperimentConfig,
     export_figure_data,
+    format_decomposition,
     format_table,
     run_decomposition,
     run_table1,
@@ -24,13 +25,8 @@ from .harness import (
 from .imputers import Draw, Forest, Pmm, Predict, SoftImpute
 
 _CONFIG_KEYS = ("pop_size", "n_sample", "t_rep", "base_seed")
-_METHODS = {
-    "predict": Predict,
-    "draw": Draw,
-    "pmm": Pmm,
-    "softimpute": SoftImpute,
-    "forest": Forest,
-}
+_METHODS = {m.label: m for m in (Predict, Draw, Pmm, SoftImpute, Forest)}
+_TABLES = {"table1": run_table1, "table2": run_table2}
 
 
 class CliError(Exception):
@@ -38,14 +34,12 @@ class CliError(Exception):
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--pop-size", type=int, default=None, metavar="N",
-                     help="population size (default: 1000000)")
-    sub.add_argument("--samples", type=int, default=None, metavar="N",
-                     help="sample size per replication (default: 1000)")
-    sub.add_argument("--reps", type=int, default=None, metavar="T",
-                     help="replications per cell (default: 200)")
-    sub.add_argument("--seed", type=int, default=None, metavar="S",
-                     help="base random seed (default: 123)")
+    sub.add_argument("--pop-size", dest="pop_size", type=int, default=None, metavar="N",
+                     help=f"population size (default: {ExperimentConfig.pop_size})")
+    sub.add_argument("--samples", dest="n_sample", type=int, default=None, metavar="N",
+                     help=f"sample size per replication (default: {ExperimentConfig.n_sample})")
+    sub.add_argument("--seed", dest="base_seed", type=int, default=None, metavar="S",
+                     help=f"base random seed (default: {ExperimentConfig.base_seed})")
     sub.add_argument("--config", metavar="PATH", default=None,
                      help="flat key = value config file; flags override it")
     sub.add_argument("--out", metavar="PATH", default=None,
@@ -80,6 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(runp)
 
     for p in (t1, t2, runp):
+        p.add_argument("--reps", dest="t_rep", type=int, default=None, metavar="T",
+                       help=f"replications per cell (default: {ExperimentConfig.t_rep})")
         p.add_argument("--threads", type=int, default=1, metavar="W",
                        help="worker process cap for cell parallelism (default: 1)")
 
@@ -115,13 +111,9 @@ def _load_config(path: str) -> dict[str, int]:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     merged = {} if args.config is None else _load_config(args.config)
-    flag_values = {
-        "pop_size": args.pop_size,
-        "n_sample": args.samples,
-        "t_rep": args.reps,
-        "base_seed": args.seed,
-    }
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
+    merged.update(
+        {k: v for k in _CONFIG_KEYS if (v := getattr(args, k, None)) is not None}
+    )
     try:
         return ExperimentConfig(**merged)
     except ValueError as exc:
@@ -138,36 +130,21 @@ def _emit(text: str, out: str | None) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = _experiment_config(args)
-    if args.command == "table1":
-        _emit(format_table(run_table1(cfg, threads=args.threads), args.format), args.out)
-        return 0
-    if args.command == "table2":
-        _emit(format_table(run_table2(cfg, threads=args.threads), args.format), args.out)
-        return 0
-    if args.command == "figure":
+    if args.command in _TABLES:
+        _emit(format_table(_TABLES[args.command](cfg, threads=args.threads), args.format), args.out)
+    elif args.command == "figure":
         _emit(export_figure_data(cfg), args.out)
-        return 0
-    if args.command == "decompose":
-        method = _METHODS[args.method]()
-        rows = run_decomposition(cfg, method, args.repeats)
-        lines = ["signal,mechanism,bias_sq,variance,noise,total"]
-        for signal, mechanism, result in rows:
-            lines.append(
-                f"{signal},{mechanism},{result.bias_sq:.6f},{result.variance:.6f},"
-                f"{result.noise:.6f},{result.total:.6f}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    if args.command == "run":
+    elif args.command == "decompose":
+        rows = run_decomposition(cfg, _METHODS[args.method](), args.repeats)
+        _emit(format_decomposition(rows), args.out)
+    else:  # run
         out_dir = args.out if args.out is not None else "."
         os.makedirs(out_dir, exist_ok=True)
-        _emit(format_table(run_table1(cfg, threads=args.threads), "csv"),
-              os.path.join(out_dir, "table1.csv"))
-        _emit(format_table(run_table2(cfg, threads=args.threads), "csv"),
-              os.path.join(out_dir, "table2.csv"))
+        for name, run_table in _TABLES.items():
+            _emit(format_table(run_table(cfg, threads=args.threads), "csv"),
+                  os.path.join(out_dir, f"{name}.csv"))
         _emit(export_figure_data(cfg), os.path.join(out_dir, "figure.csv"))
-        return 0
-    raise CliError(f"unknown command {args.command!r}")
+    return 0
 
 
 def parse_and_dispatch(argv=None) -> int:

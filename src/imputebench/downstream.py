@@ -30,7 +30,6 @@ from .datagen import (
     coefficients,
     moment_params,
 )
-from .imputers import ImputationMethod
 from .stochastics import RngStream
 
 
@@ -162,7 +161,7 @@ def _estimate_rows(
 
 def decompose_mse(
     inc: IncompleteBlock,
-    method: ImputationMethod,
+    method: object,
     repeats: int,
     stream: RngStream,
     population: PopulationSpec,
@@ -170,8 +169,9 @@ def decompose_mse(
     """Split the imputation MSE of one dataset into bias^2 + variance + noise.
 
     inc is the block of one incomplete dataset; its truth_y is the
-    complete sample's y, the truth every imputation is scored against. It
-    is imputed ``repeats`` times on child streams 1..repeats. Per masked
+    complete sample's y, the truth every imputation is scored against.
+    method, an imputers.ImputationMethod, imputes it ``repeats`` times
+    through impute_block, on child streams 1..repeats. Per masked
     row, bias is measured against the generator's noiseless surface
     beta1*x1 + beta2*x2 (the generator is known, so no surface estimate
     is needed), variance is the across-repeat variance of the imputed

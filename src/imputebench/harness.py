@@ -283,7 +283,7 @@ def _table_row(cfg: ExperimentConfig, cell: _Cell) -> TableRow:
     """One summary-table row; serial and pool runs map this over the same cells."""
     pop = _build_population(cfg, cell.level)
     if cell.method is None:
-        truth = CompletedDataset(data=pop, imputed_mask=np.zeros(len(pop), dtype=bool), method=None)
+        truth = CompletedDataset(data=pop, imputed_mask=np.zeros(len(pop), dtype=bool))
         with _failures_named(cell.name):
             params = estimate_params(truth, pop)
         return TableRow(cell.signal, TRUTH_LABEL, NO_MECHANISM_LABEL, params)
@@ -390,6 +390,17 @@ def _bias_flags(table: SummaryTable, row: TableRow) -> np.ndarray:
             dev[:_FLAGGABLE_FIELDS] > 2.0 * row.stderr[:_FLAGGABLE_FIELDS]
         )
     return flags
+
+
+def format_decomposition(rows: Sequence[tuple[str, str, DecompositionResult]]) -> str:
+    """CSV text of run_decomposition's rows, one per (signal, mechanism) cell."""
+    lines = ["signal,mechanism,bias_sq,variance,noise,total"]
+    for signal, mechanism, result in rows:
+        lines.append(
+            f"{signal},{mechanism},{result.bias_sq:.6f},{result.variance:.6f},"
+            f"{result.noise:.6f},{result.total:.6f}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def export_figure_data(cfg: ExperimentConfig) -> str:

@@ -180,11 +180,14 @@ class TestArgumentErrors:
         assert exc.value.code == 2
         assert "--repeats" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--threads", "--reps"])
     @pytest.mark.parametrize("command", ["figure", "decompose"])
-    def test_threads_only_where_read(self, command):
+    def test_threads_only_where_read(self, capsys, command, flag):
+        # neither the figure nor the decomposition reads t_rep or a worker count
         with pytest.raises(SystemExit) as exc:
-            parse_and_dispatch([command, "--threads", "2"])
+            parse_and_dispatch([command, flag, "2"])
         assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:

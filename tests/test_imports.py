@@ -1,6 +1,6 @@
 """The package's module graph, the one regression solve, the one
-amputation entry and the one stream-key kernel, read from the source, and
-what importing the CLI loads.
+amputation entry, the one stream-key kernel and the one module of output
+layouts, read from the source, and what importing the CLI loads.
 
 Each module of src/imputebench is parsed, not imported, so these tests
 see the import statements and names as written. No module has an
@@ -14,9 +14,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import imputebench
+from imputebench.ampute import CompletedDataset
 
 SRC = Path(imputebench.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
@@ -70,6 +72,10 @@ def test_the_guard_sees_the_known_imports():
     assert "datagen" in GRAPH["linmodel"]
     assert {"linmodel", "stochastics"} <= GRAPH["imputers"]
     assert {"datagen", "stochastics"} == GRAPH["ampute"]
+    # decompose_mse names its method's type in its docstring, not by an import
+    assert {"ampute", "datagen", "stochastics"} == GRAPH["downstream"]
+    # CompletedDataset takes a method argument but stores only what estimates read
+    assert [f.name for f in fields(CompletedDataset)] == ["data", "imputed_mask"]
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
 
 
@@ -149,6 +155,16 @@ def test_one_kernel_keys_every_stream():
     # the SeedSequence hash is computed in stochastics alone
     assert _readers("_philox_keys") == {"stochastics._keys_of", "stochastics.rep_streams"}
     assert {reader.split(".")[0] for reader in _readers("_keys_of")} == {"stochastics"}
+
+
+def test_every_output_layout_lives_in_harness():
+    # a CSV header is a string constant that starts "signal,"
+    holders = {
+        module for module, tree in MODULES.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("signal,")
+    }
+    assert holders == {"harness"}
 
 
 def _cli_import_modules() -> set[str]:
