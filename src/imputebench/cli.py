@@ -3,8 +3,12 @@
 Subcommands map one-to-one onto harness runs: the two summary tables,
 the figure data export, the MSE decomposition, and a combined `run`
 that writes all artifacts into a directory. This module parses, checks
-and routes; every output layout is harness's. Flags override config-file
-values; both override the defaults of harness.ExperimentConfig.
+and routes; every output layout is harness's. The run settings are the
+fields of harness.ExperimentConfig: each has a flag whose dest is its
+name, and a config file on a subcommand takes only the keys of the
+flags that subcommand has. Flags override config-file values; both
+override ExperimentConfig's defaults. A usage error is reported with
+the subcommand's own usage.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .harness import (
     ExperimentConfig,
@@ -24,13 +29,9 @@ from .harness import (
 )
 from .imputers import Draw, Forest, Pmm, Predict, SoftImpute
 
-_CONFIG_KEYS = ("pop_size", "n_sample", "t_rep", "base_seed")
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 _METHODS = {m.label: m for m in (Predict, Draw, Pmm, SoftImpute, Forest)}
 _TABLES = {"table1": run_table1, "table2": run_table2}
-
-
-class CliError(Exception):
-    """Fatal problem reported as a one-line diagnostic, exit status 1."""
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -46,7 +47,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="output file (default: standard output)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="imputebench",
         description="Monte Carlo test bench for downstream effects of single imputation.",
@@ -79,45 +81,44 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1, metavar="W",
                        help="worker process cap for cell parallelism (default: 1)")
 
-    return parser
+    return parser, sub.choices
 
 
-def _load_config(path: str) -> dict[str, int]:
-    """Read `key = value` lines; keys mirror the experiment config fields."""
+def _load_config(path: str, keys: list[str]) -> dict[str, int]:
+    """Read `key = value` lines; keys is what the subcommand takes of _CONFIG_KEYS."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise CliError(
-                f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(_CONFIG_KEYS)}"
+        if key not in keys:
+            raise ValueError(
+                f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(keys)}"
             )
         try:
             values[key] = int(value.strip())
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {key} needs an integer, got {value.strip()!r}") from exc
+            raise ValueError(f"{path}:{lineno}: {key} needs an integer, got {value.strip()!r}") from exc
     return values
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = {} if args.config is None else _load_config(args.config)
-    merged.update(
-        {k: v for k in _CONFIG_KEYS if (v := getattr(args, k, None)) is not None}
-    )
-    try:
-        return ExperimentConfig(**merged)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    """The settings of one run: the subcommand's flags over its config file."""
+    keys = [k for k in _CONFIG_KEYS if hasattr(args, k)]
+    merged = {} if args.config is None else _load_config(args.config, keys)
+    merged.update({k: v for k in keys if (v := getattr(args, k)) is not None})
+    return ExperimentConfig(**merged)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,15 +155,18 @@ def parse_and_dispatch(argv=None) -> int:
     (an allocation too large for memory among them); argparse itself
     exits with 2 on usage errors.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, subparsers = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    usage_error = subparsers[args.command].error
+    if unknown:
+        usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     if getattr(args, "threads", 1) < 1:
-        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+        usage_error(f"argument --threads: must be at least 1, got {args.threads}")
     if getattr(args, "repeats", 2) < 2:
-        parser.error(f"argument --repeats: must be at least 2, got {args.repeats}")
+        usage_error(f"argument --repeats: must be at least 2, got {args.repeats}")
     try:
         return _dispatch(args)
-    except (CliError, RuntimeError, ValueError, OSError, MemoryError) as exc:
+    except (RuntimeError, ValueError, OSError, MemoryError) as exc:
         print(f"imputebench: {exc}", file=sys.stderr)
         return 1
 

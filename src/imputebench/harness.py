@@ -64,16 +64,17 @@ MECHANISMS: tuple[Mechanism, ...] = (Mechanism.MCAR, Mechanism.MAR_RIGHT)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Run settings of an experiment on the fixed SIGNALS x MECHANISMS grid."""
+    """Run settings of an experiment on the fixed SIGNALS x MECHANISMS grid.
 
-    methods: tuple[ImputationMethod, ...] = ()
+    Each field is one CLI flag and one config-file key of the same name.
+    """
+
     n_sample: int = 1000
     t_rep: int = 200
     base_seed: int = 123
     pop_size: int = 1_000_000
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
         if self.t_rep < 1:
             raise ValueError(f"t_rep must be at least 1, got {self.t_rep}")
         if self.n_sample < 1:
@@ -313,28 +314,14 @@ def _run_grid(
     return SummaryTable(rows=tuple(map(row, rows)))
 
 
-def _select_methods(
-    cfg: ExperimentConfig, defaults: tuple[ImputationMethod, ...]
-) -> tuple[ImputationMethod, ...]:
-    if not cfg.methods:
-        return defaults
-    expected = sorted(m.label for m in defaults)
-    got = sorted(m.label for m in cfg.methods)
-    if got != expected:
-        raise ValueError(f"this table expects methods {expected}, got {got}")
-    return cfg.methods
-
-
 def run_table1(cfg: ExperimentConfig, threads: int = 1) -> SummaryTable:
     """Ground truth plus the predict and draw cells, in report order."""
-    methods = _select_methods(cfg, (Predict(), Draw()))
-    return _run_grid(cfg, methods, threads)
+    return _run_grid(cfg, (Predict(), Draw()), threads)
 
 
 def run_table2(cfg: ExperimentConfig, threads: int = 1) -> SummaryTable:
     """Ground truth plus the forest, softimpute and pmm cells."""
-    methods = _select_methods(cfg, (Forest(), SoftImpute(), Pmm()))
-    return _run_grid(cfg, methods, threads)
+    return _run_grid(cfg, (Forest(), SoftImpute(), Pmm()), threads)
 
 
 # =====================================================================

@@ -259,7 +259,9 @@ def substream_id(cell: int, replication: int, purpose: Purpose) -> int:
 
     The packing is injective: 24 bits of cell index, 37 bits of
     replication index, 3 bits of purpose tag. Documented here because
-    config files and the harness rely on the exact layout staying fixed.
+    the layout must stay fixed: the harness's population and figure
+    streams, rep_streams' keys, and the benchmark's rebuild of the
+    populations (bench/child.py) all assume it.
     """
     cell = int(cell)
     replication = int(replication)

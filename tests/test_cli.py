@@ -80,6 +80,28 @@ class TestConfigFile:
         assert out == ""
         assert str(path) in err
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        cfg_file = tmp_path / "latin1.cfg"
+        cfg_file.write_bytes(b"\xfft_rep = 3\n")
+        rc, out, err = _run(capsys, ["table1", "--config", str(cfg_file)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"imputebench: cannot read config file {cfg_file}: 'utf-8' codec ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["figure", "decompose"])
+    def test_keys_only_where_read(self, capsys, tmp_path, command):
+        # neither the figure nor the decomposition reads t_rep, so its file may not set it
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text("t_rep = 50\npop_size = 30000\n")
+        rc, out, err = _run(capsys, [command, "--config", str(cfg_file)])
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            f"imputebench: {cfg_file}:1: unknown key 't_rep'; "
+            "expected one of ['base_seed', 'n_sample', 'pop_size']\n"
+        )
+
     def test_unknown_key(self, capsys, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("t_rep = 3\nworkers = 4\n")
@@ -162,23 +184,28 @@ class TestArgumentErrors:
             parse_and_dispatch(["table9"])
         assert exc.value.code == 2
 
-    def test_unknown_flag(self):
+    def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch(["table1", "--turbo"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: imputebench table1 [-h] ")
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, capsys, threads):
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch(["table1", "--threads", threads])
         assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: imputebench table1 [-h] ")
+        assert "--threads" in err
 
     def test_repeats_below_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch(["decompose", "--repeats", "1"])
         assert exc.value.code == 2
-        assert "--repeats" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: imputebench decompose [-h] ")
+        assert "--repeats" in err
 
     @pytest.mark.parametrize("flag", ["--threads", "--reps"])
     @pytest.mark.parametrize("command", ["figure", "decompose"])
@@ -187,7 +214,10 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             parse_and_dispatch([command, flag, "2"])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        # the usage shown is the subcommand's, which lists the flags it does take
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: imputebench {command} [-h] ")
+        assert f"imputebench {command}: error: unrecognized arguments: {flag}" in err
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:

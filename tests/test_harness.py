@@ -2,7 +2,7 @@ import multiprocessing
 import os
 import time
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -29,6 +29,7 @@ from imputebench.harness import (
     _build_population,
     _cell_reps,
     _Cell,
+    _run_grid,
     export_figure_data,
     format_table,
     run_decomposition,
@@ -79,10 +80,10 @@ class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert tuple(f.name for f in fields(cfg)) == (
-            "methods", "n_sample", "t_rep", "base_seed", "pop_size",
+            "n_sample", "t_rep", "base_seed", "pop_size",
         )
-        assert (cfg.methods, cfg.n_sample, cfg.t_rep, cfg.base_seed, cfg.pop_size) == (
-            (), 1000, 200, 123, 1_000_000,
+        assert (cfg.n_sample, cfg.t_rep, cfg.base_seed, cfg.pop_size) == (
+            1000, 200, 123, 1_000_000,
         )
         assert [(label, spec.r_squared) for label, spec in SIGNALS] == [
             ("high", 0.8), ("low", 0.2),
@@ -205,7 +206,7 @@ class TestBlocks:
             match=r"cell \(signal=high, method=predict, mechanism=MCAR\) failed at "
                   r"replication 35: imputer refused on purpose$",
         ):
-            run_table1(replace(cfg, methods=(failing, Draw())))
+            _run_grid(cfg, (failing, Draw()), threads=1)
 
     def test_estimate_overflow_names_its_replication(self):
         cfg = _tiny_cfg(t_rep=BLOCK_REPS)
@@ -215,7 +216,7 @@ class TestBlocks:
             match=r"cell \(signal=high, method=predict, mechanism=MCAR\) failed at "
                   r"replication 34: column y is too large: its centred squares overflow$",
         ):
-            run_table1(replace(cfg, methods=(huge, Draw())))
+            _run_grid(cfg, (huge, Draw()), threads=1)
 
 
 class TestRunTable1:
@@ -261,10 +262,6 @@ class TestRunTable1:
                 assert row.stderr.shape == (len(FIELDS),)
                 assert np.all(row.stderr >= 0)
 
-    def test_method_substitution_checked(self):
-        with pytest.raises(ValueError, match="expects methods"):
-            run_table1(_tiny_cfg(methods=(Pmm(),)))
-
 
 class TestMarkdownFlags:
     def test_predict_rows_flag_biased_fields_only(self, table1_small):
@@ -292,13 +289,8 @@ class TestMarkdownFlags:
 
 class TestRunTable2:
     def test_row_layout_cheap_config(self):
-        cfg = ExperimentConfig(
-            methods=(Forest(n_trees=15), SoftImpute(), Pmm()),
-            t_rep=2,
-            pop_size=50_000,
-            base_seed=77,
-        )
-        table = run_table2(cfg)
+        cfg = ExperimentConfig(t_rep=2, pop_size=50_000, base_seed=77)
+        table = _run_grid(cfg, (Forest(n_trees=15), SoftImpute(), Pmm()), threads=1)
         layout = [(r.signal, r.method, r.mechanism) for r in table.rows]
         expected = []
         for signal in ("high", "low"):
@@ -307,10 +299,6 @@ class TestRunTable2:
                 for mech in ("MCAR", "MAR"):
                     expected.append((signal, method, mech))
         assert layout == expected
-
-    def test_method_substitution_checked(self):
-        with pytest.raises(ValueError, match="expects methods"):
-            run_table2(_tiny_cfg(methods=(Predict(), Draw())))
 
 
 class TestDeterminism:
@@ -353,12 +341,11 @@ class TestDeterminism:
         assert pooled == serial == format_table(run_table1(cfg, threads=3), style="csv")
 
     def test_config_order_does_not_change_cells(self):
-        fwd = _tiny_cfg(methods=(Predict(), Draw()))
-        rev = _tiny_cfg(methods=(Draw(), Predict()))
+        cfg = _tiny_cfg()
         by_key = {}
-        for row in run_table1(fwd).rows:
+        for row in _run_grid(cfg, (Predict(), Draw()), threads=1).rows:
             by_key[(row.signal, row.method, row.mechanism)] = row.params.as_array()
-        for row in run_table1(rev).rows:
+        for row in _run_grid(cfg, (Draw(), Predict()), threads=1).rows:
             np.testing.assert_array_equal(
                 row.params.as_array(), by_key[(row.signal, row.method, row.mechanism)]
             )
