@@ -79,21 +79,25 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--reps", dest="t_rep", type=int, default=None, metavar="T",
                        help=f"replications per cell (default: {ExperimentConfig.t_rep})")
         p.add_argument("--threads", type=int, default=1, metavar="W",
-                       help="worker process cap for cell parallelism (default: 1)")
+                       help="worker processes, at most one per signal level (default: 1)")
 
     return parser, sub.choices
 
 
 def _load_config(path: str, keys: list[str]) -> dict[str, int]:
-    """Read `key = value` lines; keys is what the subcommand takes of _CONFIG_KEYS."""
+    """Read `key = value` lines; keys is what the subcommand takes of _CONFIG_KEYS.
+
+    A byte-order mark is skipped, and a key may be set once.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, int] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,6 +110,9 @@ def _load_config(path: str, keys: list[str]) -> dict[str, int]:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r}; expected one of {sorted(keys)}"
             )
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = int(value.strip())
         except ValueError as exc:

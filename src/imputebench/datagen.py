@@ -167,18 +167,13 @@ def _row_slices(counts: np.ndarray) -> list[slice]:
 
 
 def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """np.add.reduce of each row's slice of a row-major concatenation.
+    """np.add.reduce of each row's slice of a contiguous 1-D concatenation.
 
-    values holds k rows' values one after another along its last axis,
-    counts[i] of them for row i; the result has one sum per row in its
-    last axis. Each is a pairwise sum over that row's contiguous values
-    alone, the sum of the row by itself, which np.add.reduceat is not.
+    values holds k rows' values one after another, counts[i] of them for
+    row i. Each sum is a pairwise sum over that row's values alone, the
+    sum of the row by itself, which np.add.reduceat is not.
     """
-    values = np.ascontiguousarray(values)  # a strided last axis would sum in another order
-    sums = np.empty(values.shape[:-1] + (len(counts),))
-    for i, row in enumerate(_row_slices(counts)):
-        sums[..., i] = np.add.reduce(values[..., row], axis=-1)
-    return sums
+    return np.array([np.add.reduce(values[row]) for row in _row_slices(counts)], dtype=np.float64)
 
 
 def coefficients(spec: PopulationSpec) -> tuple[float, float, float]:

@@ -18,9 +18,10 @@ are grouped into blocks; replication t alone is the block [t, t]. The
 tables, the figure and the decomposition all sample and mask through
 one call, _masked_block, so they mask samples the same way.
 
-A process keeps one population resident at a time, the one of the
-level it is running; rows run level by level, so each is built once per
-table, and the next level's build never finds the last one alive.
+A table runs one task per signal level: the task builds the level's
+population as a local, then runs the level's truth row and cells on it.
+So a process holds one population because one call holds it, builds each
+level once per table, and a pool run starts at most one worker per level.
 """
 
 from __future__ import annotations
@@ -123,25 +124,11 @@ class SummaryTable:
 # stream allocation
 # =====================================================================
 
-_resident: dict[tuple[ExperimentConfig, int], Dataset] = {}
-
-
 def _build_population(cfg: ExperimentConfig, level: int) -> Dataset:
-    """The population of SIGNALS[level], the one a process keeps resident.
-
-    One entry is kept, keyed by (cfg, level); a miss drops it before the
-    build, so no two populations are alive at once. Rows run level by
-    level, and a pool worker pulls its rows in that order, so a process
-    (the parent, or a pool worker) still builds each level at most once
-    per table. A failed build raises one error naming its level.
-    """
-    key = (cfg, level)
-    if key not in _resident:
-        _resident.clear()
-        stream = make_stream(SeedSpec(cfg.base_seed, substream_id(level, 0, Purpose.POPULATION)))
-        with _failures_named(f"population (signal={SIGNALS[level][0]})"):
-            _resident[key] = generate_population(replace(SIGNALS[level][1], size=cfg.pop_size), stream)
-    return _resident[key]
+    """The population of SIGNALS[level]; a failed build raises one error naming its level."""
+    stream = make_stream(SeedSpec(cfg.base_seed, substream_id(level, 0, Purpose.POPULATION)))
+    with _failures_named(f"population (signal={SIGNALS[level][0]})"):
+        return generate_population(replace(SIGNALS[level][1], size=cfg.pop_size), stream)
 
 
 def _frozen(block: np.ndarray) -> np.ndarray:
@@ -180,12 +167,12 @@ def _masked_block(
 
 @dataclass(frozen=True)
 class _Cell:
-    """The work of one table row: a grid cell, or its signal's truth row."""
+    """One grid cell: its canonical id, signal level, method and mechanism."""
 
     cell_id: int
     level: int
-    method: ImputationMethod | None = None
-    mech: Mechanism | None = None
+    method: ImputationMethod
+    mech: Mechanism
 
     @property
     def signal(self) -> str:
@@ -193,8 +180,6 @@ class _Cell:
 
     @property
     def name(self) -> str:
-        if self.method is None:
-            return f"truth row (signal={self.signal})"
         return (
             f"cell (signal={self.signal}, method={self.method.label}, "
             f"mechanism={self.mech.label})"
@@ -280,38 +265,39 @@ def _assign_cells(methods: Sequence[ImputationMethod]) -> list[_Cell]:
     return [_Cell(id_of[key], *cell) for key, cell in zip(keys, cells)]
 
 
-def _table_row(cfg: ExperimentConfig, cell: _Cell) -> TableRow:
-    """One summary-table row; serial and pool runs map this over the same cells."""
-    pop = _build_population(cfg, cell.level)
-    if cell.method is None:
-        truth = CompletedDataset(data=pop, imputed_mask=np.zeros(len(pop), dtype=bool))
-        with _failures_named(cell.name):
-            params = estimate_params(truth, pop)
-        return TableRow(cell.signal, TRUTH_LABEL, NO_MECHANISM_LABEL, params)
-    mean, stderr = _cell_stats(pop, cell, cfg)
-    return TableRow(cell.signal, cell.method.label, cell.mech.label, mean, stderr)
+def _level_rows(cfg: ExperimentConfig, cells: Sequence[_Cell], level: int) -> list[TableRow]:
+    """The truth row of SIGNALS[level], then one row per cell of that level, in order.
+
+    The level's population lives only as long as this call, so a process
+    holds one population at a time, however it runs the levels.
+    """
+    pop = _build_population(cfg, level)
+    signal = SIGNALS[level][0]
+    with _failures_named(f"truth row (signal={signal})"):
+        truth = estimate_params(
+            CompletedDataset(data=pop, imputed_mask=np.zeros(len(pop), dtype=bool)), pop
+        )
+    rows = [TableRow(signal, TRUTH_LABEL, NO_MECHANISM_LABEL, truth)]
+    for cell in cells:
+        if cell.level == level:
+            mean, stderr = _cell_stats(pop, cell, cfg)
+            rows.append(TableRow(signal, cell.method.label, cell.mech.label, mean, stderr))
+    return rows
 
 
 def _run_grid(
     cfg: ExperimentConfig, methods: Sequence[ImputationMethod], threads: int
 ) -> SummaryTable:
-    cells = _assign_cells(methods)
-    rows = []
-    for level in range(len(SIGNALS)):
-        rows.append(_Cell(-1, level))
-        rows.extend(cell for cell in cells if cell.level == level)
-    row = partial(_table_row, cfg)
-    if threads > 1 and len(rows) > 1:
+    level_rows = partial(_level_rows, cfg, _assign_cells(methods))
+    levels = range(len(SIGNALS))
+    if threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
 
-        workers = min(threads, len(rows))
-        # rows run level by level, so with no more workers than levels one
-        # task per level builds each population in one worker only; more
-        # workers take a row each, so the cells of a level spread out
-        chunk = len(rows) // len(SIGNALS) if workers <= len(SIGNALS) else 1
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return SummaryTable(rows=tuple(pool.map(row, rows, chunksize=chunk)))
-    return SummaryTable(rows=tuple(map(row, rows)))
+        with ProcessPoolExecutor(max_workers=min(threads, len(SIGNALS))) as pool:
+            per_level = list(pool.map(level_rows, levels))
+    else:
+        per_level = map(level_rows, levels)
+    return SummaryTable(rows=tuple(row for rows in per_level for row in rows))
 
 
 def run_table1(cfg: ExperimentConfig, threads: int = 1) -> SummaryTable:
@@ -425,12 +411,16 @@ def run_decomposition(
     imputation inside decompose_mse.
     """
     out = []
-    for cell in _assign_cells((method,)):
-        pop = _build_population(cfg, cell.level)
-        with _failures_named(cell.name, 1):
-            sampling, amputation, (imputation,) = rep_streams(cfg.base_seed, cell.cell_id, 1, 1)
-            inc = _masked_block(cfg, pop, cell.mech, sampling, amputation)
-            del pop  # the next level's build must not find this one alive
-            result = decompose_mse(inc, method, repeats, imputation, SIGNALS[cell.level][1])
-        out.append((cell.signal, cell.mech.label, result))
+    cells = _assign_cells((method,))
+    for level in range(len(SIGNALS)):
+        pop = _build_population(cfg, level)
+        for cell in cells:
+            if cell.level != level:
+                continue
+            with _failures_named(cell.name, 1):
+                sampling, amputation, (imputation,) = rep_streams(cfg.base_seed, cell.cell_id, 1, 1)
+                inc = _masked_block(cfg, pop, cell.mech, sampling, amputation)
+                result = decompose_mse(inc, method, repeats, imputation, SIGNALS[level][1])
+            out.append((cell.signal, cell.mech.label, result))
+        del pop  # the next level's build must not find this one alive
     return out

@@ -8,7 +8,7 @@ import pytest
 
 import imputebench
 from imputebench.cli import parse_and_dispatch
-from imputebench.harness import ExperimentConfig, format_table, run_table1
+from imputebench.harness import ExperimentConfig, export_figure_data, format_table, run_table1
 
 FAST = ["--reps", "5", "--pop-size", "100000", "--seed", "123"]
 
@@ -88,6 +88,22 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith(f"imputebench: cannot read config file {cfg_file}: 'utf-8' codec ")
         assert err.count("\n") == 1
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # editors on some systems save UTF-8 with a leading BOM
+        cfg_file = tmp_path / "bom.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfpop_size = 30000\nn_sample = 200\n")
+        rc, out, err = _run(capsys, ["figure", "--config", str(cfg_file)])
+        assert (rc, err) == (0, "")
+        assert out == export_figure_data(ExperimentConfig(pop_size=30_000, n_sample=200))
+
+    def test_key_set_twice(self, capsys, tmp_path):
+        cfg_file = tmp_path / "twice.cfg"
+        cfg_file.write_text("pop_size = 2000\n# later\npop_size = 3000\n")
+        rc, out, err = _run(capsys, ["figure", "--config", str(cfg_file)])
+        assert rc == 1
+        assert out == ""
+        assert err == f"imputebench: {cfg_file}:3: key 'pop_size' already set on line 1\n"
 
     @pytest.mark.parametrize("command", ["figure", "decompose"])
     def test_keys_only_where_read(self, capsys, tmp_path, command):

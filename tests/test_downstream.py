@@ -335,10 +335,10 @@ class TestEstimateParams:
     def test_truth_rows_ignore_blas_thread_count(self):
         # OpenBLAS splits a 10^5-long dot over its threads, and the split moves bits
         probe = (
-            "from imputebench.harness import ExperimentConfig, _Cell, _table_row\n"
+            "from imputebench.harness import ExperimentConfig, _level_rows\n"
             "cfg = ExperimentConfig(pop_size=100_000)\n"
             "for level in (0, 1):\n"
-            "    print(_table_row(cfg, _Cell(-1, level)).params.as_array().tobytes().hex())\n"
+            "    print(_level_rows(cfg, [], level)[0].params.as_array().tobytes().hex())\n"
         )
         outputs = []
         for threads in ("1", "2"):

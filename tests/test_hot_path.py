@@ -448,7 +448,6 @@ def test_table1_cell_builds_no_seed_sequence(monkeypatch):
     (cell,) = [c for c in _assign_cells((Predict(), Draw())) if c.cell_id == 4]
     assert (cell.level, cell.method.label, cell.mech) == (1, "draw", MAR)
     with monkeypatch.context() as patch:
-        patch.setattr(harness_module, "_resident", {})
         patch.setattr(harness_module, "rep_streams", _seed_sequence_rep_streams)
         patch.setattr(
             harness_module, "make_stream", lambda s: _SeedSequenceStream(s.base_seed, s.stream_id)
@@ -458,7 +457,6 @@ def test_table1_cell_builds_no_seed_sequence(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("np.random.SeedSequence called")
 
-    monkeypatch.setattr(harness_module, "_resident", {})
     monkeypatch.setattr(np.random, "SeedSequence", refused)
     got = _cell_reps(_build_population(cfg, cell.level), cell, cfg)
     assert got.tobytes() == expected.tobytes()

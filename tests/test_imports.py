@@ -1,6 +1,7 @@
 """The package's module graph, the one regression solve, the one
-amputation entry, the one stream-key kernel and the one module of output
-layouts, read from the source, and what importing the CLI loads.
+amputation entry, the one stream-key kernel, the one module of output
+layouts and the harness's lack of module state, read from the source,
+and what importing the CLI loads.
 
 Each module of src/imputebench is parsed, not imported, so these tests
 see the import statements and names as written. No module has an
@@ -165,6 +166,21 @@ def test_every_output_layout_lives_in_harness():
         and node.value.startswith("signal,")
     }
     assert holders == {"harness"}
+
+
+def test_harness_keeps_no_module_level_container():
+    # a population lives as long as the call that builds it; a module-level
+    # dict, list or set could hold one between calls, and a fork would copy it
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    held = [
+        ast.unparse(node) for node in MODULES["harness"].body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, containers)
+            or isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) in ("dict", "list", "set")
+        )
+    ]
+    assert held == []
 
 
 def _cli_import_modules() -> set[str]:
