@@ -160,22 +160,6 @@ def _trusted(cls, **values):
     return obj
 
 
-def _row_slices(counts: np.ndarray) -> list[slice]:
-    """Where each row lies in a row-major concatenation of rows counts[i] long."""
-    ends = np.cumsum(counts).tolist()
-    return [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
-
-
-def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """np.add.reduce of each row's slice of a contiguous 1-D concatenation.
-
-    values holds k rows' values one after another, counts[i] of them for
-    row i. Each sum is a pairwise sum over that row's values alone, the
-    sum of the row by itself, which np.add.reduceat is not.
-    """
-    return np.array([np.add.reduce(values[row]) for row in _row_slices(counts)], dtype=np.float64)
-
-
 def coefficients(spec: PopulationSpec) -> tuple[float, float, float]:
     """Generator constants (beta1, beta2, noise_sd).
 

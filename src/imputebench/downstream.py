@@ -26,7 +26,6 @@ from .datagen import (
     ParamSet,
     PopulationSpec,
     _check_params,
-    _row_sums,
     coefficients,
     moment_params,
 )
@@ -145,8 +144,8 @@ def _estimate_rows(
     sq_err = np.square(np.subtract(truth_y, y, out=product), out=product)
     n_missing = np.count_nonzero(mask, axis=1)
     mse_missing = np.zeros(k)
-    sq_mis = sq_err.take(np.flatnonzero(mask))
-    np.divide(_row_sums(sq_mis, n_missing), n_missing, out=mse_missing, where=n_missing > 0)
+    sq_mis = np.array([np.add.reduce(row[at]) for row, at in zip(sq_err, mask)])
+    np.divide(sq_mis, n_missing, out=mse_missing, where=n_missing > 0)
     fields = {
         "mu": means[2][:, 0],
         "p90": 100.0 * (np.count_nonzero(y > _quantile_rows(truth_y, 0.9)[:, None], axis=1) / n),

@@ -26,7 +26,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .ampute import IncompleteBlock
-from .datagen import _row_slices
 from .forest import PASS_ROWS, impute_forest
 from .linmodel import bayes_param_draw, fit_ols, predict
 from .stochastics import RngStream
@@ -128,14 +127,13 @@ def _predict_values(block: IncompleteBlock) -> tuple[np.ndarray, np.ndarray]:
 def _draw_values(block: IncompleteBlock, streams: Sequence[RngStream]) -> np.ndarray:
     """The fitted values of _predict_values plus N(0, sigma2_i) noise.
 
-    Dataset i draws its one normal per masked entry from streams[i], into
-    its own slice of one noise array.
+    Dataset i draws its one normal per masked entry from streams[i].
     """
     fitted, residual_variance = _predict_values(block)
     n_missing = np.count_nonzero(block.mask, axis=1)
-    noise = np.empty(fitted.size)
-    for stream, row in zip(streams, _row_slices(n_missing)):
-        stream.generator.standard_normal(out=noise[row])
+    noise = np.concatenate(
+        [stream.generator.standard_normal(m) for stream, m in zip(streams, n_missing)]
+    )
     return fitted + np.repeat(np.sqrt(residual_variance), n_missing) * noise
 
 

@@ -6,13 +6,16 @@ backed by the counter-based Philox generator, so distinct ids give
 independent sequences, splitting is O(1), and results are identical
 regardless of how work is scheduled across threads or processes.
 
-A stream's Philox key is the one numpy's SeedSequence(entropy=[base_seed,
-stream_id], spawn_key=...) derives, computed here by _philox_keys: the
-same uint32 hash (NEP 19 keeps it fixed), run on an array with one row per
-stream, so a block's streams are keyed in one pass instead of one
-SeedSequence each. A stream builds its Philox and Generator from its key
-on its first ``generator`` access, so a stream never drawn from builds
-none.
+A stream is one row of uint32 entropy words and the Philox key of that
+row, both fixed where the stream is made. The row of (base_seed,
+stream_id) is _address_rows' four words, and a child appends one
+spawn-key word to its parent's row. The key is the one numpy's
+SeedSequence(entropy=[base_seed, stream_id], spawn_key=...) derives,
+computed by _philox_keys: the same uint32 hash (NEP 19 keeps it fixed),
+run on an array with one row per stream, so every batch of streams is
+keyed in one pass by _streams. A stream builds its Philox and Generator
+from its key on its first ``generator`` access, so a stream never drawn
+from builds none.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,32 +77,6 @@ class SeedSpec:
 # the key kernel
 # =====================================================================
 
-def _words(values: Iterable[int]) -> list[int]:
-    """The little-endian uint32 words of each value in turn, one word for 0.
-
-    This is how SeedSequence reads its entropy and spawn key.
-    """
-    out = []
-    for value in values:
-        out.append(value & _MASK32)
-        value >>= 32
-        while value:
-            out.append(value & _MASK32)
-            value >>= 32
-    return out
-
-
-def _entropy_words(entropy: tuple[int, ...], spawn_key: tuple[int, ...]) -> list[int]:
-    """SeedSequence's assembled entropy: the entropy's words, zero-padded
-    to the pool size, then the spawn key's words.
-
-    SeedSequence pads only when there is a spawn key, but without one it
-    hashes a zero for each missing pool word, so padding changes no key.
-    """
-    run = _words(entropy)
-    return run + [0] * (_POOL - len(run)) + _words(spawn_key)
-
-
 @cache
 def _hash_constants(n_words: int) -> tuple[np.ndarray, np.ndarray]:
     """The (xor, multiplier) uint32 pairs of each hashmix call that keys a
@@ -136,8 +113,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _philox_keys(words: np.ndarray) -> np.ndarray:
     """The (N, 2) uint64 Philox keys of an (N, W) uint32 entropy array, W >= 4.
 
-    Row i is the assembled entropy of one stream (see _entropy_words), and
-    key row i equals SeedSequence's generate_state(2, np.uint64) for it.
+    Row i is the entropy of one stream (see _address_rows and children),
+    and key row i equals SeedSequence's generate_state(2, np.uint64) for it.
     Each step of SeedSequence's mix_entropy runs on whole columns: a source
     word is mixed into the other pool words with one hashmix constant each,
     and those updates read only the source, so they run at once. All
@@ -159,13 +136,23 @@ def _philox_keys(words: np.ndarray) -> np.ndarray:
     return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
 
 
-def _keys_of(rows: list[list[int]]) -> np.ndarray:
-    """The Philox keys of entropy word rows, one _philox_keys pass per row width."""
-    keys = np.empty((len(rows), 2), dtype=np.uint64)
-    for width in {len(row) for row in rows}:
-        at = [i for i, row in enumerate(rows) if len(row) == width]
-        keys[at] = _philox_keys(np.array([rows[i] for i in at], dtype=np.uint32))
-    return keys
+def _address_rows(base_seed: int, stream_ids: Sequence[int]) -> np.ndarray:
+    """The (N, 4) uint32 entropy rows of the addresses (base_seed, id), one per id.
+
+    SeedSequence reads each value as its little-endian uint32 words (one
+    word for a value below 2**32) and zero-pads the run to its pool of 4.
+    So a row is the seed's one or two words, then the id's low and high
+    words, then zeros: an id's zero high word stands where SeedSequence
+    pads. A 64-bit seed and a 64-bit id always fit the pool.
+    """
+    seed = int(base_seed)
+    ids = np.array(stream_ids, dtype=np.uint64)
+    rows = np.zeros((ids.size, _POOL), dtype=np.uint32)
+    rows[:, 0], rows[:, 1] = seed & _MASK32, seed >> 32
+    at = 2 if seed >> 32 else 1
+    rows[:, at] = ids & np.uint64(_MASK32)
+    rows[:, at + 1] = ids >> np.uint64(32)
+    return rows
 
 
 @cache
@@ -199,59 +186,56 @@ def _key_seed_type() -> type:
 class RngStream:
     """Generator state advanced only by draws on ``generator``.
 
-    A stream is single-owner: never share one between concurrent tasks.
-    ``child`` and ``children`` split off independent streams without
-    consuming state from the parent, so trees of streams remain
-    reproducible.
+    A stream holds its entropy row and that row's Philox key, both set by
+    _streams, the one place streams are made. A stream is single-owner:
+    never share one between concurrent tasks. ``child`` and ``children``
+    split off independent streams without consuming state from the
+    parent, so trees of streams remain reproducible.
     """
 
-    __slots__ = ("_entropy", "_spawn_key", "_key", "_gen")
+    __slots__ = ("_row", "_key", "_gen")
 
-    def __init__(self, entropy: tuple[int, ...], spawn_key: tuple[int, ...] = ()):
-        self._entropy = tuple(int(v) for v in entropy)
-        self._spawn_key = tuple(int(v) for v in spawn_key)
-        if min(self._entropy + self._spawn_key, default=0) < 0:
-            raise ValueError(f"stream entropy and keys must be non-negative: {self!r}")
-        self._key = None
-        self._gen = None
-
-    @classmethod
-    def _keyed(cls, entropy: tuple[int, ...], spawn_key: tuple[int, ...], key: np.ndarray):
-        """A stream whose checked address was keyed by a batch pass."""
-        stream = cls.__new__(cls)
-        stream._entropy, stream._spawn_key, stream._key, stream._gen = entropy, spawn_key, key, None
-        return stream
+    def __init__(self, row: np.ndarray, key: np.ndarray):
+        self._row, self._key, self._gen = row, key, None
 
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            if self._key is None:
-                self._key = _keys_of([_entropy_words(self._entropy, self._spawn_key)])[0]
             self._gen = np.random.Generator(np.random.Philox(_key_seed_type()(self._key)))
         return self._gen
 
     def children(self, keys: Iterable[int]) -> list["RngStream"]:
-        """The key-th independent sub-stream of this stream for each key, keyed in one pass."""
+        """The key-th independent sub-stream of this stream for each key, keyed in one pass.
+
+        A child's row is this row and one spawn-key word, so a key must
+        be below 2**32.
+        """
         keys = list(keys)
         for key in keys:
-            if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or key < 0:
-                raise ValueError(f"child key must be a non-negative integer, got {key!r}")
-        prefix = _entropy_words(self._entropy, self._spawn_key)
-        spawn_keys = [self._spawn_key + (int(key),) for key in keys]
-        philox = _keys_of([prefix + _words(sk[-1:]) for sk in spawn_keys])
-        return [RngStream._keyed(self._entropy, sk, k) for sk, k in zip(spawn_keys, philox)]
+            integer = isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+            if not (integer and 0 <= key <= _MASK32):
+                raise ValueError(f"child key must be an integer in [0, 2**32), got {key!r}")
+        rows = np.empty((len(keys), self._row.size + 1), dtype=np.uint32)
+        rows[:, :-1] = self._row
+        rows[:, -1] = keys
+        return _streams(rows)
 
     def child(self, key: int) -> "RngStream":
         """Derive the key-th independent sub-stream of this stream."""
         return self.children([key])[0]
 
     def __repr__(self):
-        return f"RngStream(entropy={self._entropy}, spawn_key={self._spawn_key})"
+        return f"RngStream(row={self._row.tolist()})"
+
+
+def _streams(rows: np.ndarray) -> list[RngStream]:
+    """One stream per row of an (N, W) uint32 entropy array, keyed in one pass."""
+    return [RngStream(row, key) for row, key in zip(rows, _philox_keys(rows))]
 
 
 def make_stream(spec: SeedSpec) -> RngStream:
     """Create the stream addressed by ``spec``; a pure function of it."""
-    return RngStream((spec.base_seed, spec.stream_id))
+    return _streams(_address_rows(spec.base_seed, [spec.stream_id]))[0]
 
 
 def substream_id(cell: int, replication: int, purpose: Purpose) -> int:
@@ -292,18 +276,8 @@ def rep_streams(
     """
     for t in (first, last):
         SeedSpec(base_seed, substream_id(cell, t, _REP_PURPOSES[-1]))
-    seed, base = int(base_seed), int(cell) << (_REPLICATION_BITS + _PURPOSE_BITS)
+    base = int(cell) << (_REPLICATION_BITS + _PURPOSE_BITS)
     ids = [base | t << _PURPOSE_BITS | p for p in _REP_PURPOSES for t in range(first, last + 1)]
-    # the entropy rows are [seed words, id low word, id high word] padded
-    # to the pool: an id below 2**32 is one word, and its zero high word is
-    # the pool's zero padding
-    seed_words = _words((seed,))
-    words = np.zeros((len(ids), _POOL), dtype=np.uint32)
-    words[:, :len(seed_words)] = seed_words
-    packed = np.array(ids, dtype=np.uint64)
-    words[:, len(seed_words)] = packed & np.uint64(_MASK32)
-    words[:, len(seed_words) + 1] = packed >> np.uint64(32)
-    keys = _philox_keys(words)
-    streams = [RngStream._keyed((seed, i), (), key) for i, key in zip(ids, keys)]
+    streams = _streams(_address_rows(base_seed, ids))
     k = last - first + 1
     return streams[:k], streams[k:2 * k], streams[2 * k:]

@@ -18,7 +18,6 @@ from imputebench.datagen import (
     Dataset,
     PopulationSpec,
     _check_params,
-    _row_sums,
     draw_sample,
     generate_population,
     ground_truth,
@@ -378,8 +377,8 @@ def _three_centred_blocks_estimate(x1, x2, y, truth_y, mask):
     sq_err = np.square(np.subtract(truth_y, y, out=product), out=product)
     n_missing = np.count_nonzero(mask, axis=1)
     mse_missing = np.zeros(k)
-    sq_mis = sq_err.take(np.flatnonzero(mask))
-    np.divide(_row_sums(sq_mis, n_missing), n_missing, out=mse_missing, where=n_missing > 0)
+    sq_mis = np.array([np.add.reduce(row[at]) for row, at in zip(sq_err, mask)])
+    np.divide(sq_mis, n_missing, out=mse_missing, where=n_missing > 0)
     fields = {
         "mu": means[2][:, 0],
         "p90": 100.0 * (np.count_nonzero(y > _quantile_rows(truth_y, 0.9)[:, None], axis=1) / n),

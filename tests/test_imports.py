@@ -1,7 +1,8 @@
 """The package's module graph, the one regression solve, the one
-amputation entry, the one stream-key kernel, the one module of output
-layouts and the harness's lack of module state, read from the source,
-and what importing the CLI loads.
+amputation entry, the one place streams are made and keyed, the one
+module of output layouts, the harness's lack of module state and the
+syntax of the declared Python floor, read from the source, and what
+importing the CLI loads.
 
 Each module of src/imputebench is parsed, not imported, so these tests
 see the import statements and names as written. No module has an
@@ -13,10 +14,13 @@ read its sys.modules.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import imputebench
 from imputebench.ampute import CompletedDataset
@@ -93,15 +97,22 @@ def test_no_annotation_only_imports():
     assert guarded == []
 
 
-def _readers(name: str, modules: dict[str, ast.Module] = MODULES) -> set[str]:
+def _readers(
+    name: str, modules: dict[str, ast.Module] = MODULES, called: bool = False
+) -> set[str]:
     """Where a name is loaded in the package: module.function for a load
     in a function (its innermost def), module.Class for one in a class
     body, and module for one at module level; a lambda reads for the
-    scope it sits in."""
+    scope it sits in. With called, only loads that are called count."""
     readers = set()
 
     def visit(node, scope):
-        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+        if called:
+            func = node.func if isinstance(node, ast.Call) else None
+            hit = isinstance(func, ast.Name) and func.id == name
+        else:
+            hit = isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        if hit:
             readers.add(scope)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope.split('.')[0]}.{node.name}"
@@ -122,6 +133,9 @@ def test_readers_sees_every_scope():
         "SEEN = 1\n"
     )
     assert _readers("SEEN", {"mod": tree}) == {"mod", "mod.C", "mod.m", "mod.inner"}
+    assert _readers("SEEN", {"mod": tree}, called=True) == set()
+    calls = ast.parse("def f():\n    return g(1)\n")
+    assert _readers("g", {"mod": calls}, called=True) == {"mod.f"}
 
 
 def test_one_function_solves_every_regression():
@@ -153,9 +167,15 @@ def test_one_function_amputes_a_block():
 
 
 def test_one_kernel_keys_every_stream():
-    # the SeedSequence hash is computed in stochastics alone
-    assert _readers("_philox_keys") == {"stochastics._keys_of", "stochastics.rep_streams"}
-    assert {reader.split(".")[0] for reader in _readers("_keys_of")} == {"stochastics"}
+    # every stream is made, and keyed with the SeedSequence hash, in
+    # stochastics._streams alone
+    assert _readers("_philox_keys") == {"stochastics._streams"}
+    assert _readers("RngStream", called=True) == {"stochastics._streams"}
+    # the ragged-row helpers are gone: a block's rows are summed and drawn row by row
+    defined = {
+        node.name for node in MODULES["datagen"].body if isinstance(node, ast.FunctionDef)
+    }
+    assert not {"_row_slices", "_row_sums"} & defined
 
 
 def test_every_output_layout_lives_in_harness():
@@ -181,6 +201,19 @@ def test_harness_keeps_no_module_level_container():
         )
     ]
     assert held == []
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # this catches syntax newer than requires-python, not newer library calls
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    ((major, minor),) = re.findall(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    floor = (int(major), int(minor))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+    # the check does reject syntax newer than a floor: except* is 3.11's
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def _cli_import_modules() -> set[str]:

@@ -5,19 +5,20 @@ from hypothesis import strategies as st
 
 from imputebench.stochastics import (
     Purpose,
-    RngStream,
     SeedSpec,
-    _entropy_words,
-    _keys_of,
+    _address_rows,
     _philox_keys,
     make_stream,
     rep_streams,
     substream_id,
 )
 
-_U64 = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1])
-# spawn key entries may exceed 64 bits; SeedSequence takes any non-negative int
-_SPAWN_KEYS = st.lists(st.integers(0, 2**70) | st.sampled_from([0, 2**32 - 1, 2**32]), max_size=3)
+# the seeds and ids where SeedSequence's word count changes
+_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)
+_U64 = st.integers(0, 2**64 - 1) | st.sampled_from(_EDGES)
+# a child key is one spawn-key word
+_CHILD_KEY = st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1])
+_SPAWN_KEYS = st.lists(_CHILD_KEY, max_size=3)
 
 
 def _seed_sequence_key(entropy, spawn_key=()):
@@ -29,6 +30,14 @@ def _seed_sequence_key(entropy, spawn_key=()):
 def _seed_sequence_draws(entropy, spawn_key=(), n=4):
     seq = np.random.SeedSequence(entropy=list(entropy), spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(seq)).random(n)
+
+
+def _stream_at(seed, sid, spawn_key=()):
+    """The stream at an address, made as the program makes it: make_stream, then children."""
+    stream = make_stream(SeedSpec(seed, sid))
+    for key in spawn_key:
+        stream = stream.child(key)
+    return stream
 
 
 class TestSeedSpec:
@@ -99,7 +108,7 @@ class TestChildStreams:
         b = make_stream(SeedSpec(5, 9)).child(2).child(7).generator.random(5)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("key", [-1, 1.5, True, None])
+    @pytest.mark.parametrize("key", [-1, 1.5, True, None, 2**32])
     def test_bad_child_key(self, key):
         with pytest.raises(ValueError):
             make_stream(SeedSpec(0, 0)).child(key)
@@ -139,7 +148,7 @@ class TestBuiltOnFirstDraw:
     @pytest.mark.parametrize("entropy,spawn_key", [((-1, 0), ()), ((1, 0), (2, -3))])
     def test_negative_entropy_rejected_before_any_draw(self, entropy, spawn_key):
         with pytest.raises(ValueError):
-            RngStream(entropy, spawn_key)
+            _stream_at(*entropy, spawn_key)
 
 
 class TestPhiloxKeys:
@@ -147,17 +156,25 @@ class TestPhiloxKeys:
 
     @settings(max_examples=200, deadline=None)
     @given(addresses=st.lists(st.tuples(_U64, _U64, _SPAWN_KEYS), min_size=1, max_size=12))
-    @example(addresses=[(0, 0, []), (2**64 - 1, 2**64 - 1, [2**32, 0]), (2**32, 5, [7])])
+    @example(addresses=[(0, 0, []), (2**64 - 1, 2**64 - 1, [2**32 - 1, 0]), (2**32, 5, [7])])
+    # every address form the program makes: seeds and ids of one and two
+    # words, and children and grandchildren at both ends of a spawn-key word
+    @example(addresses=[
+        (seed, sid, spawn_key) for seed in _EDGES for sid in _EDGES
+        for spawn_key in ([], [0], [2**32 - 1], [0, 2**32 - 1], [2**32 - 1, 0])
+    ])
     def test_keys_equal_seed_sequence(self, addresses):
-        # one batch holds rows of several word counts
-        rows = [_entropy_words((seed, sid), tuple(sk)) for seed, sid, sk in addresses]
-        expected = [_seed_sequence_key((seed, sid), sk) for seed, sid, sk in addresses]
-        np.testing.assert_array_equal(_keys_of(rows), np.array(expected, dtype=np.uint64))
+        for seed, sid, spawn_key in addresses:
+            np.testing.assert_array_equal(
+                _stream_at(seed, sid, spawn_key)._key, _seed_sequence_key((seed, sid), spawn_key)
+            )
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=_U64, sid=_U64, prefix=_SPAWN_KEYS, keys=st.lists(_U64, min_size=1, max_size=5))
+    @given(
+        seed=_U64, sid=_U64, prefix=_SPAWN_KEYS, keys=st.lists(_CHILD_KEY, min_size=1, max_size=5)
+    )
     def test_children_equal_seed_sequence(self, seed, sid, prefix, keys):
-        parent = RngStream((seed, sid), tuple(prefix))
+        parent = _stream_at(seed, sid, prefix)
         for key, child in zip(keys, parent.children(keys)):
             spawn_key = tuple(prefix) + (key,)
             np.testing.assert_array_equal(child._key, _seed_sequence_key((seed, sid), spawn_key))
@@ -173,7 +190,7 @@ class TestPhiloxKeys:
         )
 
     def test_one_width_batch(self):
-        words = np.array([_entropy_words((123, i), (i,)) for i in range(40)], dtype=np.uint32)
+        words = np.column_stack([_address_rows(123, range(40)), np.arange(40, dtype=np.uint32)])
         expected = [_seed_sequence_key((123, i), (i,)) for i in range(40)]
         np.testing.assert_array_equal(_philox_keys(words), np.array(expected, dtype=np.uint64))
 
@@ -183,7 +200,7 @@ class TestPhiloxKeys:
             parent.child(4).generator.random(3), parent.children([2, 4])[1].generator.random(3)
         )
 
-    @pytest.mark.parametrize("key", [-1, 1.5, True, None])
+    @pytest.mark.parametrize("key", [-1, 1.5, True, None, 2**32])
     def test_bad_children_key(self, key):
         with pytest.raises(ValueError):
             make_stream(SeedSpec(0, 0)).children([0, key])
