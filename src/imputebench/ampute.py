@@ -3,7 +3,9 @@
 Two mechanisms: MCAR masks rows independently at the fixed rate PROP,
 and a right-censoring MAR variant masks with probability increasing in
 x1, calibrated by a logistic shift so the expected masked proportion is
-PROP. Only y is ever masked; the original outcome is carried along for
+PROP. _solve_shifts finds the shifts of a whole block in one loop of
+Newton steps, each kept inside a bracket read off its row's scores.
+Only y is ever masked; the original outcome is carried along for
 evaluation but kept out of reach of the imputation path.
 
 IncompleteBlock is the one incomplete container: k masked datasets as
@@ -26,8 +28,7 @@ from .stochastics import RngStream
 # expected share of masked y entries under either mechanism
 PROP = 0.5
 _SHIFT_TOL = 1e-8
-_MAX_BISECT = 200
-_NEWTON_STEPS = 6
+_MAX_ROUNDS = 200
 
 
 class Mechanism(Enum):
@@ -119,114 +120,51 @@ def _logistic(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _shift_search(prop: float):
-    """One row's search for its shift, as a coroutine.
-
-    It yields (b, slope) for each shift b whose gap it must evaluate,
-    slope true when it also reads the slope there, and is sent back
-    (gap, slope); it returns the shift or raises ValueError. The gap is
-    mean(logistic(s + b)) - prop and the slope mean(p(1 - p)), both over
-    the row's scores s.
-
-    First it certifies a bracket: Newton steps on the gap from b = 0,
-    then one probe 4 tol / slope to either side of the last step. Every
-    probe whose gap is past -2 tol or 2 tol (tol is _SHIFT_TOL) settles
-    that side as `low` or `high`; a probe at +-inf settles nothing. Then
-    it bisects on an expanding bracket, stopping once the gap is within
-    tol, and evaluates no shift whose outcome is already known: at or
-    below `low` the gap is negative and not converged, at or above
-    `high` positive and not converged. Float add, divide and mean are
-    monotone under rounding and np.exp errs by an ulp or two, so the
-    evaluated gap there is past 2 tol - 1e-15 on the same side, and the
-    midpoints, the stop and the returned shift are bit-identical to
-    evaluating every step.
-    """
-    low, high = -math.inf, math.inf
-
-    def settle(b: float, g: float) -> None:
-        nonlocal low, high
-        if g < -2.0 * _SHIFT_TOL:
-            low = max(low, b)
-        elif g > 2.0 * _SHIFT_TOL:
-            high = min(high, b)
-
-    b = 0.0
-    for _ in range(_NEWTON_STEPS):
-        g, slope = yield b, True
-        settle(b, g)
-        if not slope > 0.0 or abs(g) < _SHIFT_TOL:
-            break
-        b -= g / slope
-    if slope > 0.0:
-        step = 4.0 * _SHIFT_TOL / slope
-        for probe in (b - step, b + step):
-            settle(probe, (yield probe, False)[0])
-
-    def gap(b: float):
-        if b <= low:
-            return -math.inf
-        if b >= high:
-            return math.inf
-        return (yield b, False)[0]
-
-    lo, hi = -1.0, 1.0
-    while (yield from gap(lo)) > 0:
-        lo *= 2.0
-    while (yield from gap(hi)) < 0:
-        hi *= 2.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        g = yield from gap(mid)
-        if abs(g) < _SHIFT_TOL:
-            return mid
-        if g < 0:
-            lo = mid
-        else:
-            hi = mid
-    g = (yield mid, False)[0]
-    raise ValueError(f"no shift calibrates the scores to prop {prop}: gap {g:.3g} remains")
-
-
 def _solve_shifts(scores: np.ndarray, prop: float) -> np.ndarray:
     """Each row's shift b with mean(logistic(row + b)) = prop, for a (k, n) block.
 
-    The mean masking probability is strictly increasing in b, so plain
-    bisection on an expanding bracket converges; a row stops once its
-    calibration error is below 1e-8 (well inside the 1e-6 contract).
+    The mean masking probability is strictly increasing in b, and every
+    probability is at most prop at b = logit(prop) - max(row) and at
+    least prop at b = logit(prop) - min(row), so those two shifts
+    bracket the row's root. From b = 0 each round makes one _logistic
+    pass over the unfinished rows. A row stops once its calibration
+    error is below 1e-8 (well inside the 1e-6 contract); otherwise the
+    sign of its error narrows its bracket, and it takes the Newton step,
+    or the bracket's midpoint when that step is not strictly inside.
     Scores so large that float spacing leaves no shift within 1e-8 of
-    prop raise ValueError. A certified bracket lets the bisection skip
-    every evaluation whose outcome is known (_shift_search).
+    prop raise ValueError after _MAX_ROUNDS rounds.
 
-    Every row runs its own _shift_search. A round evaluates the shift
-    each unfinished row asks for in one _logistic pass over those rows,
-    so a block takes as many passes as its slowest row; np.add.reduce
-    along axis 1 gives each row the bits of its own sum, so a row's shift
-    is the one it gets as the block of one. A row whose search fails
-    fails the block with its own message.
+    np.add.reduce along axis 1 gives each row the bits of its own sum,
+    so a row's shift is the one it gets as the block of one, and a block
+    takes as many passes as its slowest row.
     """
     if scores.shape[1] == 0 or not np.isfinite(scores).all():
         raise ValueError("scores must be non-empty and finite")
     if not 0.0 < prop < 1.0:
         raise ValueError(f"prop must lie strictly in (0,1), got {prop}")
     n = scores.shape[1]
-    shifts = np.empty(scores.shape[0])
-    searches = [_shift_search(prop) for _ in range(scores.shape[0])]
-    asks = {r: next(search) for r, search in enumerate(searches)}
-    while asks:
-        rows = list(asks)
-        b = np.array([asks[r][0] for r in rows])
-        p = _logistic((scores[rows] if len(rows) < len(shifts) else scores) + b[:, None])
-        gaps = (np.add.reduce(p, axis=1) / n - prop).tolist()
-        wanted = [i for i, r in enumerate(rows) if asks[r][1]]
-        q = p[wanted]
-        slopes = dict(zip(wanted, (np.add.reduce(q * (1.0 - q), axis=1) / n).tolist()))
-        for i, (r, g) in enumerate(zip(rows, gaps)):
-            try:
-                asks[r] = searches[r].send((g, slopes.get(i)))
-            except StopIteration as done:
-                shifts[r] = done.value
-                del asks[r]
-    return shifts
+    logit = math.log(prop / (1.0 - prop))
+    low, high = logit - scores.max(axis=1), logit - scores.min(axis=1)
+    shifts, b = np.zeros(scores.shape[0]), np.zeros(scores.shape[0])
+    rows = np.arange(scores.shape[0])
+    for _ in range(_MAX_ROUNDS):
+        with np.errstate(over="ignore"):  # a score near the float maximum plus b
+            p = _logistic(scores[rows] + b[:, None])
+        gap = np.add.reduce(p, axis=1) / n - prop
+        done = np.abs(gap) < _SHIFT_TOL
+        shifts[rows[done]] = b[done]
+        if done.all():
+            return shifts
+        left = ~done
+        slope = np.add.reduce(p * (1.0 - p), axis=1)[left] / n
+        rows, b, gap, low, high = rows[left], b[left], gap[left], low[left], high[left]
+        low = np.where(gap < 0, np.maximum(low, b), low)
+        high = np.where(gap > 0, np.minimum(high, b), high)
+        with np.errstate(divide="ignore", over="ignore"):  # a zero or tiny slope
+            step = b - gap / slope
+        # halve the ends first: near the float maximum low + high overflows
+        b = np.where((low < step) & (step < high), step, 0.5 * low + 0.5 * high)
+    raise ValueError(f"no shift calibrates the scores to prop {prop}: gap {gap[0]:.3g} remains")
 
 
 def _ampute_block(
@@ -235,12 +173,13 @@ def _ampute_block(
     """The IncompleteBlock of (k, n) blocks cut from a validated Dataset, masked by mechanism.
 
     Row i is masked from its own uniform draws u[i], as ampute
-    describes; the arithmetic runs once on the block. Row sums are
-    np.add.reduce along axis 1, which on a C-contiguous block sums each
-    row exactly as it sums the row alone, so no row's mask depends on
-    the others. y then gets its holes once for the whole block, and
-    nothing is checked again: x1, x2 and y are finite already and the
-    holes are exactly where the mask is true.
+    describes; the arithmetic, MAR's shift solve among it, runs once on
+    the block. Row sums are np.add.reduce along axis 1, which on a
+    C-contiguous block sums each row exactly as it sums the row alone,
+    so no row's score, shift or mask depends on the others. y then gets
+    its holes once for the whole block, and nothing is checked again:
+    x1, x2 and y are finite already and the holes are exactly where the
+    mask is true.
     """
     n = x1.shape[1]
     if mechanism is Mechanism.MCAR:
@@ -271,9 +210,10 @@ def ampute(data: Dataset, mechanism: Mechanism, stream: RngStream) -> Incomplete
 
     MCAR compares one uniform draw per row against PROP. MAR compares it
     against logistic(score + b): the score is standardized x1, and b is
-    calibrated by _solve_shifts so the expected proportion equals PROP.
-    Rows with high x1 are censored more. This is the one-row block of
-    _ampute_block; _solve_shifts draws nothing, so drawing first moves no bit.
+    calibrated by _solve_shifts so the expected proportion is within
+    1e-8 of PROP. Rows with high x1 are censored more. This is the
+    one-row block of _ampute_block; _solve_shifts draws nothing, so
+    drawing first moves no bit.
     """
     u = stream.generator.random(len(data))
     x1, x2, y = (col[None, :] for col in (data.x1, data.x2, data.y))

@@ -20,6 +20,7 @@ from imputebench.ampute import (
 from imputebench.datagen import Dataset, PopulationSpec, generate_population
 from imputebench.harness import (
     MECHANISMS,
+    SIGNALS,
     ExperimentConfig,
     _assign_cells,
     _build_population,
@@ -168,18 +169,45 @@ class TestSolveShift:
         with pytest.raises(ValueError, match="gap"):
             solve_shift(np.array(scores), 0.3)
 
-    @pytest.mark.parametrize("big", [1e3, 1e300])
+    @pytest.mark.parametrize("big", [1e3, 1e300, np.finfo(float).max])
     def test_huge_scores_warn_nothing(self, big):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert solve_shift(np.array([big, -big]), 0.5) == 0.0
             b = solve_shift(np.array([-big, 0.0, 0.0, 0.0]), 0.5)
             assert abs(np.mean(expit(np.array([-big, 0.0, 0.0, 0.0]) + b)) - 0.5) < 1e-6
+            if big == np.finfo(float).max:
+                # -big plus a shift near -big overflows; float spacing at big
+                # leaves no shift that calibrates, and that is the error
+                with pytest.raises(ValueError, match="gap"):
+                    solve_shift(np.array([big, -big]), 0.3)
 
 
-# --- reference: the plain bisection that solve_shift must reproduce bit for bit
+# --- reference: the rule solve_shift must reproduce bit for bit, on one row
 
 def _reference_solve_shift(scores, prop: float) -> float:
+    s = np.asarray(scores, dtype=np.float64)
+    logit = math.log(prop / (1.0 - prop))
+    low, high = logit - np.max(s), logit - np.min(s)
+    b = np.float64(0.0)
+    for _ in range(200):
+        with np.errstate(over="ignore"):
+            p = _logistic(s + b)
+        g = np.mean(p) - prop
+        if abs(g) < 1e-8:
+            return b
+        if g < 0:
+            low = max(low, b)
+        else:
+            high = min(high, b)
+        with np.errstate(divide="ignore", over="ignore"):
+            step = b - g / np.mean(p * (1.0 - p))
+        b = step if low < step < high else 0.5 * low + 0.5 * high
+    raise ValueError(f"no shift calibrates the scores to prop {prop}: gap {g:.3g} remains")
+
+
+def _bisection_shift(scores, prop: float) -> float:
+    """Plain bisection on an expanding bracket: a second rule within the tolerance."""
     s = np.asarray(scores, dtype=np.float64)
 
     def gap(b: float) -> float:
@@ -263,8 +291,9 @@ class TestSolveShiftMatchesReference:
                 _reference_solve_shift, scores, PROP
             )
 
-    def test_at_most_ten_logistic_passes(self, ci_mar_scores, monkeypatch):
-        # the reference takes 16-27 passes on these vectors
+    def test_at_most_three_logistic_passes(self, ci_mar_scores, monkeypatch):
+        # Newton from 0 takes 2-3 passes on these vectors; _bisection_shift
+        # takes 16-27
         calls = []
 
         def counted(x):
@@ -275,7 +304,7 @@ class TestSolveShiftMatchesReference:
         for scores in ci_mar_scores:
             calls.clear()
             solve_shift(scores, PROP)
-            assert len(calls) <= 10
+            assert len(calls) <= 3
 
     def test_a_block_takes_its_slowest_rows_passes(self, ci_mar_scores, monkeypatch):
         # a 16-replication block makes one _logistic pass per round of its
@@ -297,6 +326,28 @@ class TestSolveShiftMatchesReference:
             calls.clear()
             _solve_shifts(block, PROP)
             assert len(calls) <= max(rounds) <= 10
+
+
+class TestMasksMatchTheBisection:
+    def test_ci_table1_mar_masks(self, monkeypatch):
+        # the two rules' shifts differ by up to 1e-7, within the tolerance;
+        # no replication's mask moves, so no table number does
+        cfg = ExperimentConfig(t_rep=20, pop_size=100_000)
+
+        def bisected(scores, prop):
+            return np.array([_bisection_shift(row, prop) for row in scores])
+
+        for level in range(len(SIGNALS)):
+            pop = _build_population(cfg, level)
+            for cell in _assign_cells((Predict(), Draw())):
+                if cell.level != level or cell.mech != MAR:
+                    continue
+                masks = []
+                for solve in (_solve_shifts, bisected):
+                    monkeypatch.setattr(ampute_module, "_solve_shifts", solve)
+                    sampling, amputation, _ = rep_streams(cfg.base_seed, cell.cell_id, 1, cfg.t_rep)
+                    masks.append(_masked_block(cfg, pop, MAR, sampling, amputation).mask)
+                np.testing.assert_array_equal(*masks)
 
 
 class TestLogistic:

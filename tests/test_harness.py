@@ -439,6 +439,17 @@ class TestResidentPopulation:
         run(_tiny_cfg())
         assert [r2 for _, r2 in builds] == [0.8, 0.2]
 
+    def test_figure_builds_the_low_level_alone(self, builds):
+        export_figure_data(_tiny_cfg())
+        assert [r2 for _, r2 in builds] == [0.2]
+
+    def test_run_rebuilds_the_levels_of_each_output(self, builds, tmp_path):
+        # table1, table2, then the figure: each rebuilds what it reads
+        argv = ["run", "--reps", "2", "--pop-size", "20000", "--samples", "500",
+                "--seed", "77", "--out", str(tmp_path)]
+        assert parse_and_dispatch(argv) == 0
+        assert [r2 for _, r2 in builds] == [0.8, 0.2, 0.8, 0.2, 0.2]
+
     def test_serial_table1_peak_memory_is_six_columns(self):
         n = 100_000
         # a population (three columns) with its build's scratch column,

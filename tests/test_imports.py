@@ -1,8 +1,8 @@
 """The package's module graph, the one regression solve, the one
-amputation entry, the one place streams are made and keyed, the one
-module of output layouts, the harness's lack of module state and the
-syntax of the declared Python floor, read from the source, and what
-importing the CLI loads.
+amputation entry, the one shift solver, the one place streams are made
+and keyed, the one module of output layouts, the harness's lack of
+module state and the syntax of the declared Python floor, read from the
+source, and what importing the CLI loads.
 
 Each module of src/imputebench is parsed, not imported, so these tests
 see the import statements and names as written. No module has an
@@ -164,6 +164,17 @@ def test_one_function_amputes_a_block():
     assert [arg.arg for arg in decompose.args.args] == [
         "inc", "method", "repeats", "stream", "population"
     ]
+
+
+def test_one_loop_calibrates_every_shift():
+    # the MAR shifts are solved for a whole block, in one loop, and no
+    # per-row search coroutine drives it
+    assert _readers("_solve_shifts") == {"ampute._ampute_block"}
+    generators = [
+        node.lineno for node in ast.walk(MODULES["ampute"])
+        if isinstance(node, (ast.Yield, ast.YieldFrom))
+    ]
+    assert generators == []
 
 
 def test_one_kernel_keys_every_stream():
